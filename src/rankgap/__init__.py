@@ -28,7 +28,6 @@ from .learner import (
     social_welfare,
     truncate,
     tvr,
-    utility_ben,
     utility_en,
 )
 from .collective import (

@@ -45,7 +45,7 @@ from .matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from .popgap import classify_users, popularity_gap_interval
+from .popgap import PopularitySplit, popularity_gap_interval
 
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
@@ -229,7 +229,7 @@ def _user_classes(mat: MaterializedScenario) -> list[str]:
         for u in range(mat.matrix.rows):
             labels.append("majority" if u in mat.partition.majority_users else "minority")
         return labels
-    classes = classify_users(mat.matrix, mat.n_bar)
+    classes = PopularitySplit(mat.matrix, mat.n_bar).classes
     labels = []
     for u in range(mat.matrix.rows):
         in_maj = u in classes.majority
@@ -428,7 +428,7 @@ def _matrix_summary(mat: MaterializedScenario) -> dict:
             minority_items=len(mat.partition.minority_items),
         )
     else:
-        classes = classify_users(mat.matrix, mat.n_bar)
+        classes = PopularitySplit(mat.matrix, mat.n_bar).classes
         summary.update(
             majority_users=len(classes.majority),
             minority_users=len(classes.minority),

@@ -291,11 +291,6 @@ def social_welfare(
     )
 
 
-def utility_ben(R_star: RatingsMatrix, outcome: RecommendationOutcome) -> float:
-    """Personalization-accuracy utility: identical to social welfare on R_star."""
-    return social_welfare(R_star, outcome).social_welfare
-
-
 def utility_en(R_tilde: RatingsMatrix) -> float:
     """Engagement utility: sum of absolute reported ratings."""
     return float(np.abs(R_tilde.entries).sum())
@@ -329,7 +324,6 @@ __all__ = [
     "fit_learner",
     "recommend",
     "social_welfare",
-    "utility_ben",
     "utility_en",
     "kappa_k",
 ]

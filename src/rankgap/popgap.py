@@ -7,12 +7,19 @@ guarantee flows from a single ratings-gap scalar computed from the spectrum
 of the popular column block.  All inequalities in this module are strict and
 evaluated in plain double precision; reports carry margins so near-boundary
 instances are visible instead of silently flipping.
+
+State derived from one (matrix, n_bar) pair -- top-item mask, user classes,
+switch set, popular spectrum -- is computed once per :class:`PopularitySplit`.
+Per-user checks are masked numpy reductions of the same expressions a per-row
+scan with :func:`top_items` evaluates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +65,10 @@ class PopularitySplit:
     n_bar: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_bar", int(self.n_bar))
+        try:
+            object.__setattr__(self, "n_bar", operator.index(self.n_bar))
+        except TypeError:
+            raise ValueError(f"n_bar must be an integer, got {self.n_bar!r}") from None
         n = self.matrix.cols
         if not 0 < self.n_bar < n:
             raise ValueError(f"n_bar must satisfy 0 < n_bar < {n}, got {self.n_bar}")
@@ -74,27 +84,67 @@ class PopularitySplit:
     def unpopular_block(self) -> np.ndarray:
         return self.matrix.entries[:, self.n_bar :]
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         """Largest column sum among unpopular items."""
         return float(self.unpopular_block.sum(axis=0).max())
 
-    @property
+    @cached_property
     def kappa_lower(self) -> float:
         """Smallest column sum among unpopular items."""
         return float(self.unpopular_block.sum(axis=0).min())
 
-    @property
+    @cached_property
     def popular_rank(self) -> int:
         return numeric_rank_of(self.popular_block)
 
-    @property
+    @cached_property
     def sigma_popular(self) -> float:
         """The n_bar-th singular value of the popular block (0 when absent)."""
         s = singular_values_of(self.popular_block)
         if self.n_bar > s.size:
             return 0.0
         return float(s[self.n_bar - 1])
+
+    @cached_property
+    def _row_max(self) -> np.ndarray:
+        return self.matrix.entries.max(axis=1)
+
+    @cached_property
+    def _top_mask(self) -> np.ndarray:
+        """m x n mask of the entries equal to their exact row maximum."""
+        return self.matrix.entries == self._row_max[:, None]
+
+    @cached_property
+    def _masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Majority, minority and switching users: a row maximum on a popular
+        column, on an unpopular one, on the first unpopular (target) one."""
+        top, nb = self._top_mask, self.n_bar
+        return top[:, :nb].any(axis=1), top[:, nb:].any(axis=1), top[:, nb]
+
+    @cached_property
+    def classes(self) -> UserClasses:
+        """Majority and minority users, as :func:`classify_users` returns them."""
+        majority, minority, _ = self._masks
+        return UserClasses(_users(majority), _users(minority))
+
+    @cached_property
+    def _off_top_max(self) -> np.ndarray:
+        """Best rating outside each row's top set; +inf on an all-tied row,
+        which has none, so every margin ``(top - gap) - off`` there is -inf."""
+        off = np.where(self._top_mask, -np.inf, self.matrix.entries).max(axis=1)
+        off[self._top_mask.all(axis=1)] = np.inf
+        return off
+
+
+def _users(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _by_user(mask: np.ndarray, values: np.ndarray) -> dict[int, float]:
+    """``values`` of the users in ``mask``, keyed in ascending user order."""
+    users = np.flatnonzero(mask)
+    return dict(zip(users.tolist(), values[users].tolist()))
 
 
 def popular_prefs(matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
@@ -137,16 +187,7 @@ class UserClasses:
 
 def classify_users(matrix: RatingsMatrix, n_bar: int) -> UserClasses:
     """Majority users top out on a popular column, minority on an unpopular one."""
-    split = PopularitySplit(matrix, n_bar)
-    majority: set[int] = set()
-    minority: set[int] = set()
-    for u in range(matrix.rows):
-        tops = top_items(matrix.entries[u])
-        if tops[0] < split.n_bar:
-            majority.add(u)
-        if tops[-1] >= split.n_bar:
-            minority.add(u)
-    return UserClasses(frozenset(majority), frozenset(minority))
+    return PopularitySplit(matrix, n_bar).classes
 
 
 def ratings_gap(matrix: RatingsMatrix, n_bar: int) -> float:
@@ -194,9 +235,12 @@ class ClassMembershipReport:
 
 def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport:
     """Evaluate the popularity-gap class conditions with strict inequalities."""
-    split = PopularitySplit(matrix, n_bar)
-    classes = classify_users(matrix, n_bar)
-    n = matrix.cols
+    return _membership(PopularitySplit(matrix, n_bar))
+
+
+def _membership(split: PopularitySplit) -> ClassMembershipReport:
+    classes = split.classes
+    n = split.matrix.cols
     kappa = split.kappa
     sigma = split.sigma_popular
     inequality = 2.0**1.25 * n**0.75 * math.sqrt(kappa) < sigma
@@ -219,29 +263,11 @@ def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport
         )
 
     delta = 2.0**2.5 * kappa * n**1.5 / sigma**2
-    entries = matrix.entries
-    majority_ok: dict[int, bool] = {}
-    majority_margins: dict[int, float] = {}
-    for u in sorted(classes.majority):
-        row = entries[u]
-        tops = top_items(row)
-        if tops.size == n:
-            # no non-top item exists, so there is no gap to speak of
-            majority_ok[u] = False
-            majority_margins[u] = -math.inf
-            continue
-        off = np.delete(row, tops)
-        margin = float((row.max() - delta) - off.max())
-        majority_ok[u] = margin > 0.0
-        majority_margins[u] = margin
-
-    minority_ok: dict[int, bool] = {}
-    minority_margins: dict[int, float] = {}
-    for u in sorted(classes.minority):
-        margin = float(entries[u, : split.n_bar].max() - delta)
-        minority_ok[u] = margin > 0.0
-        minority_margins[u] = margin
-
+    majority, minority, _ = split._masks
+    majority_margins = _by_user(majority, (split._row_max - delta) - split._off_top_max)
+    minority_margins = _by_user(minority, split.popular_block.max(axis=1) - delta)
+    majority_ok = {u: margin > 0.0 for u, margin in majority_margins.items()}
+    minority_ok = {u: margin > 0.0 for u, margin in minority_margins.items()}
     in_class = all(majority_ok.values()) and all(minority_ok.values())
     return ClassMembershipReport(
         delta_gap=delta,
@@ -292,11 +318,14 @@ def popularity_gap_interval(matrix: RatingsMatrix, n_bar: int) -> OpenInterval:
     for an in-class matrix.  ``kappa`` = 0 collapses the window to the empty
     interval (0, 0).
     """
-    split = PopularitySplit(matrix, n_bar)
+    return _gap_interval(PopularitySplit(matrix, n_bar))
+
+
+def _gap_interval(split: PopularitySplit) -> OpenInterval:
     kappa = split.kappa
     if kappa == 0.0:
         return OpenInterval(0.0, 0.0)
-    n = matrix.cols
+    n = split.matrix.cols
     return OpenInterval(
         math.sqrt((n - split.n_bar) * kappa),
         2.0**1.25 * n**0.75 * math.sqrt(kappa),
@@ -324,15 +353,7 @@ def projection_gap_check(matrix: RatingsMatrix, n_bar: int) -> float:
 
 def switch_users(matrix: RatingsMatrix, n_bar: int) -> frozenset[int]:
     """Minority users whose row maximum is attained on the first unpopular column."""
-    split = PopularitySplit(matrix, n_bar)
-    classes = classify_users(matrix, n_bar)
-    target = split.n_bar
-    out = {
-        u
-        for u in classes.minority
-        if matrix.entries[u, target] == matrix.entries[u].max()
-    }
-    return frozenset(out)
+    return _users(PopularitySplit(matrix, n_bar)._masks[2])
 
 
 @dataclass(frozen=True)
@@ -367,21 +388,16 @@ def delta_interval(matrix: RatingsMatrix, n_bar: int) -> DeltaWindow:
     switching users compare the target rating against their best popular one.
     An empty switch set yields an upper endpoint of 0, so no positive point.
     """
-    split = PopularitySplit(matrix, n_bar)
-    classes = classify_users(matrix, n_bar)
-    switching = switch_users(matrix, n_bar)
-    residual = sorted(classes.minority - switching)
-    entries = matrix.entries
+    return _delta_window(PopularitySplit(matrix, n_bar))
+
+
+def _delta_window(split: PopularitySplit) -> DeltaWindow:
+    entries = split.matrix.entries
     nb = split.n_bar
-
-    head = entries[residual, : nb + 1] if residual else np.zeros((0, nb + 1))
+    _, minority, sw = split._masks
+    head = entries[minority & ~sw, : nb + 1]
     lower = max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
-
-    sw = sorted(switching)
-    if sw:
-        gain = entries[sw, nb].sum() - entries[sw, :nb].max(axis=1).sum()
-    else:
-        gain = 0.0
+    gain = entries[sw, nb].sum() - entries[sw, :nb].max(axis=1).sum()
     return DeltaWindow(lower=lower, upper=float(gain))
 
 
@@ -415,26 +431,30 @@ class GeneralStrategy:
         object.__setattr__(self, "replacement_column", column)
 
     def validate_for(self, matrix: RatingsMatrix, n_bar: int) -> None:
-        split = PopularitySplit(matrix, n_bar)
-        column = _validate_replacement(matrix, self.replacement_column)
-        classes = classify_users(matrix, n_bar)
-        current = matrix.entries[:, split.n_bar]
-        for u in sorted(classes.minority):
-            if column[u] != current[u]:
-                raise ValueError(
-                    f"minority user {u} must keep rating {current[u]!r} on the target column"
-                )
+        self._column_for(PopularitySplit(matrix, n_bar))
+
+    def _column_for(self, split: PopularitySplit) -> np.ndarray:
+        """The validated replacement column for ``split``."""
+        column = _validate_replacement(split.matrix, self.replacement_column)
+        current = split.matrix.entries[:, split.n_bar]
+        changed = np.flatnonzero(split._masks[1] & (column != current))
+        if changed.size:
+            u = int(changed[0])
+            raise ValueError(
+                f"minority user {u} must keep rating {current[u]!r} on the target column"
+            )
+        return column
 
     def is_realistic(self, matrix: RatingsMatrix, n_bar: int) -> bool:
         """True when no entry drops below its true value."""
         split = PopularitySplit(matrix, n_bar)
-        column = np.asarray(self.replacement_column, dtype=float)
+        column = _validate_replacement(matrix, self.replacement_column)
         return bool((column >= matrix.entries[:, split.n_bar]).all())
 
     def apply(self, matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
-        self.validate_for(matrix, n_bar)
+        split = PopularitySplit(matrix, n_bar)
         out = np.array(matrix.entries, dtype=float)
-        out[:, PopularitySplit(matrix, n_bar).n_bar] = self.replacement_column
+        out[:, split.n_bar] = self._column_for(split)
         return RatingsMatrix(out, nonnegative=True)
 
 
@@ -445,8 +465,11 @@ def sigma_hat(matrix: RatingsMatrix, n_bar: int, r_tilde: np.ndarray) -> float:
     The estimate never exceeds the true value; a negative radicand means the
     replacement is too correlated with the popular block to certify anything.
     """
-    split = PopularitySplit(matrix, n_bar)
-    column = _validate_replacement(matrix, r_tilde)
+    return _sigma_hat(PopularitySplit(matrix, n_bar), r_tilde)
+
+
+def _sigma_hat(split: PopularitySplit, r_tilde: np.ndarray) -> float:
+    column = _validate_replacement(split.matrix, r_tilde)
     radicand = _sigma_hat_radicand(split, column)
     if radicand < 0.0:
         raise ValueError(f"estimate radicand is negative ({radicand}); no certificate")
@@ -468,7 +491,7 @@ def collective_ratings_gap(
     largest column sum among the columns past the target.
     """
     split = PopularitySplit(matrix, n_bar)
-    estimate = sigma_hat(matrix, n_bar, r_tilde)
+    estimate = _sigma_hat(split, r_tilde)
     if estimate == 0.0:
         raise ValueError("singular value estimate is zero; gap unbounded")
     n = matrix.cols
@@ -520,22 +543,18 @@ def check_general_sufficiency(
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
     split = PopularitySplit(matrix, n_bar)
-    strategy = GeneralStrategy(r_tilde)
-    strategy.validate_for(matrix, n_bar)
-    column = np.asarray(strategy.replacement_column, dtype=float)
+    column = GeneralStrategy(r_tilde)._column_for(split)
 
-    membership = class_membership(matrix, n_bar)
-    classes = membership.classes
-    switching = switch_users(matrix, n_bar)
-    window = delta_interval(matrix, n_bar)
-    interval = popularity_gap_interval(matrix, n_bar)
+    membership = _membership(split)
+    majority, minority, switching = split._masks
+    window = _delta_window(split)
     preconditions = {
         "in_class": membership.in_class,
         "classes_exclusive": membership.classes_exclusive,
         "has_minority": membership.has_minority,
-        "switch_nonempty": bool(switching),
+        "switch_nonempty": bool(switching.any()),
         "target_sufficiently_liked": window.has_positive_point,
-        "alpha_in_gap": interval.contains(alpha),
+        "alpha_in_gap": _gap_interval(split).contains(alpha),
     }
 
     n = matrix.cols
@@ -568,42 +587,17 @@ def check_general_sufficiency(
     }
 
     if gap is not None:
-        maj = sorted(classes.majority)
-        margin = math.inf
-        for u in maj:
-            margin = min(margin, float((entries[u].max() - gap) - column[u]))
-        conditions["uprating_below_majority_top"] = margin > 0.0
-        margins["uprating_below_majority_top"] = margin
-
-        margin = math.inf
-        for u in maj:
-            row = entries[u]
-            tops = top_items(row)
-            if tops.size == n:
-                margin = -math.inf
-                break
-            off = np.delete(row, tops)
-            margin = min(margin, float((row.max() - gap) - off.max()))
-        conditions["majority_gap_preserved"] = margin > 0.0
-        margins["majority_gap_preserved"] = margin
-
-        margin = math.inf
-        for u in sorted(switching):
-            row = entries[u]
-            tops = top_items(row)
-            if tops.size == n:
-                margin = -math.inf
-                break
-            off = np.delete(row, tops)
-            margin = min(margin, float((row[nb] - gap) - off.max()))
-        conditions["switch_users_promoted"] = margin > 0.0
-        margins["switch_users_promoted"] = margin
-
-        margin = math.inf
-        for u in sorted(classes.minority - switching):
-            margin = min(margin, float(entries[u, : nb + 1].max() - gap))
-        conditions["residual_minority_supported"] = margin > 0.0
-        margins["residual_minority_supported"] = margin
+        residual = minority & ~switching
+        top, off = split._row_max, split._off_top_max
+        for name, values in (
+            ("uprating_below_majority_top", (top[majority] - gap) - column[majority]),
+            ("majority_gap_preserved", (top[majority] - gap) - off[majority]),
+            ("switch_users_promoted", (entries[switching, nb] - gap) - off[switching]),
+            ("residual_minority_supported", entries[residual, : nb + 1].max(axis=1) - gap),
+        ):
+            margin = float(np.min(values, initial=math.inf))
+            conditions[name] = margin > 0.0
+            margins[name] = margin
 
     margins["alpha_above_tail"] = alpha - tail_bound
     alpha_above_tail = alpha > tail_bound
@@ -640,16 +634,15 @@ class LargerSplitCheck:
 def no_larger_nbar_check(matrix: RatingsMatrix, n_bar: int) -> LargerSplitCheck:
     """Verify that no larger popular-column count keeps the matrix in class."""
     split = PopularitySplit(matrix, n_bar)
-    membership = class_membership(matrix, n_bar)
     n = matrix.cols
     floor = (n - split.n_bar) * split.kappa / (2.0**2.5 * n**1.5)
-    premise = membership.in_class and split.kappa_lower > floor
+    premise = _membership(split).in_class and split.kappa_lower > floor
     if not premise:
         return LargerSplitCheck(premise_holds=False, confirmed=None)
 
     checked: dict[int, bool] = {}
     for wider in range(split.n_bar + 1, n):
-        checked[wider] = class_membership(matrix, wider).in_class
+        checked[wider] = _membership(PopularitySplit(matrix, wider)).in_class
     checked[n] = False
     return LargerSplitCheck(
         premise_holds=True,

@@ -2,6 +2,10 @@
 switch users, replacement strategies, and the five-condition evaluator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,11 @@ from rankgap.popgap import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Coarse ratings grid: straddling ties and all-tied rows occur often.
+TIE_GRID = (0.0, 0.1, 0.25, 0.5, 1.0)
 
 GAP_ALPHA = 2.0  # inside the frozen window (0.7745966692414834, 4.99414974034538)
 
@@ -62,6 +71,9 @@ def test_split_validation():
         PopularitySplit(R, 3)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         PopularitySplit(RatingsMatrix(np.full((2, 3), 1.5)), 1)
+    with pytest.raises(ValueError, match="n_bar must be an integer"):
+        PopularitySplit(R, 2.9)
+    assert PopularitySplit(R, np.int64(2)).n_bar == 2
 
 
 def test_split_column_statistics():
@@ -116,18 +128,75 @@ def test_straddling_tie_lands_in_both_classes():
     assert not classes.exclusive
 
 
+def off_top_margin(row: np.ndarray, top: float, gap: float) -> float:
+    """(top - gap) minus the best rating outside the row's top set; -inf if none."""
+    tops = top_items(row)
+    if tops.size == row.size:
+        return -math.inf
+    return float((top - gap) - np.delete(row, tops).max())
+
+
 @given(seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_classification_matches_argmax_scan(seed):
+    """Every per-user result equals a per-row scan built on top_items, exactly."""
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 7)), int(rng.integers(2, 6))
     n_bar = int(rng.integers(1, n))
-    R = RatingsMatrix(rng.uniform(0.0, 1.0, size=(m, n)))
+    a = rng.choice(TIE_GRID, size=(m, n))
+    R = RatingsMatrix(a)
+    tops = [set(top_items(row).tolist()) for row in a]
+    majority = [u for u in range(m) if min(tops[u]) < n_bar]
+    minority = [u for u in range(m) if max(tops[u]) >= n_bar]
+    switching = [u for u in minority if n_bar in tops[u]]
+    residual = [u for u in minority if u not in switching]
+
     classes = classify_users(R, n_bar)
-    for u in range(m):
-        tops = set(top_items(R.entries[u]))
-        assert (u in classes.majority) == any(i < n_bar for i in tops)
-        assert (u in classes.minority) == any(i >= n_bar for i in tops)
+    assert classes.majority == set(majority)
+    assert classes.minority == set(minority)
+    assert switch_users(R, n_bar) == set(switching)
+
+    head = a[residual, : n_bar + 1]
+    window = delta_interval(R, n_bar)
+    assert window.lower == max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
+    assert window.upper == float(
+        a[switching, n_bar].sum() - a[switching, :n_bar].max(axis=1).sum()
+    )
+
+    report = class_membership(R, n_bar)
+    delta = report.delta_gap
+    if delta is None:
+        assert report.majority_margins == report.minority_margins == {}
+    else:
+        maj_margins = [(u, off_top_margin(a[u], a[u].max(), delta)) for u in majority]
+        min_margins = [(u, float(a[u, :n_bar].max() - delta)) for u in minority]
+        assert list(report.majority_margins.items()) == maj_margins
+        assert list(report.minority_margins.items()) == min_margins
+        assert list(report.majority_gap_ok.items()) == [(u, x > 0.0) for u, x in maj_margins]
+        assert list(report.minority_support_ok.items()) == [(u, x > 0.0) for u, x in min_margins]
+
+    r_tilde = a[:, n_bar].copy()
+    outside = np.setdiff1d(np.arange(m), minority)
+    r_tilde[outside] = rng.choice(TIE_GRID, size=outside.size)
+    alpha = float(rng.choice((0.0, 0.5, 1.0, 2.0)))
+    verdict = check_general_sufficiency(R, n_bar, r_tilde, alpha)
+    assert verdict.preconditions["in_class"] == report.in_class
+    assert verdict.preconditions["switch_nonempty"] == bool(switching)
+    gap = verdict.ratings_gap
+    per_user = [name for name, value in verdict.conditions.items() if value is None]
+    if gap is None:
+        assert len(per_user) == 4 and not set(per_user) & set(verdict.margins)
+        return
+    expected = {
+        "uprating_below_majority_top": [float((a[u].max() - gap) - r_tilde[u]) for u in majority],
+        "majority_gap_preserved": [off_top_margin(a[u], a[u].max(), gap) for u in majority],
+        "switch_users_promoted": [off_top_margin(a[u], a[u, n_bar], gap) for u in switching],
+        "residual_minority_supported": [float(a[u, : n_bar + 1].max() - gap) for u in residual],
+    }
+    for name, margins in expected.items():
+        margin = min(margins, default=math.inf)
+        assert verdict.margins[name] == margin
+        assert verdict.conditions[name] == (margin > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +461,13 @@ def test_strategy_apply_and_realism(strategy_case):
     assert np.array_equal(out.entries[:, other], R.entries[:, other])
 
 
+def test_realism_validates_the_column(strategy_case):
+    R = strategy_case["matrix"]
+    for column in (np.array([1.0]), np.ones(R.rows + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            GeneralStrategy(column).is_realistic(R, 4)
+
+
 def test_dropping_a_majority_entry_is_not_realistic():
     a = np.array([[1.0, 0.0, 0.4], [0.0, 1.0, 0.0], [0.0, 0.2, 0.6]])
     R = RatingsMatrix(a)
@@ -615,3 +691,20 @@ def test_no_larger_split_premise_can_fail(gap_case):
     assert not check.premise_holds  # the zero column floors kappa_lower at 0
     assert check.confirmed is None
     assert check.checked == {}
+
+
+# ---------------------------------------------------------------------------
+# Independent scipy oracle
+# ---------------------------------------------------------------------------
+
+def test_scipy_oracle_cross_checks_the_module():
+    pytest.importorskip("scipy")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "derive_popgap_values.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cross-check OK" in proc.stdout.splitlines()
