@@ -19,7 +19,6 @@ from .matrix import (
 from .learner import (
     LearnerModel,
     RecommendationOutcome,
-    UserRecommendation,
     WelfareReport,
     choose_rank,
     fit_learner,

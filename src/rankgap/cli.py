@@ -51,6 +51,11 @@ OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
 SCENARIO_KEYS = {"name", "seed", "matrix", "alpha", "alpha_sweep", "strategy", "top_k"}
 MATRIX_FAMILIES = ("paired", "indicator", "csv", "block_random", "gap_class")
+FAMILY_KEYS = {
+    "paired": ("m_maj", "m_minor"),
+    "indicator": ("popular_sizes", "niche_sizes"),
+    "csv": ("path", "m_bar", "n_bar"),
+}
 
 PRESETS: dict[str, dict] = {
     # Two popular indicator groups of four users, two singleton niche groups.
@@ -107,6 +112,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise ValueError("a scenario document must be a JSON object")
         unknown = set(doc) - SCENARIO_KEYS
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
@@ -131,6 +138,10 @@ class Scenario:
         top_k = int(doc.get("top_k", 1))
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
+        required = FAMILY_KEYS.get(matrix_spec["family"], ())
+        missing = [key for key in required if key not in matrix_spec]
+        if missing:
+            raise ValueError(f"matrix family {matrix_spec['family']!r} requires {missing}")
         return cls(
             name=str(doc.get("name", "scenario")),
             seed=int(doc["seed"]),
@@ -238,10 +249,10 @@ def _user_classes(mat: MaterializedScenario) -> list[str]:
     return labels
 
 
-def _chosen_value(rec, top_k: int):
-    if top_k == 1:
-        return rec.item
-    return sorted(rec.chosen)
+def _report_items(outcome) -> list:
+    """Per-user picks for the report: a bare item at k = 1, else the sorted list."""
+    chosen = outcome.chosen
+    return (chosen[:, 0] if outcome.k_items == 1 else chosen).tolist()
 
 
 def _run_side(
@@ -293,11 +304,16 @@ def _resolve_strategy(
             matrix, partition, float(selector.get("fraction", 0.25))
         )
     elif kind == "explicit":
+        if "users" not in selector:
+            raise ValueError("an explicit collective selector requires users")
         collective = frozenset(int(u) for u in selector["users"])
     else:
         raise ValueError(f"unknown collective selector kind {kind!r}")
     if not collective:
         raise ValueError("collective selector chose no users")
+    outside = sorted(collective - partition.majority_users)
+    if outside:
+        raise ValueError(f"collective users {outside} are not majority users")
 
     maj_block = matrix.entries[
         np.ix_(sorted(partition.majority_users), sorted(partition.majority_items))
@@ -339,11 +355,12 @@ def run(mat: MaterializedScenario) -> dict:
         mat, mat.matrix, alpha
     )
     labels = _user_classes(mat)
+    truthful_items = _report_items(truthful_outcome)
     per_user = [
         {
             "user": u,
             "class": labels[u],
-            "truthful_item": _chosen_value(truthful_outcome.users[u], scenario.top_k),
+            "truthful_item": truthful_items[u],
             "truthful_welfare": truthful_welfare.per_user_welfare[u],
             "collective_item": None,
             "collective_welfare": None,
@@ -401,10 +418,9 @@ def run(mat: MaterializedScenario) -> dict:
                 "robustness_margin": margin,
             }
         )
+        collective_items = _report_items(collective_outcome)
         for u in range(mat.matrix.rows):
-            per_user[u]["collective_item"] = _chosen_value(
-                collective_outcome.users[u], scenario.top_k
-            )
+            per_user[u]["collective_item"] = collective_items[u]
             per_user[u]["collective_welfare"] = collective_welfare.per_user_welfare[u]
 
     report = {
@@ -553,7 +569,7 @@ def _load_scenario_doc(args) -> dict:
         doc = json.loads(json.dumps(PRESETS[args.preset]))
     else:
         raise ValueError("a scenario is required: pass --config FILE or --preset NAME")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     return doc
 

@@ -233,6 +233,8 @@ def miss_probability_mc(
     m, n = R_star.shape
     if not 0 <= per_user <= n:
         raise ValueError(f"per_user must be in [0, {n}], got {per_user}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     hot: list[tuple[int, int]] = [
         (u, i)
         for u in sorted(p.minority_users)

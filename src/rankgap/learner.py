@@ -7,7 +7,6 @@ each user the highest-estimate items, breaking ties toward popular columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,57 +32,24 @@ class LearnerModel:
     spectrum: SpectralSummary
 
 
-@dataclass(frozen=True)
-class UserRecommendation:
-    """Tie structure and final pick for one user.
+@dataclass(frozen=True, eq=False)
+class RecommendationOutcome:
+    """Per-user recommendations for a fixed k, held as read-only arrays.
 
-    A value-optimal k-set is ``mandatory`` plus any ``slots``-subset of
-    ``boundary``. Popularity narrows the boundary choice: every
-    popularity-optimal set also includes ``pop_locked`` and fills the last
-    ``pop_slots`` places from ``pop_pool``. Family sizes are binomial counts;
-    the families themselves are never enumerated.
+    ``chosen`` is m x k: row u lists user u's picks in ascending column
+    order. ``tie`` (m x n) marks the items in at least one value-optimal
+    k-set of each user, and ``pop_tie`` (m x n, inside ``tie``) those in at
+    least one popularity-optimal k-set. ``negative_rows`` holds the users
+    whose estimated row has no nonnegative entry.
     """
 
-    mandatory: tuple[int, ...]
-    boundary: tuple[int, ...]
-    slots: int
-    pop_locked: tuple[int, ...]
-    pop_pool: tuple[int, ...]
-    pop_slots: int
-    chosen: tuple[int, ...]
-    num_value_sets: int
-    num_pop_sets: int
-
-    @property
-    def tie_set(self) -> frozenset[int]:
-        """Items appearing in at least one value-optimal set."""
-        return frozenset(self.mandatory) | frozenset(self.boundary)
-
-    @property
-    def pop_tie_set(self) -> frozenset[int]:
-        """Items appearing in at least one popularity-optimal set."""
-        return frozenset(self.mandatory) | frozenset(self.pop_locked) | frozenset(self.pop_pool)
-
-    @property
-    def item(self) -> int:
-        """The single chosen item; only meaningful for k = 1."""
-        if len(self.chosen) != 1:
-            raise ValueError("item accessor requires a single-item recommendation")
-        return self.chosen[0]
-
-
-@dataclass(frozen=True)
-class RecommendationOutcome:
-    """Per-user recommendations for a fixed k, plus bookkeeping flags."""
-
-    users: tuple[UserRecommendation, ...]
+    chosen: np.ndarray
+    tie: np.ndarray
+    pop_tie: np.ndarray
     k_items: int
     n_items: int
     derandomized: bool
     negative_rows: frozenset[int]
-
-    def chosen_items(self) -> list[tuple[int, ...]]:
-        return [u.chosen for u in self.users]
 
 
 @dataclass(frozen=True)
@@ -165,52 +131,6 @@ def fit_learner(R_tilde: RatingsMatrix, alpha: float) -> LearnerModel:
 # Recommendation
 # ---------------------------------------------------------------------------
 
-def _row_recommendation(
-    row: np.ndarray,
-    colpop: np.ndarray,
-    k: int,
-    tol: float,
-    tol_pop: float,
-    rng: np.random.Generator,
-    derandomize: bool,
-) -> UserRecommendation:
-    order = np.argsort(-row, kind="stable")
-    v_k = row[order[k - 1]]
-    mandatory = np.flatnonzero(row > v_k + tol)
-    boundary = np.flatnonzero(np.abs(row - v_k) <= tol)
-    slots = k - mandatory.size
-
-    if slots == 0:
-        pop_locked = np.zeros(0, dtype=int)
-        pop_pool = np.zeros(0, dtype=int)
-        pop_slots = 0
-        filled = np.zeros(0, dtype=int)
-    else:
-        bpop = colpop[boundary]
-        pop_order = np.argsort(-bpop, kind="stable")
-        p_k = bpop[pop_order[slots - 1]]
-        pop_locked = boundary[bpop > p_k + tol_pop]
-        pop_pool = boundary[np.abs(bpop - p_k) <= tol_pop]
-        pop_slots = slots - pop_locked.size
-        if derandomize:
-            filled = np.sort(pop_pool)[:pop_slots]
-        else:
-            filled = rng.choice(np.sort(pop_pool), size=pop_slots, replace=False)
-
-    chosen = np.sort(np.concatenate([mandatory, pop_locked, filled]))
-    return UserRecommendation(
-        mandatory=tuple(int(i) for i in mandatory),
-        boundary=tuple(int(i) for i in boundary),
-        slots=int(slots),
-        pop_locked=tuple(int(i) for i in pop_locked),
-        pop_pool=tuple(int(i) for i in pop_pool),
-        pop_slots=int(pop_slots),
-        chosen=tuple(int(i) for i in chosen),
-        num_value_sets=math.comb(boundary.size, slots),
-        num_pop_sets=math.comb(pop_pool.size, pop_slots),
-    )
-
-
 def recommend(
     R_hat: RatingsMatrix,
     k_items: int = 1,
@@ -225,8 +145,17 @@ def recommend(
     it. For k > 1 the same two-stage rule applies to k-sets, represented by
     their forced and tied members rather than by enumeration.
 
-    ``derandomize=True`` picks the lexicographically smallest optimal set
-    instead of drawing, for golden tests and byte-stable reports.
+    Every stage is one masked expression over the whole estimate. With v_k
+    a row's k-th largest entry, items above v_k + tol are mandatory and
+    items within tol of v_k fill the remaining slots. Among those boundary
+    items, p_k is the popularity of the slots-th most popular one: more
+    popular boundary items are locked in, and the last places are filled
+    from the pool of items tied with p_k.
+
+    ``derandomize=True`` fills them with the lowest-indexed pool items, the
+    lexicographically smallest optimal set, for golden tests and
+    byte-stable reports. Otherwise each row, in order, draws its fill from
+    the seeded generator.
 
     Rows with no nonnegative entry cannot occur under the model's
     assumptions; they are recommended by the same rule and flagged.
@@ -239,22 +168,40 @@ def recommend(
     top = float(singular_values_of(a)[0]) if a.any() else 0.0
     tol = tie_tolerance(top)
     tol_pop = tie_tolerance(float(colpop.max(initial=0.0)))
-    rng = np.random.default_rng(seed)
-    users = []
-    negative_rows = []
-    for u in range(m):
-        row = a[u]
-        if row.max() < 0.0:
-            negative_rows.append(u)
-        users.append(
-            _row_recommendation(row, colpop, k_items, tol, tol_pop, rng, derandomize)
-        )
+
+    # A list index copies the column, so the partitioned m x n buffer is freed.
+    v_k = np.partition(a, n - k_items, axis=1)[:, [n - k_items]]
+    mandatory = a > v_k + tol
+    boundary = np.abs(a - v_k) <= tol
+    slots = k_items - mandatory.sum(axis=1)
+    p_k = np.take_along_axis(
+        np.sort(np.where(boundary, colpop, -np.inf), axis=1), (n - slots)[:, None], axis=1
+    )
+    pop_locked = boundary & (colpop > p_k + tol_pop)
+    pop_pool = boundary & (np.abs(colpop - p_k) <= tol_pop)
+    pop_slots = slots - pop_locked.sum(axis=1)
+    if derandomize:
+        filled = pop_pool & (np.cumsum(pop_pool, axis=1) <= pop_slots[:, None])
+    else:
+        rng = np.random.default_rng(seed)
+        filled = np.zeros_like(pop_pool)
+        for u in range(m):
+            pool = np.flatnonzero(pop_pool[u])
+            filled[u, rng.choice(pool, size=int(pop_slots[u]), replace=False)] = True
+
+    chosen = np.nonzero(mandatory | pop_locked | filled)[1].reshape(m, k_items)
+    tie = mandatory | boundary
+    pop_tie = mandatory | pop_locked | pop_pool
+    for array in (chosen, tie, pop_tie):
+        array.flags.writeable = False
     return RecommendationOutcome(
-        users=tuple(users),
+        chosen=chosen,
+        tie=tie,
+        pop_tie=pop_tie,
         k_items=k_items,
         n_items=n,
         derandomized=derandomize,
-        negative_rows=frozenset(negative_rows),
+        negative_rows=frozenset(np.flatnonzero(a.max(axis=1) < 0.0).tolist()),
     )
 
 
@@ -274,14 +221,15 @@ def social_welfare(
     R_star, which is the truthful case.
     """
     m, n = R_star.shape
-    if len(outcome.users) != m or outcome.n_items != n:
+    if outcome.chosen.shape[0] != m or outcome.n_items != n:
         raise ValueError(
-            f"outcome shaped for {len(outcome.users)}x{outcome.n_items}, matrix is {m}x{n}"
+            f"outcome shaped for {outcome.chosen.shape[0]}x{outcome.n_items}, "
+            f"matrix is {m}x{n}"
         )
     per_user = tuple(
-        float(R_star.entries[u, list(rec.chosen)].sum())
-        for u, rec in enumerate(outcome.users)
+        np.take_along_axis(R_star.entries, outcome.chosen, axis=1).sum(axis=1).tolist()
     )
+    # Summed left to right: np.sum's pairwise order would change the low bits.
     total = float(sum(per_user))
     return WelfareReport(
         social_welfare=total,
@@ -315,7 +263,6 @@ def kappa_k(R_star: RatingsMatrix, p: GroupPartition, k: int) -> float:
 
 __all__ = [
     "LearnerModel",
-    "UserRecommendation",
     "RecommendationOutcome",
     "WelfareReport",
     "tvr",

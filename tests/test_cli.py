@@ -68,6 +68,25 @@ def test_scenario_validation_errors(doc, message):
         Scenario.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"seed": 1, "matrix": {"family": "paired"}, "alpha": 1.5}, "requires"),
+        ({"seed": 1, "matrix": {"family": "paired", "m_maj": 2}}, "m_minor"),
+        ({"seed": 1, "matrix": {"family": "indicator", "niche_sizes": [1]}}, "popular_sizes"),
+        ({"seed": 1, "matrix": {"family": "csv", "path": "x.csv"}}, "m_bar"),
+    ],
+)
+def test_malformed_scenario_documents_are_clean_errors(tmp_path, capsys, doc, message):
+    config = write_config(tmp_path, doc)
+    for argv in (["run", "--config", config], ["run", "--config", config, "--seed", "2"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_generated_scenarios_are_seed_deterministic():
     doc = {"name": "br", "seed": 42, "matrix": {"family": "block_random"}}
     first = generate_scenario(doc)
@@ -364,6 +383,24 @@ def test_gap_class_rejects_uprating_strategies(tmp_path, capsys):
     assert "require a block-model scenario" in capsys.readouterr().err
 
 
+def test_explicit_collective_outside_the_majority_is_a_clean_error(tmp_path, capsys):
+    doc = {
+        "name": "ind",
+        "seed": 0,
+        "matrix": {"family": "indicator", "popular_sizes": [2, 2], "niche_sizes": [2, 1]},
+        "alpha": 1.6,
+        "strategy": {"selector": {"kind": "explicit", "users": [99]}, "eta": 0.5},
+    }
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[99]" in err and "majority" in err
+    doc["strategy"]["selector"] = {"kind": "explicit"}
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    assert "requires users" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scenario sourcing and output routing
 # ---------------------------------------------------------------------------
@@ -482,3 +519,8 @@ def test_mc_demo_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (tmp_path / "mc_demo.json").read_bytes() == raw
+
+
+def test_mc_demo_rejects_zero_trials(capsys):
+    assert main(["mc-demo", "--trials", "0"]) == 1
+    assert "error: trials must be at least 1" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Collective uprating: strategies, sufficiency arithmetic, finder, robustness."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from rankgap.collective import (
 from rankgap.generators import random_finder_inputs, stratified_collective
 from rankgap.learner import fit_learner, recommend, social_welfare, utility_en
 from rankgap.matrix import singular_values_of
+
+ROOT = Path(__file__).resolve().parents[1]
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -322,11 +327,11 @@ def test_end_to_end_uprating_on_multigroup(multi_scene, multi_strategy):
 
     picky = set(range(400, 404))
     for u in range(R.rows):
-        rec = outcome.users[u]
+        item = outcome.chosen[u, 0]
         if u in p.majority_users or u in picky:
-            assert R.entries[u, rec.item] == R.entries[u].max()
+            assert R.entries[u, item] == R.entries[u].max()
         else:
-            assert rec.item <= 4  # stays within the first n_bar+1 columns
+            assert item <= 4  # stays within the first n_bar+1 columns
         # Pareto: nobody loses welfare, picky users strictly gain
         assert report.per_user_welfare[u] >= truthful.per_user_welfare[u]
     for u in picky:
@@ -363,7 +368,7 @@ def test_top_k_collective_keeps_true_top_sets(multi_scene, multi_strategy):
     outcome = recommend(fit_learner(revealed, 2.1).truncated, k_items=1, seed=2)
     picky = set(range(400, 404))
     for u in sorted(p.majority_users | picky):
-        assert R.entries[u, outcome.users[u].item] == R.entries[u].max()
+        assert R.entries[u, outcome.chosen[u, 0]] == R.entries[u].max()
 
 
 def test_sufficiency_report_welfare_enrichment():
@@ -375,3 +380,28 @@ def test_sufficiency_report_welfare_enrichment():
     assert enriched.ratio == pytest.approx(1.01)
     assert enriched.recommendation_diffs == ((400, 0, 4),)
     assert enriched.verdict == base.verdict
+
+
+# ---------------------------------------------------------------------------
+# Independent scipy oracle
+# ---------------------------------------------------------------------------
+
+def test_scipy_oracle_reproduces_the_block_model_welfare(multi_scene):
+    """The oracle's from-scratch argmax-plus-popularity simulation agrees with
+    the welfare constants frozen above and with ``recommend``'s picks."""
+    pytest.importorskip("scipy")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "derive_expected_values.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "truthful: k* = 4  SW = 400.0  minority picks: [0, 0, 0, 0, 0]" in lines
+    assert "collective: k* = 5  SW = 404.0  delta = 4.0" in lines
+
+    R, p = multi_scene
+    model = fit_learner(R, 2.1)
+    outcome = recommend(model.truncated, derandomize=True)
+    assert model.chosen_rank == 4
+    assert social_welfare(R, outcome).social_welfare == 400.0
+    assert outcome.chosen[sorted(p.minority_users), 0].tolist() == [0, 0, 0, 0, 0]

@@ -337,3 +337,7 @@ def test_miss_probability_trivial_cases():
     assert miss_probability_mc(RatingsMatrix(cold), p, per_user=3, trials=10, seed=0) == 1.0
     with pytest.raises(ValueError, match="per_user"):
         miss_probability_mc(R, p, per_user=11, trials=10, seed=0)
+    with pytest.raises(ValueError, match="trials"):
+        miss_probability_mc(R, p, per_user=3, trials=0, seed=0)
+    with pytest.raises(ValueError, match="trials"):
+        miss_probability_mc(RatingsMatrix(cold), p, per_user=3, trials=0, seed=0)

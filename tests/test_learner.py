@@ -18,13 +18,20 @@ from rankgap.learner import (
 from rankgap.matrix import (
     RatingsMatrix,
     block_partition,
+    column_abs_sums,
     invert_permutation,
     singular_value_gap,
     singular_values_of,
     spectral,
+    tie_tolerance,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def items(mask_row) -> set[int]:
+    """Column indices set in one row of a tie mask."""
+    return set(np.flatnonzero(mask_row).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +196,109 @@ def test_fitted_model_invariants(multi_scene):
 # Recommendation
 # ---------------------------------------------------------------------------
 
+def _reference_row(row, colpop, k, tol, tol_pop, rng, derandomize) -> dict:
+    """One user's tie structure and pick, computed row by row."""
+    order = np.argsort(-row, kind="stable")
+    v_k = row[order[k - 1]]
+    mandatory = np.flatnonzero(row > v_k + tol)
+    boundary = np.flatnonzero(np.abs(row - v_k) <= tol)
+    slots = k - mandatory.size
+
+    if slots == 0:
+        pop_locked = np.zeros(0, dtype=int)
+        pop_pool = np.zeros(0, dtype=int)
+        filled = np.zeros(0, dtype=int)
+    else:
+        bpop = colpop[boundary]
+        pop_order = np.argsort(-bpop, kind="stable")
+        p_k = bpop[pop_order[slots - 1]]
+        pop_locked = boundary[bpop > p_k + tol_pop]
+        pop_pool = boundary[np.abs(bpop - p_k) <= tol_pop]
+        pop_slots = slots - pop_locked.size
+        if derandomize:
+            filled = np.sort(pop_pool)[:pop_slots]
+        else:
+            filled = rng.choice(np.sort(pop_pool), size=pop_slots, replace=False)
+
+    chosen = np.sort(np.concatenate([mandatory, pop_locked, filled]))
+    return {
+        "chosen": [int(i) for i in chosen],
+        "tie": {int(i) for i in np.concatenate([mandatory, boundary])},
+        "pop_tie": {int(i) for i in np.concatenate([mandatory, pop_locked, pop_pool])},
+        "pop_pool": [int(i) for i in pop_pool],
+    }
+
+
+def reference_recommend(R_hat, k_items, seed=None, derandomize=False) -> list[dict]:
+    """Per-row oracle for ``recommend``: same tolerances, one draw per row in order."""
+    colpop = column_abs_sums(R_hat)
+    a = R_hat.entries
+    top = float(singular_values_of(a)[0]) if a.any() else 0.0
+    tol = tie_tolerance(top)
+    tol_pop = tie_tolerance(float(colpop.max(initial=0.0)))
+    rng = np.random.default_rng(seed)
+    return [
+        _reference_row(row, colpop, k_items, tol, tol_pop, rng, derandomize) for row in a
+    ]
+
+
+TIE_GRID = (-0.5, 0.0, 0.1, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    a = np.array(
+        draw(st.lists(st.sampled_from(TIE_GRID), min_size=m * n, max_size=m * n))
+    ).reshape(m, n)
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m * n, max_size=m * n))
+        a = a + 1e-15 * np.array(steps, dtype=float).reshape(m, n)
+    negative = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    a[negative] -= 1.5  # grid maximum 1.0, so these rows go all-negative
+    return RatingsMatrix(a, nonnegative=False)
+
+
+@given(tie_heavy_matrices(), seeds)
+@settings(max_examples=150, deadline=None)
+def test_array_recommendation_matches_the_per_row_reference(R_hat, seed):
+    a = R_hat.entries
+    for k in range(1, R_hat.cols + 1):
+        for draw_seed, derandomize in ((None, True), (seed, False)):
+            outcome = recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+            expected = reference_recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+            assert outcome.chosen.shape == (R_hat.rows, k)
+            assert outcome.chosen.tolist() == [rec["chosen"] for rec in expected]
+            assert [items(row) for row in outcome.tie] == [rec["tie"] for rec in expected]
+            assert [items(row) for row in outcome.pop_tie] == [
+                rec["pop_tie"] for rec in expected
+            ]
+            assert outcome.negative_rows == {
+                u for u in range(R_hat.rows) if a[u].max() < 0.0
+            }
+            welfare = social_welfare(R_hat, outcome).per_user_welfare
+            assert welfare == tuple(
+                float(a[u, rec["chosen"]].sum()) for u, rec in enumerate(expected)
+            )
+
+
+def test_outcome_arrays_are_read_only(paired_scene):
+    R, _ = paired_scene
+    outcome = recommend(R, k_items=2, seed=0)
+    for array in (outcome.chosen, outcome.tie, outcome.pop_tie):
+        with pytest.raises(ValueError):
+            array[0, 0] = array[0, 0]
+
+
 def test_majority_users_get_their_unique_top_item(multi_scene):
     R, p = multi_scene
     model = fit_learner(R, 2.1)
     outcome = recommend(model.truncated, seed=0)
     for u in sorted(p.majority_users):
-        rec = outcome.users[u]
         expected = int(np.argmax(R.entries[u]))
-        assert rec.tie_set == {expected}
-        assert rec.item == expected
+        assert items(outcome.tie[u]) == {expected}
+        assert outcome.chosen[u, 0] == expected
 
 
 def test_zeroed_minority_rows_tie_everywhere_then_break_popular(paired_scene):
@@ -205,11 +306,10 @@ def test_zeroed_minority_rows_tie_everywhere_then_break_popular(paired_scene):
     model = fit_learner(R, 1.5)
     outcome = recommend(model.truncated, seed=0)
     for u in sorted(p.minority_users):
-        rec = outcome.users[u]
-        assert rec.tie_set == frozenset(range(4))
+        assert items(outcome.tie[u]) == set(range(4))
         # both popular columns carry absolute sum 4, both niche columns 0
-        assert rec.pop_tie_set == {0, 1}
-        assert rec.item in {0, 1}
+        assert items(outcome.pop_tie[u]) == {0, 1}
+        assert outcome.chosen[u, 0] in {0, 1}
 
 
 def test_chosen_lies_in_pop_tie_set_inside_tie_set(paired_scene):
@@ -217,16 +317,16 @@ def test_chosen_lies_in_pop_tie_set_inside_tie_set(paired_scene):
     model = fit_learner(R, 1.5)
     for seed in range(5):
         outcome = recommend(model.truncated, seed=seed)
-        for rec in outcome.users:
-            chosen = frozenset(rec.chosen)
-            assert chosen <= rec.pop_tie_set <= rec.tie_set
+        for u in range(R.rows):
+            chosen = set(outcome.chosen[u].tolist())
+            assert chosen <= items(outcome.pop_tie[u]) <= items(outcome.tie[u])
 
 
 def test_full_slate_recommendation(paired_scene):
     R, _ = paired_scene
     outcome = recommend(truncate(R, 4), k_items=4, seed=1)
-    for rec in outcome.users:
-        assert rec.chosen == (0, 1, 2, 3)
+    for row in outcome.chosen.tolist():
+        assert row == [0, 1, 2, 3]
 
 
 def test_recommend_rejects_bad_k(paired_scene):
@@ -243,16 +343,16 @@ def test_derandomized_pick_is_lexicographically_smallest(paired_scene):
     outcome = recommend(model.truncated, derandomize=True)
     assert outcome.derandomized
     for u in sorted(p.minority_users):
-        assert outcome.users[u].item == 0
+        assert outcome.chosen[u, 0] == 0
 
 
 def test_seeded_draws_are_reproducible_and_seed_sensitive(paired_scene):
     R, _ = paired_scene
     R_hat = fit_learner(R, 1.5).truncated
-    a = recommend(R_hat, seed=123).chosen_items()
-    b = recommend(R_hat, seed=123).chosen_items()
+    a = recommend(R_hat, seed=123).chosen.tolist()
+    b = recommend(R_hat, seed=123).chosen.tolist()
     assert a == b
-    draws = {tuple(recommend(R_hat, seed=s).chosen_items()) for s in range(40)}
+    draws = {recommend(R_hat, seed=s).chosen.tobytes() for s in range(40)}
     assert len(draws) > 1  # minority picks actually vary with the seed
 
 
@@ -260,17 +360,16 @@ def test_negative_only_rows_are_flagged_but_still_served():
     R_hat = RatingsMatrix(np.array([[-1.0, -2.0], [1.0, 0.0]]), nonnegative=False)
     outcome = recommend(R_hat, seed=0)
     assert outcome.negative_rows == {0}
-    assert outcome.users[0].item == 0  # argmax rule still applies
+    assert outcome.chosen[0, 0] == 0  # argmax rule still applies
 
 
 def test_popularity_tie_set_members_share_column_popularity(multi_scene):
     R, _ = multi_scene
     R_hat = fit_learner(R, 2.1).truncated
     pops = np.abs(R_hat.entries).sum(axis=0)
-    outcome = recommend(R_hat, seed=5)
     tol = 1e-9 * max(1.0, float(pops.max()))
-    for rec in outcome.users:
-        vals = [pops[i] for i in rec.pop_pool]
+    for rec in reference_recommend(R_hat, 1, seed=5):
+        vals = [pops[i] for i in rec["pop_pool"]]
         if vals:
             assert max(vals) - min(vals) <= 2 * tol
 
@@ -291,10 +390,9 @@ def test_tie_sets_commute_with_permutations(paired_scene):
 
     inv_gamma = invert_permutation(gamma)
     for i in range(R.rows):
-        orig = base.users[rho[i]]
-        perm = moved.users[i]
-        assert {inv_gamma[j] for j in orig.tie_set} == set(perm.tie_set)
-        assert {inv_gamma[j] for j in orig.pop_tie_set} == set(perm.pop_tie_set)
+        u = rho[i]
+        assert {inv_gamma[j] for j in items(base.tie[u])} == items(moved.tie[i])
+        assert {inv_gamma[j] for j in items(base.pop_tie[u])} == items(moved.pop_tie[i])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +429,7 @@ def test_truthful_outcome_guarantee_on_multigroup(multi_scene):
     for u in maj_rows:
         assert report.per_user_welfare[u] == R.entries[u].max()
     for u in sorted(p.minority_users):
-        item = outcome.users[u].item
+        item = outcome.chosen[u, 0]
         assert item in p.majority_items
         assert R.entries[u, item] == 0.0
 
@@ -350,7 +448,7 @@ def test_welfare_sums_chosen_set_for_top_k(multi_scene):
     assert report.social_welfare == sum(report.per_user_welfare)
     u = sorted(p.majority_users)[0]
     assert report.per_user_welfare[u] == float(
-        R.entries[u, list(outcome.users[u].chosen)].sum()
+        R.entries[u, outcome.chosen[u]].sum()
     )
 
 
@@ -371,7 +469,7 @@ def test_top_k_keeps_majority_maxima_and_popular_minority(multi_scene, k):
     R, p = multi_scene
     outcome = recommend(fit_learner(R, 2.1).truncated, k_items=k, seed=3)
     for u in range(R.rows):
-        chosen = set(outcome.users[u].chosen)
+        chosen = set(outcome.chosen[u].tolist())
         assert len(chosen) == k
         if u in p.majority_users:
             best = int(np.argmax(R.entries[u]))

@@ -647,7 +647,7 @@ def test_truthful_recommendation_sets_on_the_gap_case(gap_case):
     classes = classify_users(R, n_bar)
     popular = set(range(n_bar))
     for u in range(R.rows):
-        tie = set(outcome.users[u].tie_set)
+        tie = set(np.flatnonzero(outcome.tie[u]).tolist())
         if u in classes.majority:
             assert tie <= set(top_items(R.entries[u])) & popular
         else:
