@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -49,12 +50,41 @@ from .popgap import PopularitySplit, popularity_gap_interval
 
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
-SCENARIO_KEYS = {"name", "seed", "matrix", "alpha", "alpha_sweep", "strategy", "top_k"}
+# Tests for the JSON types the key tables below name; numpy scalars pass as numbers.
+JSON_TYPES = {
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict),
+    "list of integers": lambda v: isinstance(v, list) and all(map(JSON_TYPES["integer"], v)),
+}
+# Each key a scenario document may hold, with the JSON types it accepts; the
+# nested tables type the keys of the object under that key.
+SCENARIO_KEYS = {
+    "name": ("string",),
+    "seed": ("integer",),
+    "matrix": ("object",),
+    "alpha": ("number", "null"),
+    "alpha_sweep": ("object", "null"),
+    "strategy": ("object", "null"),
+    "top_k": ("integer",),
+}
+NESTED_KEYS = {
+    "alpha_sweep": dict.fromkeys(("start", "stop", "step"), ("number",)),
+    "strategy": {
+        "target_item": ("string", "integer"),
+        "selector": ("object",),
+        "eta": ("string", "number"),
+    },
+    "selector": {"kind": ("string",), "fraction": ("number",), "users": ("list of integers",)},
+}
 MATRIX_FAMILIES = ("paired", "indicator", "csv", "block_random", "gap_class")
+# The keys each matrix family requires, with their JSON types.
 FAMILY_KEYS = {
-    "paired": ("m_maj", "m_minor"),
-    "indicator": ("popular_sizes", "niche_sizes"),
-    "csv": ("path", "m_bar", "n_bar"),
+    "paired": {"m_maj": ("integer",), "m_minor": ("integer",)},
+    "indicator": {"popular_sizes": ("list of integers",), "niche_sizes": ("list of integers",)},
+    "csv": {"path": ("string",), "m_bar": ("integer",), "n_bar": ("integer",)},
 }
 
 PRESETS: dict[str, dict] = {
@@ -114,7 +144,7 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ValueError("a scenario document must be a JSON object")
-        unknown = set(doc) - SCENARIO_KEYS
+        unknown = set(doc) - set(SCENARIO_KEYS)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         if "seed" not in doc:
@@ -127,9 +157,10 @@ class Scenario:
                 f"unknown matrix family {matrix_spec['family']!r}; "
                 f"expected one of {MATRIX_FAMILIES}"
             )
+        _check_json_types(doc, SCENARIO_KEYS, "")
         sweep_spec = doc.get("alpha_sweep")
         if sweep_spec is not None:
-            missing = {"start", "stop", "step"} - set(sweep_spec)
+            missing = set(NESTED_KEYS["alpha_sweep"]) - set(sweep_spec)
             if missing:
                 raise ValueError(f"alpha_sweep is missing {sorted(missing)}")
             if float(sweep_spec["step"]) <= 0:
@@ -138,10 +169,11 @@ class Scenario:
         top_k = int(doc.get("top_k", 1))
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        required = FAMILY_KEYS.get(matrix_spec["family"], ())
+        required = FAMILY_KEYS.get(matrix_spec["family"], {})
         missing = [key for key in required if key not in matrix_spec]
         if missing:
             raise ValueError(f"matrix family {matrix_spec['family']!r} requires {missing}")
+        _check_json_types(matrix_spec, required, "matrix.")
         return cls(
             name=str(doc.get("name", "scenario")),
             seed=int(doc["seed"]),
@@ -162,6 +194,16 @@ class Scenario:
             "strategy": self.strategy_spec,
             "top_k": self.top_k,
         }
+
+
+def _check_json_types(obj: dict, types: dict, prefix: str) -> None:
+    """Raise ValueError when a key of obj that types lists holds another JSON
+    type; an object under a key of NESTED_KEYS is checked against its table."""
+    for key, allowed in types.items():
+        if key in obj and not any(JSON_TYPES[t](obj[key]) for t in allowed):
+            raise ValueError(f"{prefix}{key} must be of type {' or '.join(allowed)}")
+        if key in NESTED_KEYS and isinstance(obj.get(key), dict):
+            _check_json_types(obj[key], NESTED_KEYS[key], f"{prefix}{key}.")
 
 
 @dataclass(frozen=True)
@@ -236,10 +278,9 @@ def _resolve_alpha(mat: MaterializedScenario) -> float:
 
 def _user_classes(mat: MaterializedScenario) -> list[str]:
     if mat.partition is not None:
-        labels = []
-        for u in range(mat.matrix.rows):
-            labels.append("majority" if u in mat.partition.majority_users else "minority")
-        return labels
+        labels = np.full(mat.matrix.rows, "minority")
+        labels[mat.partition.majority_user_index] = "majority"
+        return labels.tolist()
     classes = PopularitySplit(mat.matrix, mat.n_bar).classes
     labels = []
     for u in range(mat.matrix.rows):
@@ -296,6 +337,8 @@ def _resolve_strategy(
             raise ValueError("scenario has no picky item to target")
         target = picky[0][0]
     target = int(target)
+    if target not in partition.minority_items:
+        raise ValueError(f"target item {target} is not a minority item")
 
     selector = spec.get("selector", {"kind": "stratified", "fraction": 0.25})
     kind = selector.get("kind", "stratified")
@@ -315,9 +358,7 @@ def _resolve_strategy(
     if outside:
         raise ValueError(f"collective users {outside} are not majority users")
 
-    maj_block = matrix.entries[
-        np.ix_(sorted(partition.majority_users), sorted(partition.majority_items))
-    ]
+    maj_block = partition.majority_block(matrix.entries)
     k_maj = numeric_rank_of(maj_block)
     sigma_kmaj = float(singular_values_of(maj_block)[k_maj - 1])
     inputs = FinderInputs(
@@ -375,13 +416,8 @@ def run(mat: MaterializedScenario) -> dict:
         collective_side, collective_outcome, collective_welfare = _run_side(
             mat, revealed, alpha
         )
-        minority_block = mat.matrix.entries[
-            np.ix_(
-                sorted(mat.partition.minority_users),
-                sorted(mat.partition.minority_items),
-            )
-        ]
-        sigma1_min = float(singular_values_of(minority_block)[0])
+        s_min = singular_values_of(mat.partition.minority_block(mat.matrix.entries))
+        sigma1_min = float(s_min[0]) if s_min.size else 0.0
         sufficiency = check_sufficient_conditions(inputs, sigma1_min, eta)
         window = sufficient_gap(mat.matrix, mat.partition, strategy)
         margin = None
@@ -400,15 +436,7 @@ def run(mat: MaterializedScenario) -> dict:
                 "eta_source": source,
                 "target_item": strategy.target_item,
                 "collective_size": len(strategy.collective),
-                "finder_inputs": {
-                    "sigma_kmaj": inputs.sigma_kmaj,
-                    "alpha": inputs.alpha,
-                    "n_bar": inputs.n_bar,
-                    "picky_col_sq": inputs.picky_col_sq,
-                    "av": inputs.av,
-                    "kappa": inputs.kappa,
-                    "coll_size": inputs.coll_size,
-                },
+                "finder_inputs": asdict(inputs),
                 "verdicts": dict(sufficiency.conditions),
                 "margins": dict(sufficiency.margins),
                 "ratio": collective_side["social_welfare"] / truthful_side["social_welfare"],
@@ -540,15 +568,9 @@ def _miss_probability_exact(
     positive minority-block entry: rows are independent, and a row with h
     hot items is missed with probability C(n-h, q) / C(n, q)."""
     n = matrix.cols
-    hot_per_row: dict[int, int] = {}
-    for u in sorted(partition.minority_users):
-        count = sum(
-            1 for i in sorted(partition.minority_items) if matrix.entries[u, i] != 0.0
-        )
-        if count:
-            hot_per_row[u] = count
+    hot_per_row = np.count_nonzero(partition.minority_block(matrix.entries), axis=1)
     prob = 1.0
-    for count in hot_per_row.values():
+    for count in hot_per_row[hot_per_row > 0].tolist():
         if per_user > n - count:
             return 0.0
         prob *= math.comb(n - count, per_user) / math.comb(n, per_user)

@@ -131,7 +131,7 @@ def apply_uprating(
     p.validate_for(R_star)
     s.validate_for(p)
     out = R_star.entries.copy()
-    out[sorted(s.collective), s.target_item] = s.eta
+    out[list(s.collective), s.target_item] = s.eta
     return RatingsMatrix(out)
 
 
@@ -146,11 +146,6 @@ def aggregate_value(R: RatingsMatrix, coll: frozenset[int] | set[int], n_bar: in
         raise ValueError(f"n_bar must be in [1, {R.cols}], got {n_bar}")
     rows = sorted(int(u) for u in coll)
     return float(R.entries[rows, :n_bar].sum(axis=0).max())
-
-
-def _aggregate_value_items(R: RatingsMatrix, coll, items: list[int]) -> float:
-    rows = sorted(int(u) for u in coll)
-    return float(R.entries[np.ix_(rows, items)].sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +163,20 @@ def sufficient_gap(
     """
     p.validate_for(R_star)
     s.validate_for(p)
-    maj_items = sorted(p.majority_items)
-    maj_block = R_star.entries[np.ix_(sorted(p.majority_users), maj_items)]
+    maj_block = p.majority_block(R_star.entries)
     s_maj = singular_values_of(maj_block)
     k_maj = numeric_rank_of(maj_block)
     if k_maj == 0:
         raise ValueError("majority block has numeric rank 0")
     sigma_kmaj = float(s_maj[k_maj - 1])
-    min_block = R_star.entries[np.ix_(sorted(p.minority_users), sorted(p.minority_items))]
-    s_min = singular_values_of(min_block)
+    s_min = singular_values_of(p.minority_block(R_star.entries))
     sigma1_min = float(s_min[0]) if s_min.size else 0.0
     col_sq = float((R_star.entries[:, s.target_item] ** 2).sum())
-    av = _aggregate_value_items(R_star, s.collective, maj_items)
+    coll_rows = R_star.entries[sorted(s.collective)]
+    av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
     radicand = (
         min(sigma_kmaj**2, s.eta**2 * len(s.collective) + col_sq)
-        - s.eta * math.sqrt(len(maj_items)) * av
+        - s.eta * math.sqrt(p.n_bar) * av
     )
     upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
     return OpenInterval(sigma1_min, upper)

@@ -151,13 +151,8 @@ def observed_minority_block_zero(
     This is the hypothesis under which zero-padding the majority block is a
     sparsest completion; an empty observation set satisfies it vacuously.
     """
-    if (omega.rows, omega.cols) != R_star.shape:
-        raise ValueError("observation grid does not match the matrix")
-    for u, i in omega.pairs:
-        if u in p.minority_users and i in p.minority_items:
-            if R_star.entries[u, i] != 0.0:
-                return False
-    return True
+    observed = PartialMatrix.from_full(R_star, omega).values
+    return not np.any(p.minority_block(observed) != 0.0)
 
 
 def sparsest_majority_completion(
@@ -170,26 +165,22 @@ def sparsest_majority_completion(
     of its completed majority block; this is asserted. Raises ValueError when
     an observed entry contradicts the hypothesis or the cross-block zeros.
     """
-    m, n = partial.values.shape
-    maj_u, min_u = sorted(p.majority_users), sorted(p.minority_users)
-    maj_i, min_i = sorted(p.majority_items), sorted(p.minority_items)
-    if set(maj_u) | set(min_u) != set(range(m)) or set(maj_i) | set(min_i) != set(range(n)):
+    if not p.covers(*partial.values.shape):
         raise ValueError("partition does not cover the grid")
     mask, vals = partial.mask, partial.values
-    for rows, cols, what in (
-        (min_u, min_i, "minority-block"),
-        (maj_u, min_i, "majority-user/minority-item"),
-        (min_u, maj_i, "minority-user/majority-item"),
+    # With the cover checked, a hit in a minority column outside the minority
+    # block is a majority-user entry, and likewise for a minority row.
+    observed_nonzero = mask & (vals != 0.0)
+    for block, what in (
+        (p.minority_block(observed_nonzero), "minority-block"),
+        (observed_nonzero[:, p.minority_item_index], "majority-user/minority-item"),
+        (observed_nonzero[p.minority_user_index], "minority-user/majority-item"),
     ):
-        if rows and cols:
-            sub_m = mask[np.ix_(rows, cols)]
-            sub_v = vals[np.ix_(rows, cols)]
-            if np.any(sub_m & (sub_v != 0.0)):
-                raise ValueError(f"observed nonzero {what} entry; zero-padding is infeasible")
+        if np.any(block):
+            raise ValueError(f"observed nonzero {what} entry; zero-padding is infeasible")
     X = np.where(mask, vals, 0.0)
     out = RatingsMatrix(X, nonnegative=bool(np.all(X >= 0)))
-    block = X[np.ix_(maj_u, maj_i)] if maj_u and maj_i else np.zeros((0, 0))
-    if numeric_rank_of(X) != numeric_rank_of(block):
+    if numeric_rank_of(X) != numeric_rank_of(p.majority_block(X)):
         raise AssertionError("completion rank differs from its majority block rank")
     return out
 
@@ -202,12 +193,8 @@ def reduce_solution(X: RatingsMatrix, p: GroupPartition) -> RatingsMatrix:
     observation set satisfying the zero-observation hypothesis.
     """
     out = X.entries.copy()
-    min_u = sorted(p.minority_users)
-    min_i = sorted(p.minority_items)
-    if min_i:
-        out[:, min_i] = 0.0
-    if min_u:
-        out[min_u, :] = 0.0
+    out[:, p.minority_item_index] = 0.0
+    out[p.minority_user_index, :] = 0.0
     return RatingsMatrix(out, nonnegative=bool(np.all(out >= 0)))
 
 
@@ -235,21 +222,15 @@ def miss_probability_mc(
         raise ValueError(f"per_user must be in [0, {n}], got {per_user}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    hot: list[tuple[int, int]] = [
-        (u, i)
-        for u in sorted(p.minority_users)
-        for i in sorted(p.minority_items)
-        if R_star.entries[u, i] != 0.0
-    ]
-    if not hot:
+    # Nonzero minority-block entries in (user, item) order, one key row per hot user.
+    rows, cols = np.nonzero(p.minority_block(R_star.entries) != 0.0)
+    if not rows.size:
         return 1.0
-    hot_users = sorted({u for u, _ in hot})
-    row_of = {u: r for r, u in enumerate(hot_users)}
+    hot_rows, key_row = np.unique(rows, return_inverse=True)
     rng = np.random.default_rng(seed)
     ok = np.ones(trials, dtype=bool)
-    keys = rng.random((trials, len(hot_users), n))
-    for u, i in hot:
-        r = row_of[u]
+    keys = rng.random((trials, hot_rows.size, n))
+    for r, i in zip(key_row.tolist(), p.minority_item_index[cols].tolist()):
         # rank of the key at column i within its row; sampled iff among the
         # per_user smallest
         rank = (keys[:, r, :] < keys[:, r, i : i + 1]).sum(axis=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .completion import PartialMatrix, load_partial_json
-from .matrix import GroupPartition, RatingsMatrix, load_ratings_csv
+from .matrix import GroupPartition, RatingsMatrix, block_partition, load_ratings_csv
 
 
 def _data(name: str):
@@ -46,25 +46,12 @@ def mc_4x4_completed() -> RatingsMatrix:
 def mc_10x10() -> tuple[RatingsMatrix, GroupPartition]:
     """10x10 two-block matrix whose minority block holds exactly two
     positive entries, used for the exploration Monte Carlo."""
-    R = _csv("mc_10x10_true.csv")
-    p = GroupPartition(
-        majority_users=frozenset(range(8)),
-        minority_users=frozenset({8, 9}),
-        majority_items=frozenset(range(8)),
-        minority_items=frozenset({8, 9}),
-    )
-    return R, p
+    return _csv("mc_10x10_true.csv"), block_partition(8, 8, 10, 10)
 
 
 def mc_6x6_observed() -> tuple[PartialMatrix, GroupPartition]:
     """Sixteen observed entries of a 6x6 instance plus its user/item split."""
-    p = GroupPartition(
-        majority_users=frozenset({0, 1, 2}),
-        minority_users=frozenset({3, 4, 5}),
-        majority_items=frozenset({0, 1, 2}),
-        minority_items=frozenset({3, 4, 5}),
-    )
-    return _partial("mc_6x6_observed.json"), p
+    return _partial("mc_6x6_observed.json"), block_partition(3, 3, 6, 6)
 
 
 def mc_6x6_less_sparse() -> RatingsMatrix:

@@ -9,7 +9,6 @@ own the seeding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,18 +136,21 @@ def stratified_collective(
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    groups: dict[int, list[int]] = {}
-    for u in sorted(partition.majority_users):
-        row = matrix.entries[u]
-        tops = np.flatnonzero(row == row.max())
-        if tops.size != 1:
-            raise ValueError(f"user {u} has tied top items; stratification ambiguous")
-        groups.setdefault(int(tops[0]), []).append(u)
-    chosen: set[int] = set()
-    for item in sorted(groups):
-        users = groups[item]
-        chosen.update(users[: math.ceil(fraction * len(users))])
-    return frozenset(chosen)
+    users = partition.majority_user_index
+    rows = matrix.entries[users]
+    top = rows == rows.max(axis=1, keepdims=True)
+    tied = np.flatnonzero(top.sum(axis=1) != 1)
+    if tied.size:
+        raise ValueError(f"user {users[tied[0]]} has tied top items; stratification ambiguous")
+    # A stable sort keeps each top-item group in user order; a user is kept
+    # when their rank within the group is below ceil(fraction * group size).
+    top_item = top.argmax(axis=1)
+    order = np.argsort(top_item, kind="stable")
+    item = top_item[order]
+    start = np.searchsorted(item, item, side="left")
+    size = np.searchsorted(item, item, side="right") - start
+    keep = np.arange(item.size) - start < np.ceil(fraction * size)
+    return frozenset(users[order[keep]].tolist())
 
 
 def random_block_scenario(rng: np.random.Generator) -> BlockScenario:

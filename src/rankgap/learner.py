@@ -253,10 +253,9 @@ def kappa_k(R_star: RatingsMatrix, p: GroupPartition, k: int) -> float:
     m, n = R_star.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    maj = sorted(p.majority_users)
-    if not maj:
+    if not p.majority_users:
         raise ValueError("no majority users")
-    rows = R_star.entries[maj]
+    rows = R_star.entries[p.majority_user_index]
     kth = np.sort(rows, axis=1)[:, n - k]
     return float(kth.min())
 

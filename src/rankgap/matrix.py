@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,9 @@ class GroupPartition:
     The split is valid for a matrix R when the user sets partition its rows,
     the item sets partition its columns, every cross-block entry is exactly
     zero, and no user row is entirely zero.
+
+    Each set is also held, derived once, as a sorted read-only ``np.intp``
+    array (``*_index``); other modules take indices and blocks only from here.
     """
 
     majority_users: frozenset[int]
@@ -110,6 +114,36 @@ class GroupPartition:
     def n_bar(self) -> int:
         return len(self.majority_items)
 
+    @cached_property
+    def majority_user_index(self) -> np.ndarray:
+        return _index_array(self.majority_users)
+
+    @cached_property
+    def minority_user_index(self) -> np.ndarray:
+        return _index_array(self.minority_users)
+
+    @cached_property
+    def majority_item_index(self) -> np.ndarray:
+        return _index_array(self.majority_items)
+
+    @cached_property
+    def minority_item_index(self) -> np.ndarray:
+        return _index_array(self.minority_items)
+
+    def majority_block(self, a: np.ndarray) -> np.ndarray:
+        """Majority-user x majority-item submatrix of a, rows and columns in index order."""
+        return a[np.ix_(self.majority_user_index, self.majority_item_index)]
+
+    def minority_block(self, a: np.ndarray) -> np.ndarray:
+        """Minority-user x minority-item submatrix of a, rows and columns in index order."""
+        return a[np.ix_(self.minority_user_index, self.minority_item_index)]
+
+    def covers(self, m: int, n: int) -> bool:
+        """True when the user sets partition range(m) and the item sets range(n)."""
+        return _covers(self.majority_user_index, self.minority_user_index, m) and _covers(
+            self.majority_item_index, self.minority_item_index, n
+        )
+
     def validate_for(self, R: RatingsMatrix) -> None:
         """Raise PartitionError unless this split is valid for R.
 
@@ -117,21 +151,28 @@ class GroupPartition:
         entries as identically zero, not approximately so.
         """
         m, n = R.shape
-        if self.majority_users | self.minority_users != frozenset(range(m)):
+        if not _covers(self.majority_user_index, self.minority_user_index, m):
             raise PartitionError(f"user sets do not partition range({m})")
-        if self.majority_items | self.minority_items != frozenset(range(n)):
+        if not _covers(self.majority_item_index, self.minority_item_index, n):
             raise PartitionError(f"item sets do not partition range({n})")
         a = R.entries
-        mu = sorted(self.majority_users)
-        nu = sorted(self.minority_users)
-        mi = sorted(self.majority_items)
-        ni = sorted(self.minority_items)
-        if mu and ni and np.any(a[np.ix_(mu, ni)] != 0.0):
+        if np.any(a[np.ix_(self.majority_user_index, self.minority_item_index)] != 0.0):
             raise PartitionError("majority user rates a minority item")
-        if nu and mi and np.any(a[np.ix_(nu, mi)] != 0.0):
+        if np.any(a[np.ix_(self.minority_user_index, self.majority_item_index)] != 0.0):
             raise PartitionError("minority user rates a majority item")
         if np.any(a.max(axis=1, initial=0.0) <= 0.0):
             raise PartitionError("a user has no positive rating")
+
+
+def _index_array(indices: frozenset[int]) -> np.ndarray:
+    out = np.array(sorted(indices), dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _covers(a: np.ndarray, b: np.ndarray, size: int) -> bool:
+    """Whether two sorted, disjoint, nonnegative index arrays partition range(size)."""
+    return a.size + b.size == size and all(x[-1] < size for x in (a, b) if x.size)
 
 
 def block_partition(m_bar: int, n_bar: int, m: int, n: int) -> GroupPartition:
@@ -244,14 +285,6 @@ def column_abs_sums(R: RatingsMatrix) -> np.ndarray:
     return np.abs(R.entries).sum(axis=0)
 
 
-def _majority_block(R: RatingsMatrix, p: GroupPartition) -> np.ndarray:
-    return R.entries[np.ix_(sorted(p.majority_users), sorted(p.majority_items))]
-
-
-def _minority_block(R: RatingsMatrix, p: GroupPartition) -> np.ndarray:
-    return R.entries[np.ix_(sorted(p.minority_users), sorted(p.minority_items))]
-
-
 def singular_value_gap(R: RatingsMatrix, p: GroupPartition) -> OpenInterval:
     """Open interval between the minority block's top singular value and the
     majority block's smallest nonzero one.
@@ -260,13 +293,12 @@ def singular_value_gap(R: RatingsMatrix, p: GroupPartition) -> OpenInterval:
     when p is not valid for R or the majority block carries no mass.
     """
     p.validate_for(R)
-    maj = _majority_block(R, p)
+    maj = p.majority_block(R.entries)
     s_maj = singular_values_of(maj)
     k_maj = numeric_rank_of(maj)
     if k_maj == 0:
         raise PartitionError("majority block has numeric rank 0")
-    minor = _minority_block(R, p)
-    s_min = singular_values_of(minor)
+    s_min = singular_values_of(p.minority_block(R.entries))
     lower = float(s_min[0]) if s_min.size else 0.0
     upper = float(s_maj[k_maj - 1])
     return OpenInterval(lower, upper)
@@ -282,10 +314,10 @@ def reorder_to_blocks(
     permutations recovers R exactly.
     """
     p.validate_for(R)
-    row_perm = tuple(sorted(p.majority_users) + sorted(p.minority_users))
-    col_perm = tuple(sorted(p.majority_items) + sorted(p.minority_items))
-    out = R.entries[np.ix_(row_perm, col_perm)]
-    return R.with_entries(out), row_perm, col_perm
+    rows = np.concatenate([p.majority_user_index, p.minority_user_index])
+    cols = np.concatenate([p.majority_item_index, p.minority_item_index])
+    out = R.entries[np.ix_(rows, cols)]
+    return R.with_entries(out), tuple(rows.tolist()), tuple(cols.tolist())
 
 
 def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -305,16 +337,13 @@ def find_picky_items(
     """
     p.validate_for(R)
     a = R.entries
+    # A rater rates nothing else iff the item is the only nonzero in its row.
+    lone = np.count_nonzero(a, axis=1) == 1
     out: list[tuple[int, frozenset[int]]] = []
-    for i in sorted(p.minority_items):
+    for i in p.minority_item_index.tolist():
         raters = np.flatnonzero(a[:, i] > 0.0)
-        if raters.size == 0:
-            continue
-        rest = a[raters, :].copy()
-        rest[:, i] = 0.0
-        if np.any(rest != 0.0):
-            continue
-        out.append((i, frozenset(int(u) for u in raters)))
+        if raters.size and lone[raters].all():
+            out.append((i, frozenset(raters.tolist())))
     return out
 
 

@@ -1,10 +1,13 @@
 """End-to-end command line checks: presets, configs, reports, exit codes."""
 
+import contextlib
+import io
 import json
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankgap.cli import PRESETS, Scenario, generate_scenario, main
 from rankgap.matrix import load_ratings_csv
@@ -399,6 +402,96 @@ def test_explicit_collective_outside_the_majority_is_a_clean_error(tmp_path, cap
     config = write_config(tmp_path, doc)
     assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
     assert "requires users" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [99, -1])
+def test_target_outside_the_minority_items_is_a_clean_error(tmp_path, capsys, target):
+    doc = dict(
+        PRESETS["paired"],
+        strategy={"selector": {"kind": "explicit", "users": [0, 1]}, "target_item": target},
+    )
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: target item {target} is not a minority item\n"
+
+
+def test_collective_run_without_minority_users(tmp_path):
+    # Every user is a majority user; the minority item is an all-zero column,
+    # so the minority block is empty and sigma1(minority) is 0.
+    csv_path = tmp_path / "ratings.csv"
+    csv_path.write_text("user,item,rating\n0,a,1\n1,a,1\n2,b,1\n3,b,1\n0,c,0\n")
+    doc = {
+        "name": "nominority",
+        "seed": 0,
+        "matrix": {"family": "csv", "path": str(csv_path), "m_bar": 4, "n_bar": 2},
+        "alpha": 0.5,
+        "strategy": {
+            "target_item": 2,
+            "selector": {"kind": "explicit", "users": [0, 2]},
+            "eta": 1.0,
+        },
+    }
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "nominority.report.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, report_schema())
+    assert report["matrix"]["minority_users"] == 0
+    assert report["collective"]["gap_interval"][0] == 0.0
+
+
+PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(PAIRED, seed=[1]), "seed must be of type integer"),
+        (dict(PAIRED, alpha=[1]), "alpha must be of type number or null"),
+        (dict(PAIRED, matrix=dict(PAIRED["matrix"], m_maj=[1])), "matrix.m_maj must be"),
+        (dict(PAIRED, strategy=5), "strategy must be of type object or null"),
+        (dict(PAIRED, alpha_sweep=5), "alpha_sweep must be of type object or null"),
+        (dict(PAIRED, strategy={"selector": "x"}), "strategy.selector must be of type object"),
+        (
+            dict(PAIRED, matrix={"family": "indicator", "popular_sizes": 5, "niche_sizes": [1]}),
+            "matrix.popular_sizes must be of type list of integers",
+        ),
+    ],
+)
+def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, capsys, doc, message):
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+FUZZ_BASE = dict(PRESETS["paired"], strategy=PRESETS["multigroup"]["strategy"])
+FUZZ_PATHS = (
+    [(key,) for key in [*FUZZ_BASE, "alpha_sweep"]]
+    + [("matrix", key) for key in FUZZ_BASE["matrix"]]
+    + [("strategy", key) for key in FUZZ_BASE["strategy"]]
+    + [("strategy", "selector", key) for key in FUZZ_BASE["strategy"]["selector"]]
+)
+# Small values only, so that no draw builds a large matrix.
+FUZZ_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], [1], {}, {"a": 1}]
+
+
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=150, deadline=None)
+def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, path, value):
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path_factory.mktemp("fuzz")
+    config = write_config(out, doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", config, "--out", str(out)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Matrix core: construction, spectra, gaps, reordering, picky items, CSV."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +146,34 @@ def test_partition_rejects_cross_block_entries_and_zero_rows():
     b = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(PartitionError, match="no positive rating"):
         p.validate_for(RatingsMatrix(b))
+    # Every branch, on a non-contiguous split, with its exact message.
+    R = RatingsMatrix(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+    split = dict(
+        majority_users={0, 2}, minority_users={1}, majority_items={1, 2}, minority_items={0}
+    )
+    GroupPartition(**split).validate_for(R)
+    cases = [
+        ({"majority_users": {0, 2, 3}}, "user sets do not partition range(3)"),
+        ({"majority_users": {0, 3}}, "user sets do not partition range(3)"),
+        ({"minority_users": {1, 5}}, "user sets do not partition range(3)"),
+        ({"majority_users": {2}}, "user sets do not partition range(3)"),
+        ({"minority_items": {3}}, "item sets do not partition range(3)"),
+        ({"majority_items": {1}}, "item sets do not partition range(3)"),
+        (
+            {"majority_users": {0, 1, 2}, "minority_users": set()},
+            "majority user rates a minority item",
+        ),
+        (
+            {"majority_users": {0}, "minority_users": {1, 2}},
+            "minority user rates a majority item",
+        ),
+    ]
+    for change, message in cases:
+        with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+            GroupPartition(**{**split, **change}).validate_for(R)
+    zero_row = RatingsMatrix(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(PartitionError, match="^a user has no positive rating$"):
+        GroupPartition(**split).validate_for(zero_row)
 
 
 def test_partition_rejects_overlaps_and_negatives():
@@ -160,6 +191,72 @@ def test_partition_rejects_overlaps_and_negatives():
             majority_items=frozenset({0}),
             minority_items=frozenset({1}),
         )
+
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "rankgap"
+PARTITION_SETS = {"majority_users", "minority_users", "majority_items", "minority_items"}
+PARTITION_NAMES = PARTITION_SETS | {
+    "majority_user_index", "minority_user_index", "majority_item_index", "minority_item_index"
+}
+
+
+def _is_partition_set(node) -> bool:
+    """Whether node is one of GroupPartition's sets: directly, through a
+    one-argument call such as set(...), or as the source of a comprehension."""
+    while True:
+        if isinstance(node, ast.Attribute):
+            return node.attr in PARTITION_SETS
+        if isinstance(node, ast.Call) and len(node.args) == 1:
+            node = node.args[0]
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            node = node.generators[0].iter
+        else:
+            return False
+
+
+def partition_index_builders(source: str) -> list[int]:
+    """Lines that sort a GroupPartition set, or build np.ix_ from a partition
+    set or index array."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "sorted" and node.args and _is_partition_set(node.args[0]):
+            lines.add(node.lineno)
+        elif name == "ix_" and any(
+            isinstance(n, ast.Attribute) and n.attr in PARTITION_NAMES
+            for arg in node.args
+            for n in ast.walk(arg)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_partition_turns_its_sets_into_indices():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    offenders = {
+        path.name: lines
+        for path in modules
+        if path.name != "matrix.py"
+        and (lines := partition_index_builders(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_partition_index_guard_flags_each_form():
+    flagged = [
+        "sorted(p.majority_users)",
+        "sorted(int(u) for u in p.minority_items)",
+        "sorted(set(partition.minority_users))",
+        "np.ix_(sorted(p.majority_users), cols)",
+        "np.ix_(p.majority_user_index, p.majority_item_index)",
+    ]
+    for source in flagged:
+        assert partition_index_builders(source) == [1], source
+    for source in ("sorted(s.collective)", "np.ix_(rows, cols)", "p.majority_block(a)"):
+        assert partition_index_builders(source) == [], source
 
 
 # ---------------------------------------------------------------------------
