@@ -420,6 +420,8 @@ def run(mat: MaterializedScenario) -> dict:
         sigma1_min = float(s_min[0]) if s_min.size else 0.0
         sufficiency = check_sufficient_conditions(inputs, sigma1_min, eta)
         window = sufficient_gap(mat.matrix, mat.partition, strategy)
+        # A negative radicand leaves the window without a real upper end (NaN).
+        gap_interval = None if math.isnan(window.upper) else [window.lower, window.upper]
         margin = None
         if margin_numerator(inputs, eta) > 0:
             margin = robustness_margin(
@@ -431,7 +433,7 @@ def run(mat: MaterializedScenario) -> dict:
             )
         collective_side.update(
             {
-                "gap_interval": [window.lower, window.upper],
+                "gap_interval": gap_interval,
                 "eta": eta,
                 "eta_source": source,
                 "target_item": strategy.target_item,
@@ -696,6 +698,9 @@ def cmd_find_eta(args) -> int:
 
 def cmd_check(args) -> int:
     inputs = _finder_inputs_from_args(args)
+    for flag, value in (("--eta", args.eta), ("--sigma1-min", args.sigma1_min)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     report = check_sufficient_conditions(inputs, args.sigma1_min, args.eta)
     for name, value in report.conditions.items():
         print(f"{name}: {'pass' if value else 'FAIL'} (margin {report.margins[name]:.6g})")

@@ -254,17 +254,33 @@ def grid_feasible_eta(
 ) -> float | None:
     """Brute-force scan for a passing eta on a uniform grid over (0, kappa).
 
-    Oracle companion to find_eta: returns the first passing grid point or
-    None. Resolution is kappa/steps, so a None result rules out feasibility
-    only up to that resolution.
+    Oracle companion to find_eta: returns the first passing grid point
+    kappa*j/steps (j = 1..steps-1) or None. Resolution is kappa/steps, so a
+    None result rules out feasibility only up to that resolution.
+
+    The grid is scanned in one array pass that evaluates the three
+    conditions of check_sufficient_conditions elementwise, with the same
+    expressions and the same strict comparisons; it calls neither that
+    function nor find_eta, so it stays independent of the code it checks.
+    Memory grows with steps (a few float arrays of steps - 1 entries).
     """
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if z.kappa <= 0:
         return None
-    for j in range(1, steps):
-        eta = z.kappa * j / steps
-        if check_sufficient_conditions(z, sigma1_min, eta).verdict:
-            return eta
-    return None
+    eta = z.kappa * np.arange(1, steps) / steps
+    passing = (
+        (0.0 < eta)
+        & (eta < z.kappa)
+        & (
+            z.alpha**2
+            < np.minimum(z.sigma_kmaj**2, eta**2 * z.coll_size + z.picky_col_sq)
+            - eta * math.sqrt(z.n_bar) * z.av
+        )
+        & (z.alpha > sigma1_min)
+    )
+    hits = np.flatnonzero(passing)
+    return float(eta[hits[0]]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +317,13 @@ def robustness_margin(
     and top singular value), assumed known; callers holding only estimates
     should label the margin heuristic.
     """
-    if eta_hat <= 0:
-        raise ValueError(f"eta_hat must be positive, got {eta_hat}")
+    if not math.isfinite(eta_hat) or eta_hat <= 0:
+        raise ValueError(f"eta_hat must be finite and positive, got {eta_hat}")
+    for name, norm in (("l1_norm", l1_norm), ("l2_norm", l2_norm)):
+        if not math.isfinite(norm) or norm < 0:
+            raise ValueError(f"{name} must be finite and nonnegative, got {norm}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     f = margin_numerator(z_hat, eta_hat)
     if f <= 0:
         raise ValueError("eta_hat does not satisfy the gap condition under z_hat")

@@ -440,6 +440,26 @@ def test_collective_run_without_minority_users(tmp_path):
     assert report["collective"]["gap_interval"][0] == 0.0
 
 
+def test_given_eta_outside_the_gap_window_reports_the_failed_condition(tmp_path):
+    # at eta = 5 the radicand of the post-uprating window is negative
+    doc = json.loads(json.dumps(PRESETS["multigroup"]))
+    doc["name"] = "eta5"
+    doc["strategy"]["eta"] = 5.0
+    config = write_config(tmp_path, doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eta5.report.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, report_schema())
+    c = report["collective"]
+    assert c["eta"] == 5.0 and c["eta_source"] == "given"
+    assert c["gap_interval"] is None
+    assert c["robustness_margin"] is None
+    assert c["verdicts"]["alpha_in_new_gap"] is False
+    assert c["margins"]["alpha_in_new_gap"] < 0
+    argv = ["run", "--config", config, "--out", str(tmp_path), "--format", "csv"]
+    assert main(argv) == 0
+    assert len((tmp_path / "eta5.report.csv").read_text().splitlines()) == 406
+
+
 PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}
 
 
@@ -572,6 +592,36 @@ def test_robustness_command_matches_the_run_report(tmp_path, capsys):
     assert "margin = 0.361520744347" in capsys.readouterr().out
     report = json.loads((tmp_path / "robustness.json").read_text())
     assert report["margin"] == 0.361520744347
+
+
+ROBUSTNESS_ARGS = {"--eta": "0.75", "--l1-norm": "100.0", "--l2-norm": "10.0", "--n-items": "6"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("check", "--eta", "nan", "--eta must be finite"),
+        ("check", "--eta", "inf", "--eta must be finite"),
+        ("check", "--sigma1-min", "nan", "--sigma1-min must be finite"),
+        ("robustness", "--eta", "nan", "eta_hat must be finite"),
+        ("robustness", "--l1-norm", "nan", "l1_norm must be finite and nonnegative"),
+        ("robustness", "--l1-norm", "-1.0", "l1_norm must be finite and nonnegative"),
+        ("robustness", "--l2-norm", "inf", "l2_norm must be finite and nonnegative"),
+        ("robustness", "--l2-norm", "-1.0", "l2_norm must be finite and nonnegative"),
+        ("robustness", "--n-items", "-3", "n must be >= 1"),
+        ("robustness", "--n-items", "0", "n must be >= 1"),
+    ],
+)
+def test_finder_commands_reject_bad_numbers(tmp_path, capsys, command, flag, value, message):
+    flags = {"--eta": "0.75", "--sigma1-min": "2.0"} if command == "check" else ROBUSTNESS_ARGS
+    flags = {**flags, flag: value}
+    argv = [command, *FINDER_ARGS, *(x for kv in flags.items() for x in kv), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scalar_reports_are_json_only(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Collective uprating: strategies, sufficiency arithmetic, finder, robustness."""
 
+import ast
+import dataclasses
+import inspect
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,19 @@ def raw_gap_slack(vec: np.ndarray, eta: float) -> float:
     """
     sigma, alpha, n_bar, s, av, size = (float(v) for v in vec)
     return min(sigma**2, eta**2 * size + s) - eta * math.sqrt(n_bar) * av - alpha**2
+
+
+def reference_grid_feasible_eta(
+    z: FinderInputs, sigma1_min: float = 0.0, steps: int = 10_000
+) -> float | None:
+    """The scalar grid scan that grid_feasible_eta replaced, kept verbatim."""
+    if z.kappa <= 0:
+        return None
+    for j in range(1, steps):
+        eta = z.kappa * j / steps
+        if check_sufficient_conditions(z, sigma1_min, eta).verdict:
+            return eta
+    return None
 
 
 @pytest.fixture(scope="session")
@@ -248,6 +265,99 @@ def test_grid_oracle_brackets_the_feasible_range():
     assert check_sufficient_conditions(z, 2.0, first).verdict
     assert not check_sufficient_conditions(z, 2.0, 0.5080).verdict
     assert grid_feasible_eta(FinderInputs(**{**MULTI_Z, "kappa": 0.0}), 2.0) is None
+
+
+@given(
+    seeds,
+    st.sampled_from(["zero", "half", "alpha", "below", "above"]),
+    st.sampled_from([1, 2, 3, 7, 1_000, 10_000]),
+    st.sampled_from([0.0, 1e-300, 1.0, 1e6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_grid_oracle_matches_the_scalar_loop(seed, where, steps, kappa_scale):
+    z = random_finder_inputs(np.random.default_rng(seed))
+    z = dataclasses.replace(z, kappa=z.kappa * kappa_scale)
+    sigma1_min = {
+        "zero": 0.0,
+        "half": z.alpha / 2,
+        "alpha": z.alpha,
+        "below": math.nextafter(z.alpha, -math.inf),
+        "above": math.nextafter(z.alpha, math.inf),
+    }[where]
+    got = grid_feasible_eta(z, sigma1_min, steps)
+    assert got == reference_grid_feasible_eta(z, sigma1_min, steps)
+    assert got is None or type(got) is float
+
+
+def test_grid_oracle_skips_a_point_on_the_gap_edge():
+    z = FinderInputs(
+        sigma_kmaj=10.0, alpha=2.0, n_bar=1, picky_col_sq=2.0, av=1.0, kappa=4.0, coll_size=1
+    )
+    # at eta = 2: min(100, 4·1 + 2) − 2·1·1 − 2² = 0 exactly, which fails the strict test
+    assert margin_numerator(z, 2.0) == 0.0
+    assert check_sufficient_conditions(z, 0.0, 2.0).conditions["alpha_in_new_gap"] is False
+    assert grid_feasible_eta(z, 0.0, steps=4) == 3.0
+    assert find_eta(z) == 3.0
+    # alpha = sigma1(minority) fails the strict alpha_above_minority test everywhere
+    assert grid_feasible_eta(z, 2.0, steps=4) is None
+
+
+def test_grid_oracle_stops_before_kappa():
+    # 1.339 * 3 / 3 rounds to just below kappa, so a grid that ran to
+    # j = steps would find a passing point there; the grid ends at j = 2.
+    z = FinderInputs(
+        sigma_kmaj=10.0, alpha=1.2, n_bar=1, picky_col_sq=0.0, av=0.0, kappa=1.339, coll_size=1
+    )
+    assert z.kappa * 3 / 3 < z.kappa
+    assert check_sufficient_conditions(z, 0.0, z.kappa * 3 / 3).verdict
+    assert grid_feasible_eta(z, 0.0, steps=3) is None
+    assert grid_feasible_eta(z, 0.0, steps=10) == z.kappa * 9 / 10
+
+
+def test_grid_oracle_steps_must_be_an_integer():
+    z = FinderInputs(**MULTI_Z)
+    for steps in (2.5, 10_000.0, "10"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            grid_feasible_eta(z, 2.0, steps=steps)
+    assert grid_feasible_eta(z, 2.0, steps=np.int64(10_000)) == grid_feasible_eta(z, 2.0)
+    for steps in (-3, 0, 1):
+        assert grid_feasible_eta(z, 2.0, steps=steps) is None
+
+
+def oracle_dependencies(source: str) -> list[str]:
+    """Names of checked code the source calls, plus any loop it contains."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("find_eta", "margin_numerator", "check_sufficient_conditions"):
+                found.append(name)
+        elif isinstance(node, (ast.For, ast.While, ast.comprehension)):
+            found.append(type(node).__name__)
+    return found
+
+
+def test_grid_oracle_stays_independent_of_the_code_it_checks():
+    assert oracle_dependencies(inspect.getsource(grid_feasible_eta)) == []
+
+
+def test_oracle_dependency_guard_flags_each_form():
+    flagged = {
+        "find_eta(z)": ["find_eta"],
+        "collective.margin_numerator(z, eta)": ["margin_numerator"],
+        "check_sufficient_conditions(z, s, e).verdict": ["check_sufficient_conditions"],
+        "for j in range(steps): pass": ["For"],
+        "while True: break": ["While"],
+        "any(e > 0 for e in grid)": ["comprehension"],
+    }
+    for source, names in flagged.items():
+        assert oracle_dependencies(source) == names, source
+    assert oracle_dependencies("np.minimum(a, b) - eta * math.sqrt(n)") == []
+    assert oracle_dependencies(inspect.getsource(reference_grid_feasible_eta)) == [
+        "For",
+        "check_sufficient_conditions",
+    ]
 
 
 @given(seeds)
