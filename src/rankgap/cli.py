@@ -281,13 +281,10 @@ def _user_classes(mat: MaterializedScenario) -> list[str]:
         labels = np.full(mat.matrix.rows, "minority")
         labels[mat.partition.majority_user_index] = "majority"
         return labels.tolist()
-    classes = PopularitySplit(mat.matrix, mat.n_bar).classes
-    labels = []
-    for u in range(mat.matrix.rows):
-        in_maj = u in classes.majority
-        in_min = u in classes.minority
-        labels.append("both" if in_maj and in_min else "majority" if in_maj else "minority")
-    return labels
+    majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
+    return np.select(
+        [majority & minority, majority], ["both", "majority"], "minority"
+    ).tolist()
 
 
 def _report_items(outcome) -> list:
@@ -395,21 +392,9 @@ def run(mat: MaterializedScenario) -> dict:
     truthful_side, truthful_outcome, truthful_welfare = _run_side(
         mat, mat.matrix, alpha
     )
-    labels = _user_classes(mat)
-    truthful_items = _report_items(truthful_outcome)
-    per_user = [
-        {
-            "user": u,
-            "class": labels[u],
-            "truthful_item": truthful_items[u],
-            "truthful_welfare": truthful_welfare.per_user_welfare[u],
-            "collective_item": None,
-            "collective_welfare": None,
-        }
-        for u in range(mat.matrix.rows)
-    ]
-
+    users = mat.matrix.rows
     collective_side = None
+    collective_items = collective_welfares = [None] * users
     if scenario.strategy_spec is not None:
         strategy, inputs, eta, source = _resolve_strategy(mat, alpha)
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
@@ -449,10 +434,26 @@ def run(mat: MaterializedScenario) -> dict:
             }
         )
         collective_items = _report_items(collective_outcome)
-        for u in range(mat.matrix.rows):
-            per_user[u]["collective_item"] = collective_items[u]
-            per_user[u]["collective_welfare"] = collective_welfare.per_user_welfare[u]
+        collective_welfares = collective_welfare.per_user_welfare
 
+    per_user = [
+        {
+            "user": u,
+            "class": label,
+            "truthful_item": t_item,
+            "truthful_welfare": t_welfare,
+            "collective_item": c_item,
+            "collective_welfare": c_welfare,
+        }
+        for u, label, t_item, t_welfare, c_item, c_welfare in zip(
+            range(users),
+            _user_classes(mat),
+            _report_items(truthful_outcome),
+            truthful_welfare.per_user_welfare,
+            collective_items,
+            collective_welfares,
+        )
+    ]
     report = {
         "kind": "run",
         "scenario": scenario.to_dict(),

@@ -92,6 +92,11 @@ def load_partial_json(path) -> PartialMatrix:
     """Read {"rows", "cols", "observed": [[u, i, value], ...]} into a PartialMatrix."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object with rows, cols and observed")
+    missing = [key for key in ("rows", "cols", "observed") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     return PartialMatrix.from_triples(doc["rows"], doc["cols"], doc["observed"])
 
 

@@ -8,6 +8,7 @@ and columns, so no sparse formats are used.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -353,6 +354,9 @@ def find_picky_items(
 
 CSV_HEADER = ("user", "item", "rating")
 
+# Lines the one-pass reader splits at a time.
+_BLOCK_LINES = 1 << 15
+
 
 def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
     """Read a `user,item,rating` CSV into a dense matrix.
@@ -360,28 +364,94 @@ def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
     Unseen user and item identifiers get dense indices in first-seen order.
     Unlisted pairs are zero. Duplicate (user, item) pairs are an error.
 
+    A plain file (no quotes, CR, NUL, blank lines or padded labels, every
+    line ending in a newline) is parsed in one pass over its text; anything
+    else, and any file the one pass would reject, is read line by line, so
+    errors carry their line number.
+
     Returns (matrix, user_labels, item_labels).
     """
+    with open(path, "rb") as fh:
+        parsed = _parse_plain_csv(fh.read())
+    if parsed is None:
+        return _load_ratings_csv_lines(path)
+    users, items, u, i, ratings = parsed
+    a = np.zeros((len(users), len(items)))
+    a[u, i] = ratings
+    return RatingsMatrix(a), users, items
+
+
+def _parse_plain_csv(data: bytes):
+    """(users, items, user index, item index, ratings) of a plain ratings CSV,
+    or None when the line-by-line reader must decide."""
+    if any(c in data for c in (b'"', b"\r", b"\0", b"\n\n")) or not data.endswith(b"\n"):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    if data[: newlines[0]] != ",".join(CSV_HEADER).encode() or newlines.size < 2:
+        return None
+    # Rating lines: exactly two commas each, and none long enough to hold a
+    # field over the csv module's size limit.
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    if np.any(np.add.reduceat(raw == ord(","), starts, dtype=np.intp) != 2):
+        return None
+    if (ends - starts).max() >= csv.field_size_limit():
+        return None
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    u, i = np.empty(ends.size, dtype=np.intp), np.empty(ends.size, dtype=np.intp)
+    ratings = np.empty(ends.size)
+    try:
+        # A block of lines at a time, so that only one block's fields are live.
+        for lo in range(0, ends.size, _BLOCK_LINES):
+            hi = min(lo + _BLOCK_LINES, ends.size)
+            fields = data[starts[lo] : ends[hi - 1]].decode("utf-8").replace("\n", ",").split(",")
+            u[lo:hi] = _first_seen(users, fields[0::3])
+            i[lo:hi] = _first_seen(items, fields[1::3])
+            ratings[lo:hi] = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=hi - lo)
+    except ValueError:  # a rating float() rejects, or bytes that are not UTF-8
+        return None
+    # The line reader strips labels, so a padded one may merge with another.
+    if any(k != k.strip() for k in users) or any(k != k.strip() for k in items):
+        return None
+    if np.bincount(u * len(items) + i).max() > 1:
+        return None
+    return list(users), list(items), u, i, ratings
+
+
+def _first_seen(index: dict[str, int], labels: list[str]) -> np.ndarray:
+    """Each label's index in first-seen order, adding labels new to ``index``."""
+    for label in dict.fromkeys(labels):
+        index.setdefault(label, len(index))
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+
+def _load_ratings_csv_lines(path) -> tuple[RatingsMatrix, list[str], list[str]]:
+    """The line-by-line reader behind load_ratings_csv; its errors name the line."""
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     triples: list[tuple[int, int, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"expected header {','.join(CSV_HEADER)!r} in {path}")
-        seen: set[tuple[int, int]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            u = users.setdefault(row[0].strip(), len(users))
-            i = items.setdefault(row[1].strip(), len(items))
-            if (u, i) in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate pair ({row[0]!r}, {row[1]!r})")
-            seen.add((u, i))
-            triples.append((u, i, float(row[2])))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise ValueError(f"expected header {','.join(CSV_HEADER)!r} in {path}")
+            seen: set[tuple[int, int]] = set()
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                u = users.setdefault(row[0].strip(), len(users))
+                i = items.setdefault(row[1].strip(), len(items))
+                if (u, i) in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate pair ({row[0]!r}, {row[1]!r})")
+                seen.add((u, i))
+                triples.append((u, i, float(row[2])))
+        except csv.Error as exc:
+            # csv.Error is not a ValueError (an over-long field; NUL before Python 3.11).
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not users or not items:
         raise ValueError(f"{path}: no ratings rows")
     a = np.zeros((len(users), len(items)))
@@ -397,12 +467,23 @@ def save_ratings_csv(path, R: RatingsMatrix, user_labels=None, item_labels=None)
     il = [str(i) for i in range(n)] if item_labels is None else list(item_labels)
     if len(ul) != m or len(il) != n:
         raise ValueError("label counts do not match matrix shape")
+    users, items = [_csv_field(u) for u in ul], [_csv_field(i) for i in il]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for u in range(m):
-            for i in range(n):
-                writer.writerow([ul[u], il[i], repr(float(R.entries[u, i]))])
+        fh.write(",".join(CSV_HEADER) + "\n")
+        # One join per matrix row: a whole-file join would hold every line at once.
+        for u, row in zip(users, R.entries):
+            fh.write("".join([f"{u},{i},{r!r}\n" for i, r in zip(items, row.tolist())]))
+
+
+def _csv_field(label) -> str:
+    """A label as csv.writer writes it inside a row of several fields."""
+    text = "" if label is None else str(label)
+    # Such text is never quoted; the writer itself decides for anything else.
+    if text and text.isprintable() and "," not in text and '"' not in text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
 def tie_tolerance(scale: float) -> float:

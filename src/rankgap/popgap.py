@@ -122,6 +122,11 @@ class PopularitySplit:
         top, nb = self._top_mask, self.n_bar
         return top[:, :nb].any(axis=1), top[:, nb:].any(axis=1), top[:, nb]
 
+    @property
+    def class_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-user majority and minority masks: ``classes`` as boolean arrays."""
+        return self._masks[:2]
+
     @cached_property
     def classes(self) -> UserClasses:
         """Majority and minority users, as :func:`classify_users` returns them."""

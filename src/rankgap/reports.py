@@ -9,10 +9,12 @@ on every platform.  The per-user table has a fixed CSV projection.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 SIG_DIGITS = 12
@@ -68,18 +70,132 @@ def _canon(obj):
     raise TypeError(f"report value of type {type(obj).__name__} is not serializable")
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
+
+
+class _FloatTexts(dict):
+    """Text of each distinct float in one emission, priced once with round_sig.
+
+    ``self[x]`` raises for NaN and inf just as round_sig does.  Zeros are never
+    stored under their own key, since 0.0 == -0.0 would share one entry.
+    """
+
+    def __init__(self, spec: str):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, x):
+        if x == 0.0:
+            key = ("zero", math.copysign(1.0, x))
+            if key not in self:
+                self[key] = format(round_sig(x), self.spec)
+            return self[key]
+        text = self[x] = format(round_sig(x), self.spec)
+        return text
+
+
+def _texts(values, exact: dict, other) -> list[str]:
+    """Text of each value: ``exact[type(v)]`` for the types it lists, else ``other(v)``."""
+    return [exact[type(v)](v) if type(v) in exact else other(v) for v in values]
+
+
+# Indentation of the per-user table inside the canonical report: rows sit at
+# depth 2, their keys at depth 3 and the entries of an item list at depth 4.
+_ROW_PAD = "\n    "
+_KEY_PAD = "\n      "
+_ITEM_PAD = "\n        "
+_PER_USER_SLOT = '\n  "per_user": []'
+
+
+def _json_value(value, floats: _FloatTexts) -> str:
+    """A row value as ``json.dumps(_canon(value), indent=2)`` writes it at key depth."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return floats[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+        if not value:
+            return "[]"
+        return "[" + _ITEM_PAD + ("," + _ITEM_PAD).join(map(int.__repr__, value)) + _KEY_PAD + "]"
+    return _dumps(_canon(value)).replace("\n", _KEY_PAD)
+
+
+def _row_template(keys: tuple) -> tuple[tuple, str]:
+    """Sorted keys and %-template of a row with these string keys."""
+    order = tuple(sorted(keys))
+    if not order:
+        return order, "{}"
+    fields = ",".join(
+        _KEY_PAD + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order
+    )
+    return order, "{" + fields + _ROW_PAD + "}"
+
+
+def _row_shape(row, templates: dict) -> tuple[tuple, str]:
+    """The keys whose values fill a row's template, and the template.
+
+    A dict with string keys shares the template of its key set; any other row
+    becomes a template of its own canonical text, with no slots.
+    """
+    if isinstance(row, dict):
+        keys = tuple(row)
+        shape = templates.get(keys)
+        if shape is None and all(isinstance(k, str) for k in keys):
+            shape = templates[keys] = _row_template(keys)
+        if shape is not None:
+            return shape
+    return (), _dumps(_canon(row)).replace("\n", _ROW_PAD).replace("%", "%%")
+
+
+def _per_user_json(rows) -> str:
+    """The per-user table as the canonical report writes it under ``per_user``."""
+    templates: dict[tuple, tuple[tuple, str]] = {}
+    shapes = [_row_shape(row, templates) for row in rows]
+    values = [row[k] for row, (order, _) in zip(rows, shapes) for k in order]
+    floats = _FloatTexts("")
+    texts = _texts(
+        values,
+        {float: floats.__getitem__, int: int.__repr__, str: encode_basestring_ascii},
+        functools.partial(_json_value, floats=floats),
+    )
+    out, start = [], 0
+    for order, template in shapes:
+        end = start + len(order)
+        out.append(template % tuple(texts[start:end]))
+        start = end
+    return "[" + _ROW_PAD + ("," + _ROW_PAD).join(out) + "\n  ]"
+
+
 def canonical_json_bytes(report: dict) -> bytes:
-    text = json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)
+    """``json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)``
+    plus a newline, as UTF-8; a run report's per-user rows are rendered from
+    a template per key set instead of by the stdlib's pure-Python indent encoder."""
+    rows = report.get("per_user") if isinstance(report, dict) else None
+    if not (isinstance(rows, (list, tuple)) and rows):
+        return (_dumps(_canon(report)) + "\n").encode("utf-8")
+    table = _per_user_json(rows)
+    text = _dumps(_canon({**report, "per_user": []}))
+    # Only the top-level key sits at two spaces of indent, so the slot is unique.
+    text = text.replace(_PER_USER_SLOT, _PER_USER_SLOT[:-2] + table, 1)
     return (text + "\n").encode("utf-8")
 
 
-def _cell(value) -> str:
+def _cell(value, floats: _FloatTexts) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format(round_sig(value), f".{SIG_DIGITS}g")
+        return floats[value]
     if isinstance(value, (list, tuple)):
         return "|".join(str(int(v)) for v in value)
     return str(value)
@@ -90,11 +206,16 @@ def per_user_csv_bytes(report: dict) -> bytes:
     rows = report.get("per_user")
     if rows is None:
         raise ValueError("report has no per_user table to emit as CSV")
+    floats = _FloatTexts(f".{SIG_DIGITS}g")
+    exact = {float: floats.__getitem__, int: int.__repr__, str: str}
+    other = functools.partial(_cell, floats=floats)
+    columns = [
+        _texts([row.get(col) for row in rows], exact, other) for col in PER_USER_COLUMNS
+    ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PER_USER_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in PER_USER_COLUMNS])
+    writer.writerows(zip(*columns))
     return buf.getvalue().encode("utf-8")
 
 

@@ -285,6 +285,60 @@ def test_generate_then_reload_from_csv_matches_the_preset(tmp_path):
     assert from_csv["per_user"] == preset["per_user"]
 
 
+# Each fault makes a ratings CSV unreadable; the noise only moves it off the
+# one-pass reader.  Faulty rows carry a new user, so no other fault hides them.
+CSV_FAULTS = {
+    "duplicate": lambda lines: lines + [lines[1]],
+    "nan": lambda lines: lines + ["new,0,nan"],
+    "inf": lambda lines: lines + ["new,0,-inf"],
+    "text": lambda lines: lines + ["new,0,high"],
+    "negative": lambda lines: lines + ["new,0,-1.0"],
+    "extra_field": lambda lines: lines + ["new,0,1.0,1"],
+    "missing_field": lambda lines: lines + ["new,0"],
+    "quoted_comma": lambda lines: lines + ['new,0,"1,5"'],
+    "header": lambda lines: ["user,item,score"] + lines[1:],
+    "no_rows": lambda lines: lines[:1],
+    "long_field": lambda lines: lines + ["u" * 200_000 + ",0,1.0"],
+}
+CSV_NOISE = {
+    "none": lambda lines: lines,
+    "blank": lambda lines: lines[:2] + [""] + lines[2:],
+    "quoted": lambda lines: lines[:1] + ['"' + lines[1].replace(",", '",', 1)] + lines[2:],
+    "padded": lambda lines: lines[:1] + [" " + lines[1]] + lines[2:],
+}
+
+
+@given(
+    fault=st.sampled_from(sorted(CSV_FAULTS)),
+    noise=st.sampled_from(sorted(CSV_NOISE)),
+    end=st.sampled_from(["\n", "\r\n"]),
+    not_utf8=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_each_malformed_ratings_csv_is_one_error_line(tmp_path_factory, fault, noise, end, not_utf8):
+    out = tmp_path_factory.mktemp("badcsv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--preset", "paired", "--out", str(out)]) == 0
+    path = out / "paired.ratings.csv"
+    lines = CSV_FAULTS[fault](CSV_NOISE[noise](path.read_text().splitlines()))
+    data = (end.join(lines) + end).encode("utf-8")
+    if not_utf8:
+        data = data[:20] + b"\xff" + data[20:]
+    path.write_bytes(data)
+    doc = {
+        "name": "badcsv",
+        "seed": 0,
+        "matrix": {"family": "csv", "path": str(path), "m_bar": 8, "n_bar": 2},
+        "alpha": 1.5,
+    }
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+        code = main(["run", "--config", write_config(out, doc), "--out", str(out)])
+    assert code == 1 and stdout.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not (out / "badcsv.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Exploration, zero-padded completion, solution reduction, and the sampling
 Monte Carlo, checked on the packaged walkthrough fixtures and random instances."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,30 @@ def test_partial_json_round_trip(tmp_path):
     back = load_partial_json(path)
     assert np.array_equal(back.values, partial.values)
     assert np.array_equal(back.mask, partial.mask)
+
+
+@pytest.mark.parametrize(
+    "doc, missing",
+    [
+        ({"cols": 2, "observed": []}, "rows"),
+        ({"rows": 3, "observed": []}, "cols"),
+        ({"rows": 3, "cols": 2}, "observed"),
+        ({}, "rows, cols, observed"),
+        ({"rows": 3}, "cols, observed"),
+    ],
+)
+def test_partial_json_names_each_missing_key(tmp_path, doc, missing):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"missing key\\(s\\) {missing}$"):
+        load_partial_json(path)
+
+
+def test_partial_json_must_be_an_object(tmp_path):
+    path = tmp_path / "omega.json"
+    path.write_text("[3, 2, []]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_partial_json(path)
 
 
 # ---------------------------------------------------------------------------

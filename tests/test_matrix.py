@@ -1,15 +1,18 @@
 """Matrix core: construction, spectra, gaps, reordering, picky items, CSV."""
 
 import ast
+import csv
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgap.matrix import (
+    CSV_HEADER,
     GroupPartition,
     OpenInterval,
     PartitionError,
@@ -28,6 +31,8 @@ from rankgap.matrix import (
     spectral,
     tie_tolerance,
 )
+from rankgap import matrix
+from rankgap.matrix import _load_ratings_csv_lines, _parse_plain_csv
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -485,3 +490,142 @@ def test_csv_save_rejects_label_mismatch(tmp_path):
     R = RatingsMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError, match="label"):
         save_ratings_csv(tmp_path / "x.csv", R, user_labels=["only-one"])
+
+
+# ---------------------------------------------------------------------------
+# The one-pass CSV reader and the joined writer against the row-at-a-time code
+# ---------------------------------------------------------------------------
+
+def reference_save(path, R, user_labels=None, item_labels=None) -> None:
+    """save_ratings_csv as one csv.writer row per matrix entry."""
+    m, n = R.shape
+    ul = [str(u) for u in range(m)] if user_labels is None else list(user_labels)
+    il = [str(i) for i in range(n)] if item_labels is None else list(item_labels)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for u in range(m):
+            for i in range(n):
+                writer.writerow([ul[u], il[i], repr(float(R.entries[u, i]))])
+
+
+def read_outcome(reader, path):
+    """What a reader returns, as comparable values, or its error's type and text."""
+    try:
+        R, users, items = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return R.entries.shape, R.entries.tobytes(), users, items
+
+
+csv_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300]),
+)
+labels = st.none() | st.text(max_size=4) | st.integers(-5, 5) | st.sampled_from(
+    ["a,b", 'q"t', " pad", "é", "", "x\ny", "c\rd"]
+)
+
+
+@given(
+    entries=st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda n: st.lists(csv_floats, min_size=m * n, max_size=m * n).map(
+                lambda v: np.array(v).reshape(m, n)
+            )
+        )
+    ),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_save_writes_the_bytes_of_the_row_at_a_time_writer(tmp_path_factory, entries, data):
+    R = RatingsMatrix(entries, nonnegative=False)
+    m, n = R.shape
+    ul = data.draw(st.none() | st.lists(labels, min_size=m, max_size=m))
+    il = data.draw(st.none() | st.lists(labels, min_size=n, max_size=n))
+    out = tmp_path_factory.mktemp("save")
+    save_ratings_csv(out / "new.csv", R, ul, il)
+    reference_save(out / "old.csv", R, ul, il)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@st.composite
+def ratings_files(draw) -> bytes:
+    """A ratings CSV, well formed or with any mix of the faults the reader must catch."""
+    users = st.sampled_from(["u0", "u1", "ann", "é", "7", ""])
+    items = st.sampled_from(["a", "b", "0", "x y"])
+    ratings = csv_floats.map(repr) | st.sampled_from(
+        ["1", "0.5", " 2", "3 ", "1_0", "nan", "inf", "-1", "abc", "", "1e999", "-0.0"]
+    )
+    rows = draw(st.lists(st.tuples(users, items, ratings).map(list), max_size=8))
+    faults = draw(st.lists(st.sampled_from([
+        "quote", "pad", "extra_field", "missing_field", "blank", "crlf",
+        "no_final_newline", "not_utf8", "nul", "padded_header", "bad_header",
+    ]), max_size=3))
+    if rows and "quote" in faults:
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[row][col] = '"' + rows[row][col].replace('"', '""') + draw(st.sampled_from(['"', ',x"']))
+    if rows and "pad" in faults:
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        rows[row][col] = draw(st.sampled_from([" ", "\t", "\u00a0"])) + rows[row][col]
+    if rows and "extra_field" in faults:
+        rows[draw(st.integers(0, len(rows) - 1))].append("1")
+    if rows and "missing_field" in faults:
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    header = ",".join(CSV_HEADER)
+    if "padded_header" in faults:
+        header = " user, item ,rating"
+    if "bad_header" in faults:
+        header = "user,item"
+    lines = [header] + [",".join(row) for row in rows]
+    if "blank" in faults:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = "\r\n" if "crlf" in faults else "\n"
+    text = end.join(lines) + ("" if "no_final_newline" in faults else end)
+    if "nul" in faults:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\0" + text[at:]
+    data = text.encode("utf-8")
+    if "not_utf8" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@given(data=ratings_files(), block=st.sampled_from([1, 2, 3, matrix._BLOCK_LINES]))
+@settings(max_examples=400, deadline=None)
+def test_one_pass_reader_matches_the_line_reader(tmp_path_factory, data, block):
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    path.write_bytes(data)
+    with mock.patch.object(matrix, "_BLOCK_LINES", block):
+        one_pass = read_outcome(load_ratings_csv, path)
+    assert one_pass == read_outcome(_load_ratings_csv_lines, path)
+
+
+def test_plain_files_take_the_one_pass_parser(tmp_path):
+    R = RatingsMatrix(np.array([[0.0, 1.5], [2.25, 0.0], [1e-300, 3.0]]))
+    save_ratings_csv(tmp_path / "r.csv", R, ["bob", "é", "7"], ["x", "y"])
+    data = (tmp_path / "r.csv").read_bytes()
+    users, items, u, i, ratings = _parse_plain_csv(data)
+    assert users == ["bob", "é", "7"] and items == ["x", "y"]
+    assert u.tolist() == [0, 0, 1, 1, 2, 2] and i.tolist() == [0, 1] * 3
+    assert ratings.tolist() == R.entries.ravel().tolist()
+    for fault in (b'"', b"\r", b"\0", b"\n\n", b" "):
+        assert _parse_plain_csv(data.replace(b"\n", fault + b"\n", 2)) is None
+
+
+def test_csv_line_reader_errors_name_the_line(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"user,item,rating\nu,a,1\nu,b\n")
+    with pytest.raises(ValueError, match=r":3: expected 3 fields, got 2"):
+        load_ratings_csv(path)
+    path.write_bytes(b"user,item,rating\nu,a,1\nv,a,2\nu,a,3\n")
+    with pytest.raises(ValueError, match=r":4: duplicate pair \('u', 'a'\)"):
+        load_ratings_csv(path)
+
+
+def test_csv_field_over_the_size_limit_is_a_value_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("user,item,rating\n" + "u" * (csv.field_size_limit() + 1) + ",a,1\n")
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        load_ratings_csv(path)

@@ -1,14 +1,19 @@
 """Report serialization: rounding, canonical bytes, CSV projection, schema."""
 
+import csv
+import io
 import json
 import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankgap.reports import (
     PER_USER_COLUMNS,
+    SIG_DIGITS,
+    _canon,
     canonical_json_bytes,
     load_report,
     per_user_csv_bytes,
@@ -145,6 +150,159 @@ def test_per_user_csv_joins_item_lists_with_pipes():
     }
     lines = per_user_csv_bytes(report).decode("utf-8").splitlines()
     assert lines[1] == "1,majority,0|2,0.5,0,0.5"
+
+
+# ---------------------------------------------------------------------------
+# The per-user row renderers against the plain encoders they replace
+# ---------------------------------------------------------------------------
+
+def reference_json_bytes(report) -> bytes:
+    """The canonical bytes as json's own indent encoder writes them."""
+    text = json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)
+    return (text + "\n").encode("utf-8")
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(round_sig(value), f".{SIG_DIGITS}g")
+    if isinstance(value, (list, tuple)):
+        return "|".join(str(int(v)) for v in value)
+    return str(value)
+
+
+def reference_csv_bytes(report) -> bytes:
+    """The per-user CSV written one cell and one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PER_USER_COLUMNS)
+    for row in report["per_user"]:
+        writer.writerow([reference_cell(row.get(col)) for col in PER_USER_COLUMNS])
+    return buf.getvalue().encode("utf-8")
+
+
+def outcome(fn, report):
+    try:
+        return fn(report)
+    except (ValueError, TypeError, AttributeError) as exc:
+        return type(exc)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+texts = st.text(max_size=6) | st.sampled_from(["majority", "minority", "both", "a,b", 'q"t', "%s", "é", "%%"])
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    finite,
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e308]),
+    texts,
+    finite.map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+item_lists = st.lists(st.integers(0, 10**6), max_size=3)
+items = st.one_of(
+    st.integers(0, 50),
+    item_lists,
+    item_lists.map(tuple),
+    st.lists(st.integers(0, 9).map(np.int64) | st.booleans(), max_size=2),
+)
+welfare = st.one_of(st.none(), finite, st.sampled_from([0.0, -0.0, 1.0, 0.25]))
+
+
+@st.composite
+def per_user_rows(draw):
+    row = {
+        "user": draw(st.integers(0, 10**5)),
+        "class": draw(texts),
+        "truthful_item": draw(items),
+        "truthful_welfare": draw(welfare),
+        "collective_item": draw(st.none() | items),
+        "collective_welfare": draw(welfare),
+    }
+    if draw(st.booleans()):
+        # Key order differs from row to row; the template keys on the sorted set.
+        keys = draw(st.permutations(list(row)))
+        row = {k: row[k] for k in keys}
+    for key in draw(st.lists(texts, max_size=2)):
+        row[key] = draw(scalars | st.lists(scalars, max_size=2) | st.dictionaries(texts, scalars, max_size=2))
+    return row
+
+
+# Rows that are not dicts of string keys are rendered whole.
+odd_rows = st.one_of(
+    scalars, st.lists(scalars, max_size=2), st.dictionaries(st.integers(0, 3), scalars, max_size=2)
+)
+
+
+@st.composite
+def run_reports(draw, row=per_user_rows() | odd_rows, min_rows=0):
+    rows = draw(st.lists(row, min_size=min_rows, max_size=8))
+    if draw(st.booleans()):
+        # Rows share a few dicts, as a real table's repeated values do.
+        rows = rows + rows[: draw(st.integers(0, len(rows)))]
+    report = {
+        "kind": "run",
+        "truthful": {"alpha": draw(finite), "spectrum": draw(st.lists(finite, max_size=3))},
+        "collective": draw(st.none() | st.dictionaries(texts, scalars, max_size=3)),
+        "per_user": rows if draw(st.booleans()) else tuple(rows),
+        "matrix": {"rows": len(rows), "note": draw(texts)},
+    }
+    return report
+
+
+@given(report=run_reports())
+@settings(max_examples=150, deadline=None)
+def test_row_renderers_match_the_plain_encoders(report):
+    assert outcome(canonical_json_bytes, report) == outcome(reference_json_bytes, report)
+    assert outcome(per_user_csv_bytes, report) == outcome(reference_csv_bytes, report)
+
+
+@given(
+    report=run_reports(row=per_user_rows(), min_rows=1),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+    where=st.sampled_from(["truthful_welfare", "collective_welfare", "extra", "top"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_non_finite_number_anywhere_raises(report, bad, where, data):
+    rows = list(report["per_user"])
+    k = data.draw(st.integers(0, len(rows) - 1))
+    row = dict(rows[k])
+    if where == "top":
+        report["truthful"]["alpha"] = bad
+    elif where == "extra":
+        row["extra"] = [1, {"x": bad}]
+    else:
+        row[where] = bad
+    rows[k] = row
+    report["per_user"] = rows
+    with pytest.raises(ValueError, match="finite"):
+        canonical_json_bytes(report)
+    if where in ("truthful_welfare", "collective_welfare"):
+        with pytest.raises(ValueError, match="finite"):
+            per_user_csv_bytes(report)
+
+
+def test_row_renderer_keeps_signed_zeros_apart():
+    rows = [
+        {"user": u, "w": w, "v": [u, 2 * u]} for u, w in enumerate([0.0, -0.0, 0.0, -0.0])
+    ]
+    report = {"per_user": rows}
+    assert canonical_json_bytes(report) == reference_json_bytes(report)
+    assert b"-0.0" in canonical_json_bytes(report)
+    csv_rows = [dict(r, truthful_welfare=r["w"]) for r in rows]
+    lines = per_user_csv_bytes({"per_user": csv_rows}).decode().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["0", "-0", "0", "-0"]
+
+
+def test_a_report_without_a_per_user_list_is_dumped_whole():
+    for report in ({"per_user": 3, "x": 0.5}, {"per_user": []}, {"per_user": None}, [1.5, {"a": 2}]):
+        assert canonical_json_bytes(report) == reference_json_bytes(report)
 
 
 # ---------------------------------------------------------------------------
