@@ -9,7 +9,9 @@ enough to check directly.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +68,34 @@ class PartialMatrix:
 
     @classmethod
     def from_triples(cls, rows: int, cols: int, triples) -> "PartialMatrix":
+        """Observed ``(user, item, value)`` triples on a rows x cols grid.
+
+        Indices must be integers inside the grid and pairs distinct; a
+        violation raises ValueError naming the observation.
+        """
+        try:
+            rows, cols = operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ValueError(f"rows and cols must be integers, got {rows!r} and {cols!r}") from None
+        if rows < 0 or cols < 0:
+            raise ValueError(f"rows and cols must be nonnegative, got {rows} and {cols}")
         values = np.zeros((rows, cols))
         mask = np.zeros((rows, cols), dtype=bool)
-        for u, i, r in triples:
-            u, i = int(u), int(i)
+        for triple in triples:
+            try:
+                u, i, r = triple
+                u, i, r = operator.index(u), operator.index(i), float(r)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"observation {triple!r} is not a (user, item, value) triple "
+                    "with integer indices"
+                ) from None
+            if not (0 <= u < rows and 0 <= i < cols):
+                raise ValueError(f"observation {triple!r} lies outside the {rows}x{cols} grid")
             if mask[u, i]:
                 raise ValueError(f"duplicate observation at ({u}, {i})")
             mask[u, i] = True
-            values[u, i] = float(r)
+            values[u, i] = r
         return cls(values=values, mask=mask)
 
     @property
@@ -231,15 +253,20 @@ def miss_probability_mc(
     rows, cols = np.nonzero(p.minority_block(R_star.entries) != 0.0)
     if not rows.size:
         return 1.0
-    hot_rows, key_row = np.unique(rows, return_inverse=True)
+    hot_rows, starts = np.unique(rows, return_index=True)
     rng = np.random.default_rng(seed)
     ok = np.ones(trials, dtype=bool)
     keys = rng.random((trials, hot_rows.size, n))
-    for r, i in zip(key_row.tolist(), p.minority_item_index[cols].tolist()):
-        # rank of the key at column i within its row; sampled iff among the
-        # per_user smallest
-        rank = (keys[:, r, :] < keys[:, r, i : i + 1]).sum(axis=1)
-        ok &= rank >= per_user
+    # A key is sampled iff fewer than per_user keys of its row lie below it.
+    # Rank is monotone in the key, ties included, so a row's hot items all
+    # escape the sample iff its smallest hot key does.  The count is an
+    # integer product; uint8 holds every count of a row shorter than 256.
+    ones = np.ones(n, dtype=np.uint8 if n < 256 else np.intp)
+    for r, items in enumerate(np.split(p.minority_item_index[cols], starts[1:])):
+        row = keys[:, r, :]
+        # Column views, so a single hot item costs no copy.
+        smallest = functools.reduce(np.minimum, [row[:, i : i + 1] for i in items.tolist()])
+        ok &= (row < smallest).view(np.uint8) @ ones >= per_user
     return float(ok.mean())
 
 

@@ -240,12 +240,11 @@ def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:
     a[u_residual, int(rng.integers(0, n_bar))] = RESIDUAL_POPULAR
     matrix = RatingsMatrix(a, nonnegative=True)
 
-    collective: set[int] = set()
-    for j in range(n_bar):
-        members = rng.choice(np.arange(j * g, (j + 1) * g), size=q, replace=False)
-        collective.update(int(u) for u in members)
+    collective = np.concatenate(
+        [rng.choice(np.arange(j * g, (j + 1) * g), size=q, replace=False) for j in range(n_bar)]
+    )
     r_tilde = a[:, n_bar].copy()
-    r_tilde[sorted(collective)] = COLLECTIVE_RATING
+    r_tilde[collective] = COLLECTIVE_RATING
     alpha = float(rng.uniform(1.2, 4.5))
 
     report = check_general_sufficiency(matrix, n_bar, r_tilde, alpha)
@@ -256,7 +255,7 @@ def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:
         n_bar=n_bar,
         alpha=alpha,
         strategy=GeneralStrategy(r_tilde),
-        collective=frozenset(collective),
+        collective=frozenset(collective.tolist()),
         uprating=COLLECTIVE_RATING,
     )
 

@@ -448,7 +448,12 @@ def _load_ratings_csv_lines(path) -> tuple[RatingsMatrix, list[str], list[str]]:
                 if (u, i) in seen:
                     raise ValueError(f"{path}:{lineno}: duplicate pair ({row[0]!r}, {row[1]!r})")
                 seen.add((u, i))
-                triples.append((u, i, float(row[2])))
+                try:
+                    triples.append((u, i, float(row[2])))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: rating {row[2]!r} is not a number"
+                    ) from None
         except csv.Error as exc:
             # csv.Error is not a ValueError (an over-long field; NUL before Python 3.11).
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None

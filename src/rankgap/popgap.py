@@ -146,12 +146,6 @@ def _users(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
-def _by_user(mask: np.ndarray, values: np.ndarray) -> dict[int, float]:
-    """``values`` of the users in ``mask``, keyed in ascending user order."""
-    users = np.flatnonzero(mask)
-    return dict(zip(users.tolist(), values[users].tolist()))
-
-
 def popular_prefs(matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
     """Copy of ``matrix`` with every unpopular column zeroed, shape preserved."""
     split = PopularitySplit(matrix, n_bar)
@@ -208,17 +202,21 @@ def ratings_gap(matrix: RatingsMatrix, n_bar: int) -> float:
     return 2.0**2.5 * split.kappa * n**1.5 / split.sigma_popular**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassMembershipReport:
     """Outcome of the popularity-gap class checks for one (matrix, n_bar) pair.
 
-    ``majority_gap_ok`` holds, per majority user, whether the top rating beats
-    every other rating by more than ``delta_gap``; ``minority_support_ok``
-    holds, per minority user, whether some popular rating exceeds
-    ``delta_gap``.  Margins are positive exactly when the matching check
-    passes.  ``in_class`` requires the gap to be defined and every per-user
-    check to pass; the exclusivity flags are reported alongside but are a
-    separate assumption.
+    Per-user results are read-only arrays.  ``majority_users`` and
+    ``minority_users`` list each class in ascending user order.
+    ``majority_margins`` holds, per majority user, how far the top rating
+    beats every other rating beyond ``delta_gap``; ``minority_margins`` holds,
+    per minority user, how far the best popular rating exceeds ``delta_gap``.
+    Both are aligned with their users and empty when the gap is undefined.
+    ``majority_gap_ok`` and ``minority_support_ok`` are ``margins > 0.0``.
+    ``in_class`` requires the gap to be defined and every per-user check to
+    pass; the exclusivity flags are reported alongside but are a separate
+    assumption.  Reports compare by identity: compare the fields to compare
+    two reports.
     """
 
     n_bar: int
@@ -226,16 +224,24 @@ class ClassMembershipReport:
     kappa_lower: float
     sigma_popular: float
     delta_gap: float | None
-    classes: UserClasses
-    majority_gap_ok: dict[int, bool] = field(default_factory=dict)
-    minority_support_ok: dict[int, bool] = field(default_factory=dict)
-    majority_margins: dict[int, float] = field(default_factory=dict)
-    minority_margins: dict[int, float] = field(default_factory=dict)
-    in_class: bool = False
-    popularity_inequality: bool = False
-    classes_exclusive: bool = True
-    has_minority: bool = False
+    majority_users: np.ndarray
+    minority_users: np.ndarray
+    majority_margins: np.ndarray
+    minority_margins: np.ndarray
+    majority_gap_ok: np.ndarray
+    minority_support_ok: np.ndarray
+    in_class: bool
+    popularity_inequality: bool
+    classes_exclusive: bool
+    has_minority: bool
     reason: str | None = None
+
+    @cached_property
+    def classes(self) -> UserClasses:
+        """The two classes as :func:`classify_users` returns them."""
+        return UserClasses(
+            frozenset(self.majority_users.tolist()), frozenset(self.minority_users.tolist())
+        )
 
 
 def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport:
@@ -244,44 +250,45 @@ def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport
 
 
 def _membership(split: PopularitySplit) -> ClassMembershipReport:
-    classes = split.classes
+    majority, minority, _ = split._masks
+    majority_users, minority_users = np.flatnonzero(majority), np.flatnonzero(minority)
     n = split.matrix.cols
     kappa = split.kappa
     sigma = split.sigma_popular
-    inequality = 2.0**1.25 * n**0.75 * math.sqrt(kappa) < sigma
 
-    common = dict(
+    if split.popular_rank < split.n_bar:
+        delta = None
+        reason: str | None = "popular block has numeric rank below n_bar; gap undefined"
+        majority_margins, minority_margins = np.empty(0), np.empty(0)
+    else:
+        delta = 2.0**2.5 * kappa * n**1.5 / sigma**2
+        reason = None
+        top, off = split._row_max[majority_users], split._off_top_max[majority_users]
+        majority_margins = (top - delta) - off
+        minority_margins = split.popular_block[minority_users].max(axis=1) - delta
+    majority_ok = majority_margins > 0.0
+    minority_ok = minority_margins > 0.0
+    for array in (
+        majority_users, minority_users, majority_margins, minority_margins, majority_ok, minority_ok
+    ):
+        array.flags.writeable = False
+    return ClassMembershipReport(
         n_bar=split.n_bar,
         kappa=kappa,
         kappa_lower=split.kappa_lower,
         sigma_popular=sigma,
-        classes=classes,
-        popularity_inequality=inequality,
-        classes_exclusive=classes.exclusive,
-        has_minority=classes.has_minority,
-    )
-    if split.popular_rank < split.n_bar:
-        return ClassMembershipReport(
-            delta_gap=None,
-            reason="popular block has numeric rank below n_bar; gap undefined",
-            **common,
-        )
-
-    delta = 2.0**2.5 * kappa * n**1.5 / sigma**2
-    majority, minority, _ = split._masks
-    majority_margins = _by_user(majority, (split._row_max - delta) - split._off_top_max)
-    minority_margins = _by_user(minority, split.popular_block.max(axis=1) - delta)
-    majority_ok = {u: margin > 0.0 for u, margin in majority_margins.items()}
-    minority_ok = {u: margin > 0.0 for u, margin in minority_margins.items()}
-    in_class = all(majority_ok.values()) and all(minority_ok.values())
-    return ClassMembershipReport(
         delta_gap=delta,
-        majority_gap_ok=majority_ok,
-        minority_support_ok=minority_ok,
+        majority_users=majority_users,
+        minority_users=minority_users,
         majority_margins=majority_margins,
         minority_margins=minority_margins,
-        in_class=in_class,
-        **common,
+        majority_gap_ok=majority_ok,
+        minority_support_ok=minority_ok,
+        in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
+        popularity_inequality=2.0**1.25 * n**0.75 * math.sqrt(kappa) < sigma,
+        classes_exclusive=not bool((majority & minority).any()),
+        has_minority=bool(minority.any()),
+        reason=reason,
     )
 
 

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgap.cli import PRESETS, Scenario, generate_scenario, main
-from rankgap.matrix import load_ratings_csv
+from rankgap.learner import choose_rank
+from rankgap.matrix import (
+    TIE_RTOL,
+    load_ratings_csv,
+    singular_values_of,
+    spectral,
+    tie_tolerance,
+)
 from rankgap.reports import canonical_json_bytes, report_schema
 
 FINDER_ARGS = [
@@ -300,6 +307,8 @@ CSV_FAULTS = {
     "no_rows": lambda lines: lines[:1],
     "long_field": lambda lines: lines + ["u" * 200_000 + ",0,1.0"],
 }
+# Faults the line-numbered reader pins to the faulty row, the file's last line.
+CSV_LINE_FAULTS = {"duplicate", "text", "extra_field", "missing_field", "quoted_comma", "long_field"}
 CSV_NOISE = {
     "none": lambda lines: lines,
     "blank": lambda lines: lines[:2] + [""] + lines[2:],
@@ -337,6 +346,10 @@ def test_each_malformed_ratings_csv_is_one_error_line(tmp_path_factory, fault, n
     assert code == 1 and stdout.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not (out / "badcsv.report.json").exists()
+    if fault in CSV_LINE_FAULTS and not not_utf8:
+        assert err.getvalue().startswith(f"error: {path}:{len(lines)}: ")
+    if fault == "text" and not not_utf8:
+        assert err.getvalue().endswith(": rating 'high' is not a number\n")
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +525,45 @@ def test_given_eta_outside_the_gap_window_reports_the_failed_condition(tmp_path)
     argv = ["run", "--config", config, "--out", str(tmp_path), "--format", "csv"]
     assert main(argv) == 0
     assert len((tmp_path / "eta5.report.csv").read_text().splitlines()) == 406
+
+
+@pytest.mark.parametrize(
+    "offset, rank, certified",
+    [(-2.0, 5, False), (-0.5, 4, False), (0.0, 4, False), (0.5, 4, True)],
+)
+def test_tie_tolerance_boundary_is_recorded_consistently(tmp_path, offset, rank, certified):
+    """alpha within TIE_RTOL of sigma_5 = sigma_1(minority) = 2 on the multigroup preset.
+
+    choose_rank counts sigma_5 <= alpha + tol as a tie and truncates at rank 4;
+    the certificate's alpha_above_minority compares exactly.  Inside the band
+    (sigma_5 - tol, sigma_5] the learner truncates while the certificate
+    declines, so the exact check errs only on the safe side.
+    """
+    doc = json.loads(json.dumps(PRESETS["multigroup"]))
+    mat = generate_scenario(doc)
+    sigma = spectral(mat.matrix).singular_values
+    sigma1_min = float(singular_values_of(mat.partition.minority_block(mat.matrix.entries))[0])
+    assert sigma[4] == sigma1_min == 2.0
+    tol = tie_tolerance(float(sigma[0]))
+    assert tol == TIE_RTOL * 10.0
+    alpha = sigma1_min + offset * tol
+    assert choose_rank(mat.matrix, alpha) == rank
+
+    doc["name"] = "tie"
+    doc["alpha"] = alpha
+    doc["strategy"]["eta"] = 0.75
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "tie.report.json").read_text(encoding="utf-8"))
+    t, c = report["truthful"], report["collective"]
+    assert t["chosen_rank"] == rank
+    assert c["verdicts"]["alpha_above_minority"] is certified
+    assert c["margins"]["alpha_above_minority"] == pytest.approx(offset * tol, rel=1e-6, abs=0.0)
+    # Each decision can be read back from the report's own numbers.
+    assert t["gap_interval"][0] == c["gap_interval"][0] == t["spectrum"][4] == sigma1_min
+    assert (t["chosen_rank"] == 4) == (t["spectrum"][4] <= t["alpha"] + tol)
+    assert certified == (t["alpha"] > t["gap_interval"][0])
+    # A certified tolerance always truncates the truthful minority away.
+    assert not certified or t["chosen_rank"] == 4
 
 
 PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}

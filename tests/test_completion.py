@@ -28,7 +28,7 @@ from rankgap.fixtures import (
     mc_6x6_observed,
     mc_10x10,
 )
-from rankgap.matrix import RatingsMatrix, block_partition, numeric_rank_of
+from rankgap.matrix import GroupPartition, RatingsMatrix, block_partition, numeric_rank_of
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -115,6 +115,43 @@ def test_partial_json_names_each_missing_key(tmp_path, doc, missing):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"missing key\\(s\\) {missing}$"):
+        load_partial_json(path)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, triples, match",
+    [
+        (3, 2, [(-1, 0, 1.0)], r"observation \(-1, 0, 1\.0\) lies outside the 3x2 grid"),
+        (3, 2, [(0, -2, 1.0)], r"observation \(0, -2, 1\.0\) lies outside"),
+        (3, 2, [(3, 0, 1.0)], r"observation \(3, 0, 1\.0\) lies outside"),
+        (3, 2, [(0, 2, 1.0)], r"observation \(0, 2, 1\.0\) lies outside"),
+        (3, 2, [(0.5, 0, 1.0)], r"observation \(0\.5, 0, 1\.0\) is not a"),
+        (3, 2, [("0", 0, 1.0)], r"observation \('0', 0, 1\.0\) is not a"),
+        (3, 2, [(0, 0)], r"observation \(0, 0\) is not a"),
+        (3, 2, [(0, 0, "high")], r"observation \(0, 0, 'high'\) is not a"),
+        ("3", 2, [], "rows and cols must be integers, got '3' and 2"),
+        (3, 2.0, [], "rows and cols must be integers, got 3 and 2.0"),
+        (-1, 2, [], "rows and cols must be nonnegative"),
+    ],
+)
+def test_triples_outside_the_grid_are_named(rows, cols, triples, match):
+    with pytest.raises(ValueError, match=match):
+        PartialMatrix.from_triples(rows, cols, triples)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"rows": 3, "cols": 2, "observed": [[-1, 0, 1.0]]}, r"\[-1, 0, 1\.0\] lies outside"),
+        ({"rows": 3, "cols": 2, "observed": [[0, 5, 1.0]]}, r"\[0, 5, 1\.0\] lies outside"),
+        ({"rows": "3", "cols": 2, "observed": []}, "rows and cols must be integers"),
+        ({"rows": 3, "cols": 2, "observed": [[0, 1]]}, r"\[0, 1\] is not a"),
+    ],
+)
+def test_partial_json_rejects_bad_observations(tmp_path, doc, match):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
         load_partial_json(path)
 
 
@@ -352,6 +389,68 @@ def test_miss_probability_matches_closed_form():
     sigma = (exact * (1 - exact) / 20_000) ** 0.5
     assert abs(est - exact) <= 3 * sigma
     assert est == 0.4897  # deterministic under the fixed seed
+
+
+def _loop_miss_probability(R_star, p, per_user, trials, seed):
+    """miss_probability_mc as a loop: one whole-row rank per hot entry."""
+    n = R_star.cols
+    rows, cols = np.nonzero(p.minority_block(R_star.entries) != 0.0)
+    if not rows.size:
+        return 1.0
+    hot_rows, key_row = np.unique(rows, return_inverse=True)
+    rng = np.random.default_rng(seed)
+    ok = np.ones(trials, dtype=bool)
+    keys = rng.random((trials, hot_rows.size, n))
+    for r, i in zip(key_row.tolist(), p.minority_item_index[cols].tolist()):
+        rank = (keys[:, r, :] < keys[:, r, i : i + 1]).sum(axis=1)
+        ok &= rank >= per_user
+    return float(ok.mean())
+
+
+def shuffled_block_instance(rng, n_min):
+    """A two-block matrix under a shuffled partition whose first minority row
+    holds at least two positive minority entries; other rows are random."""
+    m_bar, n_bar, m_min = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    m, n = m_bar + m_min, n_bar + n_min
+    users, items = rng.permutation(m), rng.permutation(n)
+    p = GroupPartition(
+        majority_users=frozenset(users[:m_bar].tolist()),
+        minority_users=frozenset(users[m_bar:].tolist()),
+        majority_items=frozenset(items[:n_bar].tolist()),
+        minority_items=frozenset(items[n_bar:].tolist()),
+    )
+    block = rng.uniform(0.5, 1.5, size=(m_min, n_min)) * (rng.random((m_min, n_min)) < 0.6)
+    block[0, rng.choice(n_min, size=int(rng.integers(2, n_min + 1)), replace=False)] = 1.0
+    a = np.zeros((m, n))
+    a[np.ix_(p.majority_user_index, p.majority_item_index)] = rng.uniform(0.5, 1.5, (m_bar, n_bar))
+    a[np.ix_(p.minority_user_index, p.minority_item_index)] = block
+    return RatingsMatrix(a), p
+
+
+@given(seeds, seeds, st.integers(min_value=1, max_value=500), st.integers(2, 7))
+@settings(max_examples=60, deadline=None)
+def test_miss_probability_matches_the_per_entry_loop(shape_seed, seed, trials, n_min):
+    """Rows with several hot entries exercise the smallest-hot-key pass."""
+    R, p = shuffled_block_instance(np.random.default_rng(shape_seed), n_min)
+    for per_user in range(R.cols + 1):
+        assert miss_probability_mc(R, p, per_user, trials, seed) == _loop_miss_probability(
+            R, p, per_user, trials, seed
+        )
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_miss_probability_counts_long_rows_exactly(n):
+    """A lone hot entry on a row of 255 items or more: its rank reaches 255
+    and beyond, so the count must not wrap around."""
+    a = np.zeros((2, n))
+    a[0, 0] = 1.0
+    a[1, n - 1] = 1.0
+    R, p = RatingsMatrix(a), block_partition(1, 1, 2, n)
+    for per_user in sorted(q for q in {0, 1, 128, 254, 255, 256, n - 40, n - 1, n} if q <= n):
+        estimate = miss_probability_mc(R, p, per_user, 200, 7)
+        assert estimate == _loop_miss_probability(R, p, per_user, 200, 7)
+    # One hot entry: P = (n - q) / n, so q = n - 40 leaves a clear share
+    assert miss_probability_mc(R, p, n - 40, 200, 7) > 0.0
 
 
 def test_miss_probability_trivial_cases():

@@ -128,6 +128,11 @@ def test_straddling_tie_lands_in_both_classes():
     assert not classes.exclusive
 
 
+def by_user(users: np.ndarray, values: np.ndarray) -> dict:
+    """A membership report's per-user array keyed by its user array."""
+    return dict(zip(users.tolist(), values.tolist()))
+
+
 def off_top_margin(row: np.ndarray, top: float, gap: float) -> float:
     """(top - gap) minus the best rating outside the row's top set; -inf if none."""
     tops = top_items(row)
@@ -166,14 +171,18 @@ def test_classification_matches_argmax_scan(seed):
     report = class_membership(R, n_bar)
     delta = report.delta_gap
     if delta is None:
-        assert report.majority_margins == report.minority_margins == {}
+        assert report.majority_margins.size == report.minority_margins.size == 0
     else:
         maj_margins = [(u, off_top_margin(a[u], a[u].max(), delta)) for u in majority]
         min_margins = [(u, float(a[u, :n_bar].max() - delta)) for u in minority]
-        assert list(report.majority_margins.items()) == maj_margins
-        assert list(report.minority_margins.items()) == min_margins
-        assert list(report.majority_gap_ok.items()) == [(u, x > 0.0) for u, x in maj_margins]
-        assert list(report.minority_support_ok.items()) == [(u, x > 0.0) for u, x in min_margins]
+        assert list(by_user(report.majority_users, report.majority_margins).items()) == maj_margins
+        assert list(by_user(report.minority_users, report.minority_margins).items()) == min_margins
+        assert list(by_user(report.majority_users, report.majority_gap_ok).items()) == [
+            (u, x > 0.0) for u, x in maj_margins
+        ]
+        assert list(by_user(report.minority_users, report.minority_support_ok).items()) == [
+            (u, x > 0.0) for u, x in min_margins
+        ]
 
     r_tilde = a[:, n_bar].copy()
     outside = np.setdiff1d(np.arange(m), minority)
@@ -219,8 +228,8 @@ def test_membership_fails_without_minority_popular_support():
     report = class_membership(worked_example(), 4)
     assert report.delta_gap == 0.8313843876330611
     assert report.kappa == 1.0
-    assert all(report.majority_gap_ok.values())
-    assert report.minority_support_ok == {400: False}
+    assert all(by_user(report.majority_users, report.majority_gap_ok).values())
+    assert by_user(report.minority_users, report.minority_support_ok) == {400: False}
     assert not report.in_class
     assert report.popularity_inequality  # 9.118 < 10
 
@@ -228,7 +237,8 @@ def test_membership_fails_without_minority_popular_support():
 def test_membership_holds_once_support_clears_the_gap():
     report = class_membership(worked_example(support=0.9), 4)
     assert report.in_class
-    assert report.minority_margins[400] == pytest.approx(0.9 - 0.8313843876330611)
+    margins = by_user(report.minority_users, report.minority_margins)
+    assert margins[400] == pytest.approx(0.9 - 0.8313843876330611)
     assert report.classes_exclusive and report.has_minority
 
 
@@ -248,8 +258,8 @@ def test_membership_with_zero_kappa_reduces_to_strictness():
 def test_membership_flags_flat_rows():
     a = np.full((1, 3), 0.5)
     report = class_membership(RatingsMatrix(a), 1)
-    assert report.majority_gap_ok == {0: False}
-    assert report.majority_margins[0] == -math.inf
+    assert by_user(report.majority_users, report.majority_gap_ok) == {0: False}
+    assert by_user(report.majority_users, report.majority_margins)[0] == -math.inf
     assert not report.in_class
     assert not report.classes_exclusive  # the tie straddles the boundary
 
@@ -271,6 +281,91 @@ def test_gap_case_is_in_class(gap_case):
     assert report.delta_gap == 0.12470765814495914
     assert report.classes_exclusive
     assert report.classes.minority == {800, 801}
+
+
+def _ref_membership(matrix: RatingsMatrix, n_bar: int) -> dict:
+    """class_membership as per-user dicts, keyed in ascending user order."""
+    split = PopularitySplit(matrix, n_bar)
+    classes = split.classes
+    majority, minority, _ = split._masks
+    out = {
+        "classes": classes,
+        "classes_exclusive": classes.exclusive,
+        "has_minority": classes.has_minority,
+        "delta_gap": None,
+        "majority_margins": {},
+        "minority_margins": {},
+        "in_class": False,
+    }
+    if split.popular_rank < split.n_bar:
+        return out
+    n = matrix.cols
+    delta = 2.0**2.5 * split.kappa * n**1.5 / split.sigma_popular**2
+    margins = (split._row_max - delta) - split._off_top_max
+    support = split.popular_block.max(axis=1) - delta
+    out["delta_gap"] = delta
+    out["majority_margins"] = {u: float(margins[u]) for u in np.flatnonzero(majority).tolist()}
+    out["minority_margins"] = {u: float(support[u]) for u in np.flatnonzero(minority).tolist()}
+    out["in_class"] = all(x > 0.0 for x in out["majority_margins"].values()) and all(
+        x > 0.0 for x in out["minority_margins"].values()
+    )
+    return out
+
+
+def tie_heavy_matrix(rng) -> tuple[RatingsMatrix, int]:
+    """Grid-valued rows, half the time under large popular indicator groups
+    so that in-class matrices are drawn too."""
+    n = int(rng.integers(2, 7))
+    n_bar = int(rng.integers(1, n))
+    rows = [rng.choice(TIE_GRID, size=(int(rng.integers(1, 6)), n))]
+    if rng.random() < 0.5:
+        group = int(rng.integers(1, 300))
+        rows.append(np.repeat(np.eye(n)[:n_bar], group, axis=0))
+    a = np.concatenate(rows)
+    return RatingsMatrix(a[rng.permutation(a.shape[0])]), n_bar
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_membership_arrays_match_the_per_user_dicts(seed):
+    rng = np.random.default_rng(seed)
+    R, n_bar = tie_heavy_matrix(rng)
+    report = class_membership(R, n_bar)
+    ref = _ref_membership(R, n_bar)
+
+    for name in ("majority", "minority"):
+        users = getattr(report, f"{name}_users")
+        margins = getattr(report, f"{name}_margins")
+        expected = ref[f"{name}_margins"]
+        assert users.tolist() == sorted(getattr(ref["classes"], name))
+        if ref["delta_gap"] is None:
+            assert margins.size == 0
+            continue
+        assert users.tolist() == list(expected)
+        assert margins.tobytes() == np.array(list(expected.values()), dtype=float).tobytes()
+        ok = getattr(report, "majority_gap_ok" if name == "majority" else "minority_support_ok")
+        assert ok.tolist() == [x > 0.0 for x in expected.values()]
+        for array in (users, margins, ok):
+            assert not array.flags.writeable
+    assert report.delta_gap == ref["delta_gap"]
+    assert report.in_class is ref["in_class"]
+    assert report.classes_exclusive is ref["classes_exclusive"]
+    assert report.has_minority is ref["has_minority"]
+    assert report.classes == ref["classes"] == classify_users(R, n_bar)
+    # Reports hold arrays, so they compare by identity instead of raising.
+    assert report == report and report != class_membership(R, n_bar)
+
+    # Callers read the same flags.
+    column = R.entries[:, n_bar].copy()
+    verdict = check_general_sufficiency(R, n_bar, column, 1.0)
+    for key in ("in_class", "classes_exclusive", "has_minority"):
+        assert verdict.preconditions[key] is ref[key]
+    split = PopularitySplit(R, n_bar)
+    floor = (R.cols - n_bar) * split.kappa / (2.0**2.5 * R.cols**1.5)
+    larger = no_larger_nbar_check(R, n_bar)
+    assert larger.premise_holds is (ref["in_class"] and split.kappa_lower > floor)
+    for wider, in_class in larger.checked.items():
+        assert in_class is (wider < R.cols and _ref_membership(R, wider)["in_class"])
 
 
 def test_gap_shrinks_as_the_popular_spectrum_grows():
