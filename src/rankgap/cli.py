@@ -36,6 +36,7 @@ from .completion import miss_probability_mc, reduce_solution, sparsest_majority_
 from .learner import fit_learner, kappa_k, recommend, social_welfare, tvr
 from .matrix import (
     GroupPartition,
+    OpenInterval,
     RatingsMatrix,
     block_partition,
     find_picky_items,
@@ -50,11 +51,14 @@ from .popgap import PopularitySplit, popularity_gap_interval
 
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
-# Tests for the JSON types the key tables below name; numpy scalars pass as numbers.
+# Tests for the JSON types the key tables below name; numpy scalars pass as
+# numbers, and NaN and the infinities (which Python's json reads) do not.
 JSON_TYPES = {
     "null": lambda v: v is None,
     "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "number": lambda v: (
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    ),
     "string": lambda v: isinstance(v, str),
     "object": lambda v: isinstance(v, dict),
     "list of integers": lambda v: isinstance(v, list) and all(map(JSON_TYPES["integer"], v)),
@@ -293,6 +297,11 @@ def _report_items(outcome) -> list:
     return (chosen[:, 0] if outcome.k_items == 1 else chosen).tolist()
 
 
+def _interval_json(interval: OpenInterval) -> list[float] | None:
+    """An interval as reports write it: null when nothing lies inside it."""
+    return None if interval.is_empty else [interval.lower, interval.upper]
+
+
 def _run_side(
     mat: MaterializedScenario,
     revealed: RatingsMatrix,
@@ -311,7 +320,7 @@ def _run_side(
         "spectrum": [float(s) for s in model.spectrum.singular_values],
         "chosen_rank": model.chosen_rank,
         "tvr": tvr(model.spectrum, model.chosen_rank),
-        "gap_interval": [interval.lower, interval.upper],
+        "gap_interval": _interval_json(interval),
         "social_welfare": welfare.social_welfare,
         "u_ben": welfare.u_ben,
         "u_en": welfare.u_en,
@@ -333,6 +342,8 @@ def _resolve_strategy(
         if not picky:
             raise ValueError("scenario has no picky item to target")
         target = picky[0][0]
+    elif isinstance(target, str):
+        raise ValueError(f"strategy.target_item must be 'picky' or an integer, got {target!r}")
     target = int(target)
     if target not in partition.minority_items:
         raise ValueError(f"target item {target} is not a minority item")
@@ -377,6 +388,8 @@ def _resolve_strategy(
                 "the uprating finder returned 0: no value passes the sufficient "
                 "conditions for this scenario"
             )
+    elif isinstance(eta_spec, str):
+        raise ValueError(f"strategy.eta must be 'auto' or a number, got {eta_spec!r}")
     else:
         eta = float(eta_spec)
         source = "given"
@@ -405,8 +418,6 @@ def run(mat: MaterializedScenario) -> dict:
         sigma1_min = float(s_min[0]) if s_min.size else 0.0
         sufficiency = check_sufficient_conditions(inputs, sigma1_min, eta)
         window = sufficient_gap(mat.matrix, mat.partition, strategy)
-        # A negative radicand leaves the window without a real upper end (NaN).
-        gap_interval = None if math.isnan(window.upper) else [window.lower, window.upper]
         margin = None
         if margin_numerator(inputs, eta) > 0:
             margin = robustness_margin(
@@ -418,7 +429,7 @@ def run(mat: MaterializedScenario) -> dict:
             )
         collective_side.update(
             {
-                "gap_interval": gap_interval,
+                "gap_interval": _interval_json(window),
                 "eta": eta,
                 "eta_source": source,
                 "target_item": strategy.target_item,
@@ -644,21 +655,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     mat = generate_scenario(_load_scenario_doc(args))
     report = sweep(mat)
-    out = _out_dir(args)
-    name = f"{mat.scenario.name}.sweep"
-    if args.format == "json":
-        path = reports.report_emit(report, "json", out, name)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{name}.csv"
-        lines = ["id,alpha,chosen_rank,tvr,social_welfare"]
-        for r in report["runs"]:
-            lines.append(
-                f"{r['id']},{reports.round_sig(r['alpha']):.12g},{r['chosen_rank']},"
-                f"{reports.round_sig(r['tvr']):.12g},"
-                f"{reports.round_sig(r['social_welfare']):.12g}"
-            )
-        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path = reports.report_emit(
+        report, args.format, _out_dir(args), f"{mat.scenario.name}.sweep"
+    )
     ranks = sorted({r["chosen_rank"] for r in report["runs"]})
     print(f"swept {len(report['runs'])} tolerances; chosen ranks {ranks}")
     print(f"wrote {path}")

@@ -35,8 +35,8 @@ class CollectiveStrategy:
         object.__setattr__(self, "collective", frozenset(int(u) for u in self.collective))
         if not self.collective:
             raise ValueError("collective must be nonempty")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
     def validate_for(self, p: GroupPartition) -> None:
         if self.target_item not in p.minority_items:

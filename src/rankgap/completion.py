@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -70,8 +71,8 @@ class PartialMatrix:
     def from_triples(cls, rows: int, cols: int, triples) -> "PartialMatrix":
         """Observed ``(user, item, value)`` triples on a rows x cols grid.
 
-        Indices must be integers inside the grid and pairs distinct; a
-        violation raises ValueError naming the observation.
+        Indices must be integers inside the grid, values finite and pairs
+        distinct; a violation raises ValueError naming the observation.
         """
         try:
             rows, cols = operator.index(rows), operator.index(cols)
@@ -92,6 +93,8 @@ class PartialMatrix:
                 ) from None
             if not (0 <= u < rows and 0 <= i < cols):
                 raise ValueError(f"observation {triple!r} lies outside the {rows}x{cols} grid")
+            if not math.isfinite(r):
+                raise ValueError(f"observation {triple!r} has a non-finite value")
             if mask[u, i]:
                 raise ValueError(f"duplicate observation at ({u}, {i})")
             mask[u, i] = True

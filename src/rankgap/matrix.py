@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -362,7 +363,8 @@ def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
     """Read a `user,item,rating` CSV into a dense matrix.
 
     Unseen user and item identifiers get dense indices in first-seen order.
-    Unlisted pairs are zero. Duplicate (user, item) pairs are an error.
+    Unlisted pairs are zero. Duplicate (user, item) pairs are an error, and
+    so is a rating that is not finite or is negative.
 
     A plain file (no quotes, CR, NUL, blank lines or padded labels, every
     line ending in a newline) is parsed in one pass over its text; anything
@@ -416,6 +418,9 @@ def _parse_plain_csv(data: bytes):
         return None
     if np.bincount(u * len(items) + i).max() > 1:
         return None
+    # RatingsMatrix rejects these too, but without the line.
+    if not np.all(np.isfinite(ratings) & (ratings >= 0)):
+        return None
     return list(users), list(items), u, i, ratings
 
 
@@ -449,14 +454,20 @@ def _load_ratings_csv_lines(path) -> tuple[RatingsMatrix, list[str], list[str]]:
                     raise ValueError(f"{path}:{lineno}: duplicate pair ({row[0]!r}, {row[1]!r})")
                 seen.add((u, i))
                 try:
-                    triples.append((u, i, float(row[2])))
+                    rating = float(row[2])
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: rating {row[2]!r} is not a number"
                     ) from None
+                if not math.isfinite(rating) or rating < 0:
+                    fault = "negative" if math.isfinite(rating) else "not finite"
+                    raise ValueError(f"{path}:{lineno}: rating {row[2]!r} is {fault}")
+                triples.append((u, i, rating))
         except csv.Error as exc:
             # csv.Error is not a ValueError (an over-long field; NUL before Python 3.11).
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not users or not items:
         raise ValueError(f"{path}: no ratings rows")
     a = np.zeros((len(users), len(items)))

@@ -3,7 +3,8 @@
 Reports are plain dicts of JSON-safe values.  Before encoding, every float is
 rounded to 12 significant digits (and must be finite), keys are sorted, and
 the line terminator is fixed, so the same report serializes to the same bytes
-on every platform.  The per-user table has a fixed CSV projection.
+on every platform.  A run report's per-user table and a sweep report's runs
+table each have a fixed CSV projection.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ PER_USER_COLUMNS = (
     "collective_welfare",
 )
 
+SWEEP_COLUMNS = ("id", "alpha", "chosen_rank", "tvr", "social_welfare")
+
 __all__ = [
     "SIG_DIGITS",
     "PER_USER_COLUMNS",
+    "SWEEP_COLUMNS",
     "round_sig",
     "canonical_json_bytes",
     "per_user_csv_bytes",
@@ -106,81 +110,52 @@ _ROW_PAD = "\n    "
 _KEY_PAD = "\n      "
 _ITEM_PAD = "\n        "
 _PER_USER_SLOT = '\n  "per_user": []'
+_ROW_KEYS = tuple(sorted(PER_USER_COLUMNS))
+_ROW_KEY_SET = frozenset(PER_USER_COLUMNS)
+_ROW_TEMPLATE = (
+    "{"
+    + ",".join(_KEY_PAD + encode_basestring_ascii(k) + ": %s" for k in _ROW_KEYS)
+    + _ROW_PAD
+    + "}"
+)
 
 
 def _json_value(value, floats: _FloatTexts) -> str:
-    """A row value as ``json.dumps(_canon(value), indent=2)`` writes it at key depth."""
+    """A row value as ``json.dumps(_canon(value), indent=2)`` writes it at key depth.
+
+    Values of exact type int, float or str never get here: ``_texts`` prices them."""
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, float):
         return floats[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)) and value and all(type(v) is int for v in value):
         return "[" + _ITEM_PAD + ("," + _ITEM_PAD).join(map(int.__repr__, value)) + _KEY_PAD + "]"
     return _dumps(_canon(value)).replace("\n", _KEY_PAD)
 
 
-def _row_template(keys: tuple) -> tuple[tuple, str]:
-    """Sorted keys and %-template of a row with these string keys."""
-    order = tuple(sorted(keys))
-    if not order:
-        return order, "{}"
-    fields = ",".join(
-        _KEY_PAD + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order
-    )
-    return order, "{" + fields + _ROW_PAD + "}"
-
-
-def _row_shape(row, templates: dict) -> tuple[tuple, str]:
-    """The keys whose values fill a row's template, and the template.
-
-    A dict with string keys shares the template of its key set; any other row
-    becomes a template of its own canonical text, with no slots.
-    """
-    if isinstance(row, dict):
-        keys = tuple(row)
-        shape = templates.get(keys)
-        if shape is None and all(isinstance(k, str) for k in keys):
-            shape = templates[keys] = _row_template(keys)
-        if shape is not None:
-            return shape
-    return (), _dumps(_canon(row)).replace("\n", _ROW_PAD).replace("%", "%%")
-
-
 def _per_user_json(rows) -> str:
-    """The per-user table as the canonical report writes it under ``per_user``."""
-    templates: dict[tuple, tuple[tuple, str]] = {}
-    shapes = [_row_shape(row, templates) for row in rows]
-    values = [row[k] for row, (order, _) in zip(rows, shapes) for k in order]
+    """The per-user table as the canonical report writes it under ``per_user``;
+    every row holds exactly the PER_USER_COLUMNS keys."""
     floats = _FloatTexts("")
     texts = _texts(
-        values,
+        [row[k] for row in rows for k in _ROW_KEYS],
         {float: floats.__getitem__, int: int.__repr__, str: encode_basestring_ascii},
         functools.partial(_json_value, floats=floats),
     )
-    out, start = [], 0
-    for order, template in shapes:
-        end = start + len(order)
-        out.append(template % tuple(texts[start:end]))
-        start = end
-    return "[" + _ROW_PAD + ("," + _ROW_PAD).join(out) + "\n  ]"
+    table = ("," + _ROW_PAD).join([_ROW_TEMPLATE] * len(rows)) % tuple(texts)
+    return "[" + _ROW_PAD + table + "\n  ]"
 
 
 def canonical_json_bytes(report: dict) -> bytes:
     """``json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)``
     plus a newline, as UTF-8; a run report's per-user rows are rendered from
-    a template per key set instead of by the stdlib's pure-Python indent encoder."""
+    one template instead of by the stdlib's pure-Python indent encoder."""
     rows = report.get("per_user") if isinstance(report, dict) else None
-    if not (isinstance(rows, (list, tuple)) and rows):
+    if not (
+        isinstance(rows, (list, tuple))
+        and rows
+        and all(isinstance(row, dict) and row.keys() == _ROW_KEY_SET for row in rows)
+    ):
         return (_dumps(_canon(report)) + "\n").encode("utf-8")
     table = _per_user_json(rows)
     text = _dumps(_canon({**report, "per_user": []}))
@@ -201,32 +176,43 @@ def _cell(value, floats: _FloatTexts) -> str:
     return str(value)
 
 
-def per_user_csv_bytes(report: dict) -> bytes:
-    """Fixed-column CSV projection of the report's per-user table."""
-    rows = report.get("per_user")
+def _csv_table(report: dict, key: str, columns: tuple) -> bytes:
+    """Fixed-column CSV of the report's ``key`` table."""
+    rows = report.get(key)
     if rows is None:
-        raise ValueError("report has no per_user table to emit as CSV")
+        raise ValueError(f"report has no {key} table to emit as CSV")
     floats = _FloatTexts(f".{SIG_DIGITS}g")
     exact = {float: floats.__getitem__, int: int.__repr__, str: str}
     other = functools.partial(_cell, floats=floats)
-    columns = [
-        _texts([row.get(col) for row in rows], exact, other) for col in PER_USER_COLUMNS
-    ]
+    cells = [_texts([row.get(col) for row in rows], exact, other) for col in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PER_USER_COLUMNS)
-    writer.writerows(zip(*columns))
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
     return buf.getvalue().encode("utf-8")
 
 
+def per_user_csv_bytes(report: dict) -> bytes:
+    """Fixed-column CSV projection of the report's per-user table."""
+    return _csv_table(report, "per_user", PER_USER_COLUMNS)
+
+
 def report_emit(report: dict, fmt: str, out_dir, name: str) -> Path:
-    """Write the report under out_dir as <name>.<fmt>; returns the path."""
+    """Write the report under out_dir as <name>.<fmt>; returns the path.
+
+    As CSV, a sweep report is its runs table and any other report its
+    per-user table."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {fmt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{fmt}"
-    data = canonical_json_bytes(report) if fmt == "json" else per_user_csv_bytes(report)
+    if fmt == "json":
+        data = canonical_json_bytes(report)
+    elif report.get("kind") == "sweep":
+        data = _csv_table(report, "runs", SWEEP_COLUMNS)
+    else:
+        data = per_user_csv_bytes(report)
     path.write_bytes(data)
     return path
 

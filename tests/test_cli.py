@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgap.cli import PRESETS, Scenario, generate_scenario, main
+from rankgap.cli import PRESETS, Scenario, generate_scenario, main, sweep
 from rankgap.learner import choose_rank
 from rankgap.matrix import (
     TIE_RTOL,
@@ -18,7 +19,7 @@ from rankgap.matrix import (
     spectral,
     tie_tolerance,
 )
-from rankgap.reports import canonical_json_bytes, report_schema
+from rankgap.reports import canonical_json_bytes, report_schema, round_sig
 
 FINDER_ARGS = [
     "--sigma-kmaj", "10.0",
@@ -298,6 +299,8 @@ CSV_FAULTS = {
     "duplicate": lambda lines: lines + [lines[1]],
     "nan": lambda lines: lines + ["new,0,nan"],
     "inf": lambda lines: lines + ["new,0,-inf"],
+    "plus_inf": lambda lines: lines + ["new,0,inf"],
+    "upper_nan": lambda lines: lines + ["new,0,NaN"],
     "text": lambda lines: lines + ["new,0,high"],
     "negative": lambda lines: lines + ["new,0,-1.0"],
     "extra_field": lambda lines: lines + ["new,0,1.0,1"],
@@ -308,7 +311,19 @@ CSV_FAULTS = {
     "long_field": lambda lines: lines + ["u" * 200_000 + ",0,1.0"],
 }
 # Faults the line-numbered reader pins to the faulty row, the file's last line.
-CSV_LINE_FAULTS = {"duplicate", "text", "extra_field", "missing_field", "quoted_comma", "long_field"}
+CSV_LINE_FAULTS = {
+    "duplicate", "nan", "inf", "plus_inf", "upper_nan", "text", "negative",
+    "extra_field", "missing_field", "quoted_comma", "long_field",
+}
+# The rating each bad-rating fault appends, and what the error calls it.
+CSV_RATING_FAULTS = {
+    "nan": ("nan", "not finite"),
+    "inf": ("-inf", "not finite"),
+    "plus_inf": ("inf", "not finite"),
+    "upper_nan": ("NaN", "not finite"),
+    "text": ("high", "not a number"),
+    "negative": ("-1.0", "negative"),
+}
 CSV_NOISE = {
     "none": lambda lines: lines,
     "blank": lambda lines: lines[:2] + [""] + lines[2:],
@@ -346,10 +361,13 @@ def test_each_malformed_ratings_csv_is_one_error_line(tmp_path_factory, fault, n
     assert code == 1 and stdout.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not (out / "badcsv.report.json").exists()
-    if fault in CSV_LINE_FAULTS and not not_utf8:
+    if not_utf8:
+        assert err.getvalue() == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    elif fault in CSV_LINE_FAULTS:
         assert err.getvalue().startswith(f"error: {path}:{len(lines)}: ")
-    if fault == "text" and not not_utf8:
-        assert err.getvalue().endswith(": rating 'high' is not a number\n")
+    if fault in CSV_RATING_FAULTS and not not_utf8:
+        rating, what = CSV_RATING_FAULTS[fault]
+        assert err.getvalue().endswith(f": rating {rating!r} is {what}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +414,34 @@ def test_sweep_csv_projection(tmp_path, sweep_config):
     assert len(lines) == 17
     assert lines[1] == "0,2,4,0.93023255814,400"
     assert lines[-1] == "15,9.5,4,0.93023255814,400"
+
+
+def reference_sweep_csv(report) -> bytes:
+    """The sweep CSV as cmd_sweep once wrote it, one f-string line per run."""
+    lines = ["id,alpha,chosen_rank,tvr,social_welfare"]
+    for r in report["runs"]:
+        lines.append(
+            f"{r['id']},{round_sig(r['alpha']):.12g},{r['chosen_rank']},"
+            f"{round_sig(r['tvr']):.12g},"
+            f"{round_sig(r['social_welfare']):.12g}"
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_sweep_csv_matches_the_line_writer(tmp_path, preset, top_k):
+    doc = json.loads(json.dumps(PRESETS[preset]))
+    doc.update(
+        name=f"{preset}{top_k}",
+        top_k=top_k,
+        alpha_sweep={"start": 0.25, "stop": 14.0, "step": 0.5},
+    )
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]
+    assert main([*argv, "--format", "csv"]) == 0
+    expected = reference_sweep_csv(sweep(generate_scenario(doc)))
+    assert (tmp_path / f"{preset}{top_k}.sweep.csv").read_bytes() == expected
+    assert expected.count(b"\n") == 29
 
 
 def test_sweep_requires_a_grid(capsys):
@@ -527,6 +573,34 @@ def test_given_eta_outside_the_gap_window_reports_the_failed_condition(tmp_path)
     assert len((tmp_path / "eta5.report.csv").read_text().splitlines()) == 406
 
 
+@pytest.mark.parametrize("preset, eta", [("paired", 0.3), ("paired", 2.5), ("multigroup", 0.45)])
+def test_an_empty_window_is_written_as_null(tmp_path, preset, eta):
+    """At these etas the window's endpoints are finite but lower >= upper, so
+    nothing lies in it, and it is null just like a window with a NaN end."""
+    doc = json.loads(json.dumps(PRESETS[preset]))
+    doc.update(name="empty", strategy=dict(PRESETS["multigroup"]["strategy"], eta=eta))
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "empty.report.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, report_schema())
+    t, c = report["truthful"], report["collective"]
+    assert c["gap_interval"] is None and c["verdicts"]["alpha_in_new_gap"] is False
+    assert t["gap_interval"] is not None
+
+
+def test_an_empty_truthful_gap_is_written_as_null(tmp_path):
+    # The niche group's singular value 3 exceeds the popular groups' sqrt(2).
+    doc = {
+        "name": "inverted",
+        "seed": 0,
+        "matrix": {"family": "indicator", "popular_sizes": [2, 2], "niche_sizes": [9]},
+        "alpha": 1.0,
+    }
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "inverted.report.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, report_schema())
+    assert report["truthful"]["gap_interval"] is None
+
+
 @pytest.mark.parametrize(
     "offset, rank, certified",
     [(-2.0, 5, False), (-0.5, 4, False), (0.0, 4, False), (0.5, 4, True)],
@@ -567,6 +641,8 @@ def test_tie_tolerance_boundary_is_recorded_consistently(tmp_path, offset, rank,
 
 
 PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}
+STRATEGY = PRESETS["multigroup"]["strategy"]
+FUZZ_BASE = dict(PRESETS["paired"], strategy=STRATEGY)
 
 
 @pytest.mark.parametrize(
@@ -582,6 +658,28 @@ PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_
             dict(PAIRED, matrix={"family": "indicator", "popular_sizes": 5, "niche_sizes": [1]}),
             "matrix.popular_sizes must be of type list of integers",
         ),
+        (dict(PAIRED, alpha=math.nan), "alpha must be of type number or null"),
+        (dict(PAIRED, alpha=-math.inf), "alpha must be of type number or null"),
+        (
+            dict(PAIRED, alpha_sweep={"start": 1.0, "stop": math.inf, "step": 0.5}),
+            "alpha_sweep.stop must be of type number",
+        ),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, eta=math.inf)),
+            "strategy.eta must be of type string or number",
+        ),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, eta="inf")),
+            "strategy.eta must be 'auto' or a number, got 'inf'",
+        ),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, eta="fast")),
+            "strategy.eta must be 'auto' or a number, got 'fast'",
+        ),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, target_item="foo")),
+            "strategy.target_item must be 'picky' or an integer, got 'foo'",
+        ),
     ],
 )
 def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, capsys, doc, message):
@@ -591,7 +689,6 @@ def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, capsys, doc, m
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-FUZZ_BASE = dict(PRESETS["paired"], strategy=PRESETS["multigroup"]["strategy"])
 FUZZ_PATHS = (
     [(key,) for key in [*FUZZ_BASE, "alpha_sweep"]]
     + [("matrix", key) for key in FUZZ_BASE["matrix"]]
@@ -600,10 +697,12 @@ FUZZ_PATHS = (
 )
 # Small values only, so that no draw builds a large matrix.
 FUZZ_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], [1], {}, {"a": 1}]
+# Values a scenario key rejects by name wherever they are not the key's type.
+NAMED_FUZZ_VALUES = [math.nan, math.inf, -math.inf, "inf", "fast"]
 
 
-@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
-@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES + NAMED_FUZZ_VALUES))
+@settings(max_examples=200, deadline=None)
 def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, path, value):
     doc = json.loads(json.dumps(FUZZ_BASE))
     node = doc
@@ -618,6 +717,8 @@ def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, path, valu
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if value in NAMED_FUZZ_VALUES and path != ("name",):
+        assert code == 1 and path[-1] in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ def test_strategy_rejects_degenerate_inputs():
         CollectiveStrategy(target_item=2, collective=frozenset(), eta=0.5)
     with pytest.raises(ValueError, match="positive"):
         CollectiveStrategy(target_item=2, collective=frozenset({0}), eta=0.0)
+    for eta in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CollectiveStrategy(target_item=2, collective=frozenset({0}), eta=eta)
 
 
 def test_strategy_validation_against_partition(paired_scene):

@@ -2,6 +2,7 @@
 Monte Carlo, checked on the packaged walkthrough fixtures and random instances."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,9 @@ def test_partial_json_names_each_missing_key(tmp_path, doc, missing):
         ("3", 2, [], "rows and cols must be integers, got '3' and 2"),
         (3, 2.0, [], "rows and cols must be integers, got 3 and 2.0"),
         (-1, 2, [], "rows and cols must be nonnegative"),
+        (3, 2, [(0, 0, math.nan)], r"observation \(0, 0, nan\) has a non-finite value"),
+        (3, 2, [(1, 1, 2.0), (0, 1, -math.inf)], r"\(0, 1, -inf\) has a non-finite"),
+        (3, 2, [(2, 0, "inf")], r"observation \(2, 0, 'inf'\) has a non-finite value"),
     ],
 )
 def test_triples_outside_the_grid_are_named(rows, cols, triples, match):
@@ -146,6 +150,8 @@ def test_triples_outside_the_grid_are_named(rows, cols, triples, match):
         ({"rows": 3, "cols": 2, "observed": [[0, 5, 1.0]]}, r"\[0, 5, 1\.0\] lies outside"),
         ({"rows": "3", "cols": 2, "observed": []}, "rows and cols must be integers"),
         ({"rows": 3, "cols": 2, "observed": [[0, 1]]}, r"\[0, 1\] is not a"),
+        ({"rows": 2, "cols": 2, "observed": [[0, 0, math.nan]]}, r"\[0, 0, nan\] has a non-finite"),
+        ({"rows": 2, "cols": 2, "observed": [[1, 0, math.inf]]}, r"\[1, 0, inf\] has a non-finite"),
     ],
 )
 def test_partial_json_rejects_bad_observations(tmp_path, doc, match):

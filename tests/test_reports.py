@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgap import reports
 from rankgap.reports import (
     PER_USER_COLUMNS,
     SIG_DIGITS,
@@ -225,7 +227,7 @@ def per_user_rows(draw):
         "collective_welfare": draw(welfare),
     }
     if draw(st.booleans()):
-        # Key order differs from row to row; the template keys on the sorted set.
+        # Key order differs from row to row; the template fills the sorted keys.
         keys = draw(st.permutations(list(row)))
         row = {k: row[k] for k in keys}
     for key in draw(st.lists(texts, max_size=2)):
@@ -233,7 +235,7 @@ def per_user_rows(draw):
     return row
 
 
-# Rows that are not dicts of string keys are rendered whole.
+# Rows that are not dicts of the six run keys send the table to the plain encoder.
 odd_rows = st.one_of(
     scalars, st.lists(scalars, max_size=2), st.dictionaries(st.integers(0, 3), scalars, max_size=2)
 )
@@ -286,6 +288,41 @@ def test_a_non_finite_number_anywhere_raises(report, bad, where, data):
     if where in ("truthful_welfare", "collective_welfare"):
         with pytest.raises(ValueError, match="finite"):
             per_user_csv_bytes(report)
+
+
+@st.composite
+def run_rows(draw):
+    """Rows with exactly the six run keys, in any key order: the values cli.run
+    writes, and now and then one of the odd scalars (numpy scalars, bools)."""
+    row = {
+        "user": draw(st.integers(0, 10**5)),
+        "class": draw(st.sampled_from(["majority", "minority", "both"]) | texts),
+        "truthful_item": draw(items),
+        "truthful_welfare": draw(welfare),
+        "collective_item": draw(st.none() | items),
+        "collective_welfare": draw(welfare),
+    }
+    for key in draw(st.lists(st.sampled_from(PER_USER_COLUMNS), max_size=2)):
+        row[key] = draw(scalars)
+    return {key: row[key] for key in draw(st.permutations(PER_USER_COLUMNS))}
+
+
+@given(
+    report=run_reports(row=run_rows(), min_rows=1),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf")]),
+    column=st.sampled_from(["truthful_welfare", "collective_welfare"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_rows_render_through_the_one_template(report, bad, column, data):
+    with mock.patch.object(reports, "_per_user_json", wraps=reports._per_user_json) as table:
+        assert canonical_json_bytes(report) == reference_json_bytes(report)
+    assert table.call_count == 1
+    rows = list(report["per_user"])
+    k = data.draw(st.integers(0, len(rows) - 1))
+    rows[k] = {**rows[k], column: bad}
+    with pytest.raises(ValueError, match="finite"):
+        canonical_json_bytes({**report, "per_user": rows})
 
 
 def test_row_renderer_keeps_signed_zeros_apart():
