@@ -280,21 +280,20 @@ def _resolve_alpha(mat: MaterializedScenario) -> float:
     raise ValueError("scenario has no alpha and its family draws none")
 
 
-def _user_classes(mat: MaterializedScenario) -> list[str]:
+def _user_classes(mat: MaterializedScenario) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each user's class as a code into the returned labels."""
     if mat.partition is not None:
-        labels = np.full(mat.matrix.rows, "minority")
-        labels[mat.partition.majority_user_index] = "majority"
-        return labels.tolist()
+        codes = np.ones(mat.matrix.rows, dtype=np.intp)
+        codes[mat.partition.majority_user_index] = 0
+        return codes, ("majority", "minority")
     majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
-    return np.select(
-        [majority & minority, majority], ["both", "majority"], "minority"
-    ).tolist()
+    return np.select([majority & minority, majority], [0, 1], 2), ("both", "majority", "minority")
 
 
-def _report_items(outcome) -> list:
-    """Per-user picks for the report: a bare item at k = 1, else the sorted list."""
+def _report_items(outcome) -> np.ndarray:
+    """Per-user picks for the report: a bare item at k = 1, else the sorted row."""
     chosen = outcome.chosen
-    return (chosen[:, 0] if outcome.k_items == 1 else chosen).tolist()
+    return chosen[:, 0] if outcome.k_items == 1 else chosen
 
 
 def _interval_json(interval: OpenInterval) -> list[float] | None:
@@ -392,6 +391,7 @@ def _resolve_strategy(
         raise ValueError(f"strategy.eta must be 'auto' or a number, got {eta_spec!r}")
     else:
         eta = float(eta_spec)
+        _require_power("strategy.eta", eta)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
     strategy.validate_for(partition)
@@ -399,15 +399,17 @@ def _resolve_strategy(
 
 
 def run(mat: MaterializedScenario) -> dict:
-    """Truthful baseline plus, when a strategy is configured, a collective run."""
+    """Truthful baseline plus, when a strategy is configured, a collective run.
+
+    The report's ``per_user`` is a :class:`rankgap.reports.PerUserTable`;
+    its ``rows()`` gives one dict per user."""
     scenario = mat.scenario
     alpha = _resolve_alpha(mat)
     truthful_side, truthful_outcome, truthful_welfare = _run_side(
         mat, mat.matrix, alpha
     )
-    users = mat.matrix.rows
     collective_side = None
-    collective_items = collective_welfares = [None] * users
+    collective_items = collective_welfares = None
     if scenario.strategy_spec is not None:
         strategy, inputs, eta, source = _resolve_strategy(mat, alpha)
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
@@ -447,24 +449,15 @@ def run(mat: MaterializedScenario) -> dict:
         collective_items = _report_items(collective_outcome)
         collective_welfares = collective_welfare.per_user_welfare
 
-    per_user = [
-        {
-            "user": u,
-            "class": label,
-            "truthful_item": t_item,
-            "truthful_welfare": t_welfare,
-            "collective_item": c_item,
-            "collective_welfare": c_welfare,
-        }
-        for u, label, t_item, t_welfare, c_item, c_welfare in zip(
-            range(users),
-            _user_classes(mat),
-            _report_items(truthful_outcome),
-            truthful_welfare.per_user_welfare,
-            collective_items,
-            collective_welfares,
-        )
-    ]
+    class_codes, class_labels = _user_classes(mat)
+    per_user = reports.PerUserTable(
+        class_codes=class_codes,
+        class_labels=class_labels,
+        truthful_items=_report_items(truthful_outcome),
+        truthful_welfare=truthful_welfare.per_user_welfare,
+        collective_items=collective_items,
+        collective_welfare=collective_welfares,
+    )
     report = {
         "kind": "run",
         "scenario": scenario.to_dict(),
@@ -664,7 +657,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _finder_inputs_from_args(args) -> FinderInputs:
+def _require_power(name: str, value: float, exponent: int = 2) -> None:
+    """The closed forms of rankgap.collective raise some inputs to a power, and
+    a float power that overflows raises OverflowError rather than giving inf."""
+    try:
+        value**exponent
+    except OverflowError:
+        raise ValueError(
+            f"{name} is too large: {value!r} to the power {exponent} overflows a float"
+        ) from None
+
+
+def _finder_inputs_from_args(args, squared=("--sigma-kmaj", "--alpha")) -> FinderInputs:
+    for flag in squared:
+        _require_power(flag, getattr(args, flag[2:].replace("-", "_")))
     return FinderInputs(
         sigma_kmaj=args.sigma_kmaj,
         alpha=args.alpha,
@@ -685,7 +691,7 @@ def _maybe_emit(args, report: dict, name: str) -> None:
 
 
 def cmd_find_eta(args) -> int:
-    inputs = _finder_inputs_from_args(args)
+    inputs = _finder_inputs_from_args(args, squared=("--sigma-kmaj", "--alpha", "--av"))
     eta = find_eta(inputs)
     print(f"eta = {reports.round_sig(eta):.12g}")
     _maybe_emit(
@@ -701,6 +707,7 @@ def cmd_check(args) -> int:
     for flag, value in (("--eta", args.eta), ("--sigma1-min", args.sigma1_min)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    _require_power("--eta", args.eta)
     report = check_sufficient_conditions(inputs, args.sigma1_min, args.eta)
     for name, value in report.conditions.items():
         print(f"{name}: {'pass' if value else 'FAIL'} (margin {report.margins[name]:.6g})")
@@ -722,7 +729,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    inputs = _finder_inputs_from_args(args)
+    inputs = _finder_inputs_from_args(
+        args, squared=("--sigma-kmaj", "--alpha", "--l1-norm", "--l2-norm")
+    )
+    _require_power("--eta", args.eta, 4)
     margin = robustness_margin(
         inputs, args.eta, l1_norm=args.l1_norm, l2_norm=args.l2_norm, n=args.n_items
     )

@@ -18,6 +18,7 @@ from .matrix import (
     GroupPartition,
     OpenInterval,
     RatingsMatrix,
+    _index_set,
     numeric_rank_of,
     singular_values_of,
 )
@@ -32,7 +33,7 @@ class CollectiveStrategy:
     eta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "collective", frozenset(int(u) for u in self.collective))
+        object.__setattr__(self, "collective", _index_set(self.collective, "collective"))
         if not self.collective:
             raise ValueError("collective must be nonempty")
         if not (self.eta > 0 and math.isfinite(self.eta)):

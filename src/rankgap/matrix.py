@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,23 @@ RECONSTRUCTION_RTOL = 1e-9
 
 class PartitionError(ValueError):
     """A group partition is malformed or does not match a matrix."""
+
+
+def _index_set(values, name: str, error=ValueError) -> frozenset[int]:
+    """``values`` as a frozenset of ints; each must be integral and not a bool
+    (numpy integers pass), else ``error`` naming ``name`` is raised."""
+    values = values if isinstance(values, frozenset) else frozenset(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    out = set()
+    for value in values:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            out.add(operator.index(value))
+        except TypeError:
+            raise error(f"{name} must hold integer indices, got {value!r}") from None
+    return frozenset(out)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -99,7 +117,7 @@ class GroupPartition:
 
     def __post_init__(self) -> None:
         for name in ("majority_users", "minority_users", "majority_items", "minority_items"):
-            object.__setattr__(self, name, frozenset(int(i) for i in getattr(self, name)))
+            object.__setattr__(self, name, _index_set(getattr(self, name), name, PartitionError))
         if self.majority_users & self.minority_users:
             raise PartitionError("user groups overlap")
         if self.majority_items & self.minority_items:

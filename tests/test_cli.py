@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgap.cli import PRESETS, Scenario, generate_scenario, main, sweep
+from rankgap import cli
+from rankgap.cli import PRESETS, Scenario, generate_scenario, main, run, sweep
+from rankgap.collective import apply_uprating
 from rankgap.learner import choose_rank
 from rankgap.matrix import (
     TIE_RTOL,
@@ -19,6 +21,7 @@ from rankgap.matrix import (
     spectral,
     tie_tolerance,
 )
+from rankgap.popgap import PopularitySplit
 from rankgap.reports import canonical_json_bytes, report_schema, round_sig
 
 FINDER_ARGS = [
@@ -205,6 +208,68 @@ def test_multigroup_per_user_rows(multigroup_report):
         "collective_item": 0,
         "collective_welfare": 0.0,
     }
+
+
+def reference_per_user(mat) -> list[dict]:
+    """The per-user rows as run() built them before the columnar table: the
+    same fits, then one dict per user."""
+    alpha = cli._resolve_alpha(mat)
+    _, truthful, truthful_welfare = cli._run_side(mat, mat.matrix, alpha)
+
+    def items(outcome):
+        chosen = outcome.chosen
+        return (chosen[:, 0] if outcome.k_items == 1 else chosen).tolist()
+
+    users = mat.matrix.rows
+    collective_items = collective_welfares = [None] * users
+    if mat.scenario.strategy_spec is not None:
+        strategy, _, _, _ = cli._resolve_strategy(mat, alpha)
+        revealed = apply_uprating(mat.matrix, mat.partition, strategy)
+        _, collective, collective_welfare = cli._run_side(mat, revealed, alpha)
+        collective_items = items(collective)
+        collective_welfares = collective_welfare.per_user_welfare
+    if mat.partition is not None:
+        labels = np.full(users, "minority")
+        labels[mat.partition.majority_user_index] = "majority"
+    else:
+        majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
+        labels = np.select([majority & minority, majority], ["both", "majority"], "minority")
+    return [
+        {
+            "user": u,
+            "class": label,
+            "truthful_item": t_item,
+            "truthful_welfare": t_welfare,
+            "collective_item": c_item,
+            "collective_welfare": c_welfare,
+        }
+        for u, label, t_item, t_welfare, c_item, c_welfare in zip(
+            range(users),
+            labels.tolist(),
+            items(truthful),
+            truthful_welfare.per_user_welfare,
+            collective_items,
+            collective_welfares,
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        *(dict(PRESETS[name], top_k=k) for name in ("paired", "multigroup") for k in (1, 2)),
+        *({"name": "gc", "seed": seed, "matrix": {"family": "gap_class"}} for seed in (1, 3)),
+    ],
+    ids=["paired-k1", "paired-k2", "multigroup-k1", "multigroup-k2", "gap_class-1", "gap_class-3"],
+)
+def test_run_table_rows_match_the_per_user_dicts(doc):
+    mat = generate_scenario(doc)
+    rows = run(mat)["per_user"].rows()
+    expected = reference_per_user(mat)
+    assert rows == expected
+    types = [[type(v) for v in row.values()] for row in rows]
+    assert types == [[type(v) for v in row.values()] for row in expected]
+    assert [list(row) for row in rows] == [list(row) for row in expected]
 
 
 def test_multigroup_report_bytes_are_reproducible(multigroup_report):
@@ -829,6 +894,39 @@ def test_finder_commands_reject_bad_numbers(tmp_path, capsys, command, flag, val
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+SMALL_FINDER = {
+    "--sigma-kmaj": "2", "--alpha": "1", "--n-bar": "2", "--picky-col-sq": "1",
+    "--av": "1", "--kappa": "1", "--coll-size": "2",
+}
+SMALL_ROBUSTNESS = {**SMALL_FINDER, "--eta": "0.5", "--l1-norm": "1", "--l2-norm": "1", "--n-items": "3"}
+
+
+@pytest.mark.parametrize(
+    "command, flags, name",
+    [
+        ("check", {**SMALL_FINDER, "--eta": "1e200"}, "--eta"),
+        ("find-eta", {**SMALL_FINDER, "--sigma-kmaj": "1e200"}, "--sigma-kmaj"),
+        ("robustness", {**SMALL_ROBUSTNESS, "--eta": "1e200"}, "--eta"),
+        # Only the fourth power of this eta overflows.
+        ("robustness", {**SMALL_ROBUSTNESS, "--eta": "1e100"}, "--eta"),
+        ("run", {}, "strategy.eta"),
+    ],
+)
+def test_numbers_too_large_to_raise_to_a_power_are_clean_errors(
+    tmp_path, capsys, command, flags, name
+):
+    if command == "run":
+        doc = {**PRESETS["paired"], "strategy": {"eta": 1e200}}
+        flags = {"--config": write_config(tmp_path, doc)}
+    argv = [command, *(x for kv in flags.items() for x in kv), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} is too large: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_scalar_reports_are_json_only(tmp_path, capsys):

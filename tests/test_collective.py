@@ -84,6 +84,18 @@ def test_strategy_rejects_degenerate_inputs():
             CollectiveStrategy(target_item=2, collective=frozenset({0}), eta=eta)
 
 
+@pytest.mark.parametrize("bad", [{0.7, 2.2}, {True}, {np.bool_(True)}, {0, 1.0}, {"1"}])
+def test_strategy_rejects_non_integer_collective_members(bad):
+    # int() would truncate these silently ({0.7, 2.2} -> {0, 2}).
+    with pytest.raises(ValueError, match="^collective must hold integer indices, got "):
+        CollectiveStrategy(target_item=2, collective=bad, eta=0.5)
+
+
+def test_strategy_takes_numpy_integers_as_ints():
+    s = CollectiveStrategy(target_item=2, collective=np.array([0, 3]), eta=0.5)
+    assert s.collective == {0, 3} and all(type(u) is int for u in s.collective)
+
+
 def test_strategy_validation_against_partition(paired_scene):
     _, p = paired_scene
     with pytest.raises(ValueError, match="not a minority item"):

@@ -198,6 +198,35 @@ def test_partition_rejects_overlaps_and_negatives():
         )
 
 
+SMALL_PARTITION = {
+    "majority_users": {0, 1},
+    "minority_users": {2},
+    "majority_items": {0},
+    "minority_items": {1},
+}
+
+
+@pytest.mark.parametrize("field", sorted(SMALL_PARTITION))
+@pytest.mark.parametrize(
+    "bad", [{0.5, 1.9}, {True}, {np.bool_(False)}, {1.0}, {"3"}, {None}, {0, 2.2}]
+)
+def test_partition_rejects_non_integer_indices(field, bad):
+    # int() would truncate these silently ({0.5, 1.9, True} -> {0, 1}).
+    with pytest.raises(PartitionError, match=f"^{field} must hold integer indices, got "):
+        GroupPartition(**{**SMALL_PARTITION, field: bad})
+
+
+def test_partition_takes_numpy_integers_as_ints():
+    p = GroupPartition(
+        majority_users=np.arange(2),
+        minority_users=[np.int32(2)],
+        majority_items={np.uint8(0)},
+        minority_items=frozenset({1}),
+    )
+    assert p == GroupPartition(**SMALL_PARTITION)
+    assert all(type(i) is int for name in SMALL_PARTITION for i in getattr(p, name))
+
+
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "rankgap"
 PARTITION_SETS = {"majority_users", "minority_users", "majority_items", "minority_items"}
 PARTITION_NAMES = PARTITION_SETS | {

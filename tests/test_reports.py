@@ -15,6 +15,7 @@ from rankgap import reports
 from rankgap.reports import (
     PER_USER_COLUMNS,
     SIG_DIGITS,
+    PerUserTable,
     _canon,
     canonical_json_bytes,
     load_report,
@@ -323,6 +324,154 @@ def test_run_rows_render_through_the_one_template(report, bad, column, data):
     rows[k] = {**rows[k], column: bad}
     with pytest.raises(ValueError, match="finite"):
         canonical_json_bytes({**report, "per_user": rows})
+
+
+# Welfare values that repeat: signed zeros, and pairs that print alike at 12
+# digits but differ in their bits.
+WELFARE_POOL = [
+    0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 0.25, 1 / 3, 1 / 3 + 1e-16, -2.5, 4.0, 1e-300,
+]
+
+
+@st.composite
+def per_user_tables(draw):
+    users = draw(st.integers(1, 400))
+    k = draw(st.integers(1, 3))
+    distinct = draw(st.integers(0, 4)) == 0  # now and then every row differs
+    labels = tuple(draw(st.lists(texts, min_size=1, max_size=3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def items():
+        high = 10**6 if distinct else 3
+        picks = rng.integers(0, high, (users, k))
+        return picks[:, 0] if k == 1 else picks
+
+    def welfare():
+        if distinct:
+            return rng.standard_normal(users) * 10.0 ** rng.integers(-5, 6, users)
+        return np.array(WELFARE_POOL)[rng.integers(0, len(WELFARE_POOL), users)]
+
+    collective = draw(st.booleans())
+    return PerUserTable(
+        class_codes=rng.integers(0, len(labels), users),
+        class_labels=labels,
+        truthful_items=items(),
+        truthful_welfare=welfare(),
+        collective_items=items() if collective else None,
+        collective_welfare=welfare() if collective else None,
+    )
+
+
+@given(table=per_user_tables(), extra=st.dictionaries(texts, scalars, max_size=2))
+@settings(max_examples=120, deadline=None)
+def test_table_renders_the_bytes_of_its_rows(table, extra):
+    users = len(table.class_codes)
+    absent = [None] * users
+    side = (
+        (table.collective_items.tolist(), table.collective_welfare.tolist())
+        if table.collective_items is not None
+        else (absent, absent)
+    )
+    expected = [
+        dict(zip(PER_USER_COLUMNS, (u, table.class_labels[c], *values)))
+        for u, c, *values in zip(
+            range(users),
+            table.class_codes.tolist(),
+            table.truthful_items.tolist(),
+            table.truthful_welfare.tolist(),
+            *side,
+        )
+    ]
+    assert table.rows() == expected
+    report = {**extra, "kind": "run", "per_user": table}
+    as_rows = {**report, "per_user": expected}
+    assert canonical_json_bytes(report) == reference_json_bytes(as_rows)
+    assert per_user_csv_bytes(report) == reference_csv_bytes(as_rows)
+
+
+@given(
+    table=per_user_tables(),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    side=st.sampled_from(["truthful", "collective"]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_non_finite_welfare_in_a_table_raises(table, bad, side, data):
+    welfare = getattr(table, f"{side}_welfare")
+    if welfare is None:
+        side, welfare = "truthful", table.truthful_welfare
+    welfare = welfare.copy()
+    welfare[data.draw(st.integers(0, len(welfare) - 1))] = bad
+    fields = {f: getattr(table, f) for f in PerUserTable.__dataclass_fields__}
+    report = {"per_user": PerUserTable(**{**fields, f"{side}_welfare": welfare})}
+    with pytest.raises(ValueError, match="finite"):
+        canonical_json_bytes(report)
+    with pytest.raises(ValueError, match="finite"):
+        per_user_csv_bytes(report)
+
+
+def test_distinct_bodies_survive_a_row_key_wider_than_64_bits():
+    # Two class labels and eight columns of 256 values each: the mixed-radix
+    # row key spans 2 * 256**8 = 2**65 values, so rows that differ only in
+    # their class would share a key modulo 2**64.
+    values = np.tile(np.arange(256), 2)
+    picks = np.stack([values] * 3, axis=1)
+    table = PerUserTable(
+        np.repeat([0, 1], 256), ("a", "b"), picks, values / 7, picks, values / 3
+    )
+    report = {"per_user": table}
+    as_rows = {"per_user": table.rows()}
+    assert canonical_json_bytes(report) == reference_json_bytes(as_rows)
+    assert per_user_csv_bytes(report) == reference_csv_bytes(as_rows)
+
+
+def test_table_columns_are_read_only_copies():
+    codes = np.array([0, 1])
+    table = PerUserTable(codes, ["a", "b"], [3, 4], (0.5, 1.0))
+    codes[0] = 1
+    assert table.rows()[0] == {
+        "user": 0,
+        "class": "a",
+        "truthful_item": 3,
+        "truthful_welfare": 0.5,
+        "collective_item": None,
+        "collective_welfare": None,
+    }
+    with pytest.raises(ValueError):
+        table.truthful_welfare[0] = 2.0
+
+
+def test_an_empty_table_emits_like_an_empty_list():
+    table = PerUserTable(np.zeros(0, int), ("a",), np.zeros(0, int), np.zeros(0))
+    report = {"kind": "run", "per_user": table}
+    assert canonical_json_bytes(report) == reference_json_bytes({**report, "per_user": []})
+    assert per_user_csv_bytes(report) == reference_csv_bytes({**report, "per_user": []})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"class_codes": [0, 2]}, "class codes must index"),
+        ({"class_codes": [-1, 0]}, "class codes must index"),
+        ({"class_labels": ("a", 1)}, "labels must be strings"),
+        ({"truthful_items": [0, 1, 2]}, "truthful_items has 3 rows, expected 2"),
+        ({"truthful_items": [0.0, 1.0]}, "truthful_items has dtype float64"),
+        ({"truthful_items": np.zeros((2, 0), int)}, "holds no picks"),
+        ({"truthful_welfare": [1, 2]}, "truthful_welfare has dtype int64"),
+        ({"truthful_welfare": [[1.0], [2.0]]}, "truthful_welfare has dtype float64 and shape"),
+        ({"collective_items": [0, 1]}, "go together"),
+    ],
+)
+def test_table_rejects_malformed_columns(fields, message):
+    valid = {
+        "class_codes": [0, 1],
+        "class_labels": ("a", "b"),
+        "truthful_items": [0, 1],
+        "truthful_welfare": [0.5, 1.0],
+    }
+    with pytest.raises(ValueError, match=message):
+        PerUserTable(**{**valid, **fields})
 
 
 def test_row_renderer_keeps_signed_zeros_apart():
