@@ -10,6 +10,7 @@ significant digits and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -24,6 +25,8 @@ from . import fixtures, generators, reports
 from .collective import (
     CollectiveStrategy,
     FinderInputs,
+    _column_sq,
+    _power,
     aggregate_value,
     apply_uprating,
     check_sufficient_conditions,
@@ -372,7 +375,7 @@ def _resolve_strategy(
         sigma_kmaj=sigma_kmaj,
         alpha=alpha,
         n_bar=partition.n_bar,
-        picky_col_sq=float((matrix.entries[:, target] ** 2).sum()),
+        picky_col_sq=_column_sq(matrix, target),
         av=aggregate_value(matrix, collective, partition.n_bar),
         kappa=kappa_k(matrix, partition, 1),
         coll_size=len(collective),
@@ -391,7 +394,7 @@ def _resolve_strategy(
         raise ValueError(f"strategy.eta must be 'auto' or a number, got {eta_spec!r}")
     else:
         eta = float(eta_spec)
-        _require_power("strategy.eta", eta)
+        _power("strategy.eta", eta)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
     strategy.validate_for(partition)
@@ -657,20 +660,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _require_power(name: str, value: float, exponent: int = 2) -> None:
-    """The closed forms of rankgap.collective raise some inputs to a power, and
-    a float power that overflows raises OverflowError rather than giving inf."""
-    try:
-        value**exponent
-    except OverflowError:
-        raise ValueError(
-            f"{name} is too large: {value!r} to the power {exponent} overflows a float"
-        ) from None
-
-
 def _finder_inputs_from_args(args, squared=("--sigma-kmaj", "--alpha")) -> FinderInputs:
     for flag in squared:
-        _require_power(flag, getattr(args, flag[2:].replace("-", "_")))
+        _power(flag, getattr(args, flag[2:].replace("-", "_")))
     return FinderInputs(
         sigma_kmaj=args.sigma_kmaj,
         alpha=args.alpha,
@@ -707,7 +699,7 @@ def cmd_check(args) -> int:
     for flag, value in (("--eta", args.eta), ("--sigma1-min", args.sigma1_min)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    _require_power("--eta", args.eta)
+    _power("--eta", args.eta)
     report = check_sufficient_conditions(inputs, args.sigma1_min, args.eta)
     for name, value in report.conditions.items():
         print(f"{name}: {'pass' if value else 'FAIL'} (margin {report.margins[name]:.6g})")
@@ -732,7 +724,7 @@ def cmd_robustness(args) -> int:
     inputs = _finder_inputs_from_args(
         args, squared=("--sigma-kmaj", "--alpha", "--l1-norm", "--l2-norm")
     )
-    _require_power("--eta", args.eta, 4)
+    _power("--eta", args.eta, 4)
     margin = robustness_margin(
         inputs, args.eta, l1_norm=args.l1_norm, l2_norm=args.l2_norm, n=args.n_items
     )
@@ -852,9 +844,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -24,6 +24,29 @@ from .matrix import (
 )
 
 
+def _power(name: str, value: float, exponent: int = 2) -> float:
+    """value**exponent for the closed forms below. A float power that
+    overflows raises OverflowError rather than giving inf; here it raises a
+    ValueError that names the quantity."""
+    try:
+        return value**exponent
+    except OverflowError:
+        raise ValueError(
+            f"{name} is too large: {value!r} to the power {exponent} overflows a float"
+        ) from None
+
+
+def _column_sq(R: RatingsMatrix, item: int) -> float:
+    """Sum of one item's squared ratings: picky_col_sq when the item is the target."""
+    with np.errstate(over="ignore"):
+        total = float((R.entries[:, item] ** 2).sum())
+    if not math.isfinite(total):
+        raise ValueError(
+            f"picky_col_sq is too large: the squared ratings of item {item} overflow a float"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class CollectiveStrategy:
     """Uniform uprating of one minority item by a set of majority users."""
@@ -172,11 +195,11 @@ def sufficient_gap(
     sigma_kmaj = float(s_maj[k_maj - 1])
     s_min = singular_values_of(p.minority_block(R_star.entries))
     sigma1_min = float(s_min[0]) if s_min.size else 0.0
-    col_sq = float((R_star.entries[:, s.target_item] ** 2).sum())
+    col_sq = _column_sq(R_star, s.target_item)
     coll_rows = R_star.entries[sorted(s.collective)]
     av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
     radicand = (
-        min(sigma_kmaj**2, s.eta**2 * len(s.collective) + col_sq)
+        min(_power("sigma_kmaj", sigma_kmaj), _power("eta", s.eta) * len(s.collective) + col_sq)
         - s.eta * math.sqrt(p.n_bar) * av
     )
     upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
@@ -194,16 +217,19 @@ def check_sufficient_conditions(
                             - eta sqrt(n_bar) AV
       alpha_above_minority: alpha > sigma1_min
     """
-    min_term = min(z.sigma_kmaj**2, eta**2 * z.coll_size + z.picky_col_sq)
+    alpha_sq = _power("alpha", z.alpha)
+    min_term = min(
+        _power("sigma_kmaj", z.sigma_kmaj), _power("eta", eta) * z.coll_size + z.picky_col_sq
+    )
     radicand = min_term - eta * math.sqrt(z.n_bar) * z.av
     conditions = {
         "eta_below_kappa": 0.0 < eta < z.kappa,
-        "alpha_in_new_gap": z.alpha**2 < radicand,
+        "alpha_in_new_gap": alpha_sq < radicand,
         "alpha_above_minority": z.alpha > sigma1_min,
     }
     margins = {
         "eta_below_kappa": z.kappa - eta,
-        "alpha_in_new_gap": radicand - z.alpha**2,
+        "alpha_in_new_gap": radicand - alpha_sq,
         "alpha_above_minority": z.alpha - sigma1_min,
     }
     upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
@@ -232,8 +258,9 @@ def find_eta(z: FinderInputs) -> float:
     if z.av <= 0:
         raise ValueError("aggregate value must be positive for the finder's divisions")
     root_av = math.sqrt(z.n_bar) * z.av
-    n_up = min((z.sigma_kmaj**2 - z.alpha**2) / root_av, z.kappa)
-    d = z.n_bar * z.av**2 + 4 * z.coll_size * (z.alpha**2 - z.picky_col_sq)
+    alpha_sq = _power("alpha", z.alpha)
+    n_up = min((_power("sigma_kmaj", z.sigma_kmaj) - alpha_sq) / root_av, z.kappa)
+    d = z.n_bar * _power("av", z.av) + 4 * z.coll_size * (alpha_sq - z.picky_col_sq)
     if d < 0:
         # No real root: the quadratic lower bound does not bind. This branch
         # is unreachable when alpha exceeds the target column's norm, but it
@@ -274,8 +301,8 @@ def grid_feasible_eta(
         (0.0 < eta)
         & (eta < z.kappa)
         & (
-            z.alpha**2
-            < np.minimum(z.sigma_kmaj**2, eta**2 * z.coll_size + z.picky_col_sq)
+            _power("alpha", z.alpha)
+            < np.minimum(_power("sigma_kmaj", z.sigma_kmaj), eta**2 * z.coll_size + z.picky_col_sq)
             - eta * math.sqrt(z.n_bar) * z.av
         )
         & (z.alpha > sigma1_min)
@@ -291,19 +318,18 @@ def grid_feasible_eta(
 def margin_numerator(z: FinderInputs, eta: float) -> float:
     """Slack of the gap condition at eta: positive iff eta passes it."""
     return (
-        min(z.sigma_kmaj**2, eta**2 * z.coll_size + z.picky_col_sq)
+        min(_power("sigma_kmaj", z.sigma_kmaj), _power("eta", eta) * z.coll_size + z.picky_col_sq)
         - eta * math.sqrt(z.n_bar) * z.av
-        - z.alpha**2
+        - _power("alpha", z.alpha)
     )
 
 
 def lipschitz_bound(l1_norm: float, l2_norm: float, n: int, eta: float) -> float:
     """Growth bound for the gap-condition slack under parameter perturbation."""
+    eta_4 = _power("eta", eta, 4)
+    l2_sq = _power("l2_norm", l2_norm)
     return math.sqrt(
-        4 * l2_norm**2
-        + eta * l1_norm**2 / 4
-        + eta**2 * n
-        + max(4 * l2_norm**2, 1 + eta**4)
+        4 * l2_sq + eta * _power("l1_norm", l1_norm) / 4 + eta**2 * n + max(4 * l2_sq, 1 + eta_4)
     )
 
 

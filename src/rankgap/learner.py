@@ -52,10 +52,13 @@ class RecommendationOutcome:
     negative_rows: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WelfareReport:
+    """Welfare of one outcome; ``per_user_welfare`` is a read-only float64
+    array, one entry per user. Reports compare by identity."""
+
     social_welfare: float
-    per_user_welfare: tuple[float, ...]
+    per_user_welfare: np.ndarray
     u_ben: float
     u_en: float
 
@@ -226,11 +229,12 @@ def social_welfare(
             f"outcome shaped for {outcome.chosen.shape[0]}x{outcome.n_items}, "
             f"matrix is {m}x{n}"
         )
-    per_user = tuple(
-        np.take_along_axis(R_star.entries, outcome.chosen, axis=1).sum(axis=1).tolist()
-    )
-    # Summed left to right: np.sum's pairwise order would change the low bits.
-    total = float(sum(per_user))
+    per_user = np.take_along_axis(R_star.entries, outcome.chosen, axis=1).sum(axis=1)
+    per_user.flags.writeable = False
+    # Summed left to right from +0.0, as sum() did before Python 3.12 made
+    # float sums compensated; np.sum's pairwise order would change the low
+    # bits too. cumsum adds in order.
+    total = float(np.cumsum(np.concatenate([[0.0], per_user]))[-1])
     return WelfareReport(
         social_welfare=total,
         per_user_welfare=per_user,

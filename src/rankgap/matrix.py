@@ -1,13 +1,14 @@
 """Dense ratings matrices, group partitions, and singular-value structure.
 
 Everything in this module is a pure function of immutable inputs. Matrices
-are dense float64 arrays; the scale in scope is at most a few thousand rows
-and columns, so no sparse formats are used.
+are dense float64 arrays; the scale in scope is up to about 10^5 rows
+(users) and a few thousand columns (items), so no sparse formats are used.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import operator
@@ -180,7 +181,10 @@ class GroupPartition:
             raise PartitionError("majority user rates a minority item")
         if np.any(a[np.ix_(self.minority_user_index, self.majority_item_index)] != 0.0):
             raise PartitionError("minority user rates a majority item")
-        if np.any(a.max(axis=1, initial=0.0) <= 0.0):
+        # Each row's largest entry, as a fold over the columns when rows are
+        # short: numpy reduces along a short row slowly.
+        top = functools.reduce(np.maximum, a.T) if a.shape[1] <= a.shape[0] else a.max(axis=1)
+        if np.any(top <= 0.0):
             raise PartitionError("a user has no positive rating")
 
 
@@ -243,12 +247,23 @@ def spectral(R: RatingsMatrix) -> SpectralSummary:
     a = R.entries
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     recon = (u * s) @ vt
-    scale = np.linalg.norm(a)
-    err = np.linalg.norm(recon - a)
+    scale = _frobenius_norm(a)
+    err = _frobenius_norm(recon - a)
     if err > RECONSTRUCTION_RTOL * max(1.0, scale):
         raise ArithmeticError(f"decomposition reconstruction error {err:.3e} exceeds tolerance")
     rank = int(np.count_nonzero(s > RANK_RTOL * (s[0] if s.size else 0.0)))
     return SpectralSummary(singular_values=s, numeric_rank=rank, left=u, right_t=vt)
+
+
+def _frobenius_norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), also where the sum of squares overflows: there the
+    entries are first scaled by a power of two, which is exact."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+        if np.isinf(norm):
+            exp = np.frexp(np.abs(a).max())[1]
+            norm = np.ldexp(np.linalg.norm(np.ldexp(a, -exp)), exp)
+    return float(norm)
 
 
 def singular_values_of(a: np.ndarray) -> np.ndarray:
@@ -373,8 +388,25 @@ def find_picky_items(
 
 CSV_HEADER = ("user", "item", "rating")
 
-# Lines the one-pass reader splits at a time.
-_BLOCK_LINES = 1 << 15
+# The widest field the one-pass reader keys in place: 8 little-endian words.
+_KEY_BYTES = 64
+
+# _WORD_MASKS[w, length] keeps the bytes of word w (bytes 8w .. 8w + 7) that
+# lie inside a field of that length.
+_WORD_MASKS = np.array(
+    [
+        [(1 << 8 * min(max(length - 8 * w, 0), 8)) - 1 for length in range(_KEY_BYTES + 1)]
+        for w in range(_KEY_BYTES // 8)
+    ],
+    dtype=np.uint64,
+)
+
+# Bytes that may start or end a text that str.strip() changes: ASCII
+# whitespace, and any byte of a multi-byte UTF-8 character.
+_EDGE_BYTES = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
+
+# Matrix entries save_ratings_csv renders per write.
+_WRITE_ENTRIES = 1 << 16
 
 
 def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
@@ -384,10 +416,11 @@ def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
     Unlisted pairs are zero. Duplicate (user, item) pairs are an error, and
     so is a rating that is not finite or is negative.
 
-    A plain file (no quotes, CR, NUL, blank lines or padded labels, every
-    line ending in a newline) is parsed in one pass over its text; anything
-    else, and any file the one pass would reject, is read line by line, so
-    errors carry their line number.
+    A plain file (no quotes, CR, NUL, blank lines or fields padded with
+    whitespace, no field over 64 bytes, every line ending in a newline) is
+    parsed one distinct field at a time; anything else, and any file that
+    parse would reject, is read line by line, so errors carry their line
+    number.
 
     Returns (matrix, user_labels, item_labels).
     """
@@ -403,50 +436,105 @@ def load_ratings_csv(path) -> tuple[RatingsMatrix, list[str], list[str]]:
 
 def _parse_plain_csv(data: bytes):
     """(users, items, user index, item index, ratings) of a plain ratings CSV,
-    or None when the line-by-line reader must decide."""
-    if any(c in data for c in (b'"', b"\r", b"\0", b"\n\n")) or not data.endswith(b"\n"):
+    or None when the line-by-line reader must decide.
+
+    Python sees each distinct field once: the columns are keyed, split and
+    counted as numpy passes over the bytes."""
+    header = ",".join(CSV_HEADER).encode() + b"\n"
+    # Blank lines fail the delimiter check below.
+    if any(c in data for c in (b'"', b"\r", b"\0")) or not data.endswith(b"\n"):
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(raw == ord("\n"))
-    if data[: newlines[0]] != ",".join(CSV_HEADER).encode() or newlines.size < 2:
+    if not data.startswith(header) or len(data) == len(header):
         return None
-    # Rating lines: exactly two commas each, and none long enough to hold a
-    # field over the csv module's size limit.
-    starts, ends = newlines[:-1] + 1, newlines[1:]
-    if np.any(np.add.reduceat(raw == ord(","), starts, dtype=np.intp) != 2):
+    # Zero bytes past the end, so that a word can be read at any field start.
+    padded = data + bytes(_KEY_BYTES)
+    raw = np.frombuffer(padded, dtype=np.uint8)
+    # Every rating line must be exactly user,item,rating: its delimiters are
+    # a comma, a comma and a newline.
+    delims = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))[len(CSV_HEADER) :]
+    if delims.size % 3:
         return None
+    delims = delims.reshape(-1, 3)
+    if np.any((raw[delims] == ord("\n")) != (False, False, True)):
+        return None
+    ends = delims[:, 2]
+    starts = np.concatenate([[len(header)], ends[:-1] + 1])
+    # No line long enough to hold a field over the csv module's size limit.
     if (ends - starts).max() >= csv.field_size_limit():
         return None
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    u, i = np.empty(ends.size, dtype=np.intp), np.empty(ends.size, dtype=np.intp)
-    ratings = np.empty(ends.size)
+    words = np.ndarray((raw.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    columns = []
+    field_starts = (starts, delims[:, 0] + 1, delims[:, 1] + 1)
+    for lo, hi in zip(field_starts, delims.T):
+        column = _distinct_fields(raw, words, lo, hi - lo)
+        if column is None:
+            return None
+        columns.append(column)
+    (users, u), (items, i), (texts, r) = columns
     try:
-        # A block of lines at a time, so that only one block's fields are live.
-        for lo in range(0, ends.size, _BLOCK_LINES):
-            hi = min(lo + _BLOCK_LINES, ends.size)
-            fields = data[starts[lo] : ends[hi - 1]].decode("utf-8").replace("\n", ",").split(",")
-            u[lo:hi] = _first_seen(users, fields[0::3])
-            i[lo:hi] = _first_seen(items, fields[1::3])
-            ratings[lo:hi] = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=hi - lo)
-    except ValueError:  # a rating float() rejects, or bytes that are not UTF-8
-        return None
-    # The line reader strips labels, so a padded one may merge with another.
-    if any(k != k.strip() for k in users) or any(k != k.strip() for k in items):
+        values = np.array([float(t) for t in texts], dtype=np.float64)
+    except ValueError:  # a rating float() rejects
         return None
     if np.bincount(u * len(items) + i).max() > 1:
         return None
     # RatingsMatrix rejects these too, but without the line.
-    if not np.all(np.isfinite(ratings) & (ratings >= 0)):
+    if not np.all(np.isfinite(values) & (values >= 0)):
         return None
-    return list(users), list(items), u, i, ratings
+    return users, items, u, i, values[r]
 
 
-def _first_seen(index: dict[str, int], labels: list[str]) -> np.ndarray:
-    """Each label's index in first-seen order, adding labels new to ``index``."""
-    for label in dict.fromkeys(labels):
-        index.setdefault(label, len(index))
-    return np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+def _distinct_fields(raw: np.ndarray, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The distinct texts of one column in first-seen order and each line's
+    index into them, or None for a field over _KEY_BYTES bytes, bytes that
+    are not UTF-8, or a text with whitespace at an edge (the line reader
+    strips labels, so a padded one may merge with another).
+
+    A field is keyed by the words at its start masked to its length; NUL
+    never occurs, so equal keys are equal bytes.
+    """
+    width = int(lengths.max())
+    if width > _KEY_BYTES:
+        return None
+    key = np.empty((starts.size, max(1, -(-width // 8))), dtype=np.uint64)
+    for w in range(key.shape[1]):
+        key[:, w] = words[starts + 8 * w] & _WORD_MASKS[w][lengths]
+    # A row-major file repeats each user in a run of lines: key the run heads.
+    change = key[1:, 0] != key[:-1, 0]
+    for w in range(1, key.shape[1]):
+        change |= key[1:, w] != key[:-1, w]
+    heads = np.flatnonzero(np.concatenate([[True], change]))
+    if key.shape[1] == 1:
+        # The narrowest type that holds the key: numpy sorts 1- and 2-byte
+        # keys by radix.
+        head_keys = key[heads, 0].astype(np.min_scalar_type(_WORD_MASKS[0][width]))
+    else:
+        head_keys = key[heads].view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+    _, first, inverse = np.unique(head_keys, return_index=True, return_inverse=True)
+    # Number the distinct texts in first-seen order: rank each first
+    # occurrence among the first occurrences, in line order.
+    seen = np.zeros(heads.size, dtype=bool)
+    seen[first] = True
+    firsts = np.flatnonzero(seen)
+    rank = np.empty(heads.size, dtype=np.intp)
+    rank[firsts] = np.arange(firsts.size)
+    codes = np.repeat(rank[first][inverse], np.diff(np.append(heads, starts.size)))
+    # Each distinct text once, from its first line, each followed by a newline.
+    lines = heads[firsts]
+    text_starts, text_lengths = starts[lines], lengths[lines]
+    sizes = text_lengths + 1
+    offsets = np.cumsum(sizes) - sizes
+    gathered = raw[np.arange(offsets[-1] + sizes[-1]) + np.repeat(text_starts - offsets, sizes)]
+    gathered[offsets + text_lengths] = ord("\n")
+    try:
+        texts = gathered.tobytes().decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError:
+        return None
+    # Only a text whose first or last byte may be whitespace can change under
+    # strip(); an empty text reads its neighbours here, and strip() keeps it.
+    edge = _EDGE_BYTES[raw[text_starts]] | _EDGE_BYTES[raw[text_starts + text_lengths - 1]]
+    if any(texts[j] != texts[j].strip() for j in np.flatnonzero(edge).tolist()):
+        return None
+    return texts, codes
 
 
 def _load_ratings_csv_lines(path) -> tuple[RatingsMatrix, list[str], list[str]]:
@@ -502,11 +590,23 @@ def save_ratings_csv(path, R: RatingsMatrix, user_labels=None, item_labels=None)
     if len(ul) != m or len(il) != n:
         raise ValueError("label counts do not match matrix shape")
     users, items = [_csv_field(u) for u in ul], [_csv_field(i) for i in il]
+    # Rows keyed by their bytes, so that 0.0 and -0.0 stay apart.
+    a = R.entries
+    _, first, inverse = np.unique(
+        a.view(np.dtype((np.void, a.itemsize * n)))[:, 0], return_index=True, return_inverse=True
+    )
+    step = max(1, _WRITE_ENTRIES // n)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        # One join per matrix row: a whole-file join would hold every line at once.
-        for u, row in zip(users, R.entries):
-            fh.write("".join([f"{u},{i},{r!r}\n" for i, r in zip(items, row.tolist())]))
+        # A chunk of rows per write: each distinct row of the chunk is
+        # rendered once, and each user's label joins its pieces.
+        for lo in range(0, m, step):
+            codes = inverse[lo : lo + step].tolist()
+            pieces = {
+                d: ["", *(f",{i},{r!r}\n" for i, r in zip(items, a[first[d]].tolist()))]
+                for d in dict.fromkeys(codes)
+            }
+            fh.write("".join([u.join(pieces[d]) for u, d in zip(users[lo : lo + step], codes)]))
 
 
 def _csv_field(label) -> str:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import warnings
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -227,7 +229,7 @@ def reference_per_user(mat) -> list[dict]:
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         _, collective, collective_welfare = cli._run_side(mat, revealed, alpha)
         collective_items = items(collective)
-        collective_welfares = collective_welfare.per_user_welfare
+        collective_welfares = collective_welfare.per_user_welfare.tolist()
     if mat.partition is not None:
         labels = np.full(users, "minority")
         labels[mat.partition.majority_user_index] = "majority"
@@ -247,7 +249,7 @@ def reference_per_user(mat) -> list[dict]:
             range(users),
             labels.tolist(),
             items(truthful),
-            truthful_welfare.per_user_welfare,
+            truthful_welfare.per_user_welfare.tolist(),
             collective_items,
             collective_welfares,
         )
@@ -927,6 +929,46 @@ def test_numbers_too_large_to_raise_to_a_power_are_clean_errors(
     assert captured.err.startswith(f"error: {name} is too large: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# Four majority users rate items 0/1 and one picky user rates item 2.
+HUGE_CSVS = {
+    "sigma_kmaj": "0,0,1e200\n1,0,1e200\n2,1,1e200\n3,1,1e200\n4,2,1.0\n",
+    "picky_col_sq": "0,0,1\n1,0,1\n2,1,1\n3,1,1\n4,2,1e200\n",
+}
+
+
+@pytest.mark.parametrize("eta", [0.5, "auto"])
+@pytest.mark.parametrize("name", sorted(HUGE_CSVS))
+def test_ratings_whose_squares_overflow_are_clean_errors(tmp_path, capsys, name, eta):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("user,item,rating\n" + HUGE_CSVS[name], encoding="utf-8")
+    doc = {
+        "name": "huge",
+        "seed": 1,
+        "alpha": 0.5,
+        "matrix": {"family": "csv", "path": str(csv_path), "m_bar": 4, "n_bar": 2},
+        "strategy": {"eta": eta},
+    }
+    argv = ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} is too large: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert main(["find-eta", *FINDER_ARGS]) == 0
+    assert build.call_count == 1
+    assert capsys.readouterr().out.count("eta = ") == 2
 
 
 def test_scalar_reports_are_json_only(tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from rankgap.collective import (
 )
 from rankgap.generators import random_finder_inputs, stratified_collective
 from rankgap.learner import fit_learner, recommend, social_welfare, utility_en
-from rankgap.matrix import singular_values_of
+from rankgap.matrix import RatingsMatrix, block_partition, singular_values_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -530,3 +531,58 @@ def test_scipy_oracle_reproduces_the_block_model_welfare(multi_scene):
     assert model.chosen_rank == 4
     assert social_welfare(R, outcome).social_welfare == 400.0
     assert outcome.chosen[sorted(p.minority_users), 0].tolist() == [0, 0, 0, 0, 0]
+
+
+def _huge_block_scene(picky: float, popular: float):
+    """Four majority users rating items 0/1 at ``popular`` and a picky user on item 2."""
+    a = np.zeros((5, 3))
+    a[[0, 1], 0] = a[[2, 3], 1] = popular
+    a[4, 2] = picky
+    return RatingsMatrix(a), block_partition(4, 2, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "picky, popular, name", [(1.0, 1e200, "sigma_kmaj"), (1e200, 1.0, "picky_col_sq")]
+)
+def test_sufficient_gap_names_a_square_that_overflows(picky, popular, name):
+    R, p = _huge_block_scene(picky, popular)
+    strategy = CollectiveStrategy(target_item=2, collective=frozenset({0, 2}), eta=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} is too large: "):
+            sufficient_gap(R, p, strategy)
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [({"sigma_kmaj": 1e200}, "sigma_kmaj"), ({"av": 1e200}, "av")],
+)
+def test_find_eta_names_a_square_that_overflows(change, name):
+    with pytest.raises(ValueError, match=f"^{name} is too large: "):
+        find_eta(FinderInputs(**{**MULTI_Z, **change}))
+
+
+def test_conditions_name_a_square_that_overflows():
+    z = FinderInputs(**{**MULTI_Z, "sigma_kmaj": 1e200})
+    with pytest.raises(ValueError, match="^sigma_kmaj is too large: "):
+        grid_feasible_eta(z, steps=10)
+    with pytest.raises(ValueError, match="^sigma_kmaj is too large: "):
+        check_sufficient_conditions(z, 0.0, 0.5)
+    with pytest.raises(ValueError, match="^sigma_kmaj is too large: "):
+        margin_numerator(z, 0.5)
+    z = FinderInputs(**MULTI_Z)
+    with pytest.raises(ValueError, match="^eta is too large: "):
+        check_sufficient_conditions(z, 0.0, 1e200)
+    with pytest.raises(ValueError, match="^eta is too large: "):
+        margin_numerator(z, 1e200)
+
+
+@pytest.mark.parametrize("norm", ["l1_norm", "l2_norm"])
+def test_robustness_margin_names_a_power_that_overflows(norm):
+    z = FinderInputs(**MULTI_Z)
+    norms = {"l1_norm": 400.0, "l2_norm": 10.0, norm: 1e200}
+    with pytest.raises(ValueError, match=f"^{norm} is too large: "):
+        robustness_margin(z, find_eta(z), n=6, **norms)
+    # Only the fourth power of this eta overflows.
+    with pytest.raises(ValueError, match="^eta is too large: .* to the power 4 "):
+        lipschitz_bound(400.0, 10.0, 6, 1e100)

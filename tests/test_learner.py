@@ -1,5 +1,8 @@
 """Rank choice, truncation, recommendation ties, welfare, order statistics."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,9 +281,9 @@ def test_array_recommendation_matches_the_per_row_reference(R_hat, seed):
                 u for u in range(R_hat.rows) if a[u].max() < 0.0
             }
             welfare = social_welfare(R_hat, outcome).per_user_welfare
-            assert welfare == tuple(
+            assert welfare.tolist() == [
                 float(a[u, rec["chosen"]].sum()) for u, rec in enumerate(expected)
-            )
+            ]
 
 
 def test_outcome_arrays_are_read_only(paired_scene):
@@ -439,6 +442,46 @@ def test_welfare_rejects_mismatched_shapes(paired_scene):
     outcome = recommend(truncate(R, 2), seed=0)
     with pytest.raises(ValueError, match="outcome shaped"):
         social_welfare(RatingsMatrix(np.ones((3, 4))), outcome)
+
+
+def _column_welfare(values):
+    """social_welfare of a one-item matrix: user u's welfare is values[u]."""
+    R = RatingsMatrix(np.array(values, dtype=float).reshape(-1, 1), nonnegative=False)
+    return social_welfare(R, recommend(R, k_items=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [
+        # A compensated sum (Python 3.12's sum()) gives 2.0 here.
+        ([0.1] * 10 + [1e16, 1.0, -1e16], 0.0),
+        # numpy's pairwise np.sum gives 14.0 here, a compensated sum 15.0.
+        ([1e16] + [1.0] * 15 + [-1e16], 0.0),
+        ([-0.0, -0.0], 0.0),
+        ([-0.0, 1.5], 1.5),
+    ],
+)
+def test_social_welfare_sums_left_to_right_from_positive_zero(values, total):
+    report = _column_welfare(values)
+    assert np.float64(report.social_welfare).tobytes() == np.float64(total).tobytes()
+    assert report.u_ben == report.social_welfare
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_social_welfare_is_the_in_order_float_sum(values):
+    report = _column_welfare(values)
+    expected = functools.reduce(operator.add, map(float, values), 0.0)
+    assert np.float64(report.social_welfare).tobytes() == np.float64(expected).tobytes()
+
+
+def test_per_user_welfare_is_a_read_only_float_array(multi_scene):
+    R, _ = multi_scene
+    report = social_welfare(R, recommend(fit_learner(R, 2.1).truncated, k_items=1, seed=0))
+    welfare = report.per_user_welfare
+    assert welfare.dtype == np.float64 and welfare.shape == (R.rows,)
+    with pytest.raises(ValueError):
+        welfare[0] = 1.0
 
 
 def test_welfare_sums_chosen_set_for_top_k(multi_scene):

@@ -4,6 +4,7 @@ import ast
 import csv
 import math
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -104,6 +105,19 @@ def test_spectral_reconstruction_holds_at_scale():
     assert np.linalg.norm(recon - a) <= 1e-9 * np.linalg.norm(a)
 
 
+def test_spectral_checks_huge_matrices_without_overflow():
+    a = np.array([[1e200, 1e200, 0.0], [0.0, 3e200, 1.0], [1.7e308, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isclose(matrix._frobenius_norm(a[:2]), math.sqrt(11) * 1e200, rel_tol=1e-15)
+        assert matrix._frobenius_norm(a) == 1.7e308
+        assert matrix._frobenius_norm(np.full((2, 2), 1.7e308)) == math.inf
+        summary = spectral(RatingsMatrix(a[:2]))
+    assert summary.numeric_rank == 2
+    b = np.arange(12.0).reshape(3, 4)
+    assert matrix._frobenius_norm(b) == np.linalg.norm(b)
+
+
 def test_numeric_rank_uses_relative_threshold():
     a = np.diag([1e6, 1.0, 1e-8])
     assert numeric_rank_of(a) == 2
@@ -179,6 +193,22 @@ def test_partition_rejects_cross_block_entries_and_zero_rows():
     zero_row = RatingsMatrix(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(PartitionError, match="^a user has no positive rating$"):
         GroupPartition(**split).validate_for(zero_row)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+def test_partition_finds_a_row_without_a_positive_rating_in_any_shape(shape):
+    # Short rows are checked as a fold over the columns, wide ones by row.
+    m, n = shape
+    p = GroupPartition(frozenset(range(m)), frozenset(), frozenset(range(n)), frozenset())
+    a = np.zeros(shape)
+    a[np.arange(m), np.arange(m) % n] = 0.5
+    p.validate_for(RatingsMatrix(a, nonnegative=False))
+    for u in range(m):
+        for row in (np.zeros(n), np.full(n, -1.0), np.where(np.arange(n) % 2, -0.0, -2.0)):
+            b = a.copy()
+            b[u] = row
+            with pytest.raises(PartitionError, match="^a user has no positive rating$"):
+                p.validate_for(RatingsMatrix(b, nonnegative=False))
 
 
 def test_partition_rejects_overlaps_and_negatives():
@@ -578,25 +608,76 @@ def test_save_writes_the_bytes_of_the_row_at_a_time_writer(tmp_path_factory, ent
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.0, 1.0], [-0.0, -0.0]],
+        [[2.5, 0.0, 0.1]] * 7 + [[0.0, 0.0, 0.0]] * 3 + [[2.5, 0.0, 0.1]] * 2,
+        [[-0.0]] * 5 + [[0.0]] * 5 + [[-1.0]] * 2 + [[1.0]] * 2,
+    ],
+)
+def test_save_keeps_signed_zeros_and_repeated_rows_apart(tmp_path, entries):
+    R = RatingsMatrix(np.array(entries), nonnegative=False)
+    labels = [f"u{u}" if u % 3 else f'q"{u}' for u in range(R.rows)]
+    save_ratings_csv(tmp_path / "new.csv", R, labels)
+    reference_save(tmp_path / "old.csv", R, labels)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_writes_in_chunks_of_rows(tmp_path):
+    R = RatingsMatrix(np.kron(np.eye(3), np.ones((5, 2))) * 0.5)
+    with mock.patch.object(matrix, "_WRITE_ENTRIES", 13):
+        save_ratings_csv(tmp_path / "new.csv", R)
+    reference_save(tmp_path / "old.csv", R)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# Labels around the reader's word boundaries (8, 9, 16, 17 and 64 bytes),
+# twins that differ only in their last word, and a non-ASCII first or last
+# character that strip() keeps.
+LABELS = [
+    "u0", "u1", "ann", "é", "7", "", "x" * 8, "x" * 9, "x" * 16, "x" * 17,
+    "z" * 63 + "a", "z" * 63 + "b", "é" * 32, "aé", "éa",
+]
+BAD_RATINGS = ["nan", "inf", "-1", "abc", "", "1e999", "-2.5e-310"]
+
+
 @st.composite
 def ratings_files(draw) -> bytes:
     """A ratings CSV, well formed or with any mix of the faults the reader must catch."""
-    users = st.sampled_from(["u0", "u1", "ann", "é", "7", ""])
-    items = st.sampled_from(["a", "b", "0", "x y"])
-    ratings = csv_floats.map(repr) | st.sampled_from(
-        ["1", "0.5", " 2", "3 ", "1_0", "nan", "inf", "-1", "abc", "", "1e999", "-0.0"]
+    users = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6, unique=True))
+    item_labels = st.sampled_from(["a", "b", "0", "x y"] + LABELS)
+    items = draw(st.lists(item_labels, min_size=1, max_size=5, unique=True))
+    ratings = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["1", "0.5", " 2", "3 ", "1_0", "-0.0", "0" * 63 + "1"]),
     )
-    rows = draw(st.lists(st.tuples(users, items, ratings).map(list), max_size=8))
-    faults = draw(st.lists(st.sampled_from([
-        "quote", "pad", "extra_field", "missing_field", "blank", "crlf",
-        "no_final_newline", "not_utf8", "nul", "padded_header", "bad_header",
+    # Row-major as save_ratings_csv writes it (each user's lines in a run),
+    # or some of those lines in any order.
+    rows = [[u, i, draw(ratings)] for u in users for i in items]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))[: draw(st.integers(0, len(rows)))]
+    faults = draw(st.just([]) | st.lists(st.sampled_from([
+        "quote", "pad", "extra_field", "missing_field", "blank", "crlf", "duplicate",
+        "bad_rating", "wide", "no_final_newline", "not_utf8", "nul", "padded_header", "bad_header",
     ]), max_size=3))
+    if rows and "duplicate" in faults:
+        user, item, _ = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), [user, item, draw(ratings)])
+    if rows and "bad_rating" in faults:
+        rows[draw(st.integers(0, len(rows) - 1))][2] = draw(st.sampled_from(BAD_RATINGS))
+    if rows and "wide" in faults:
+        # Past the one-pass reader's 64-byte key: the line reader decides.
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[row][col] = draw(st.sampled_from(["w" * 65, "é" * 40, "0" * 64 + "1"]))
     if rows and "quote" in faults:
         row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
         rows[row][col] = '"' + rows[row][col].replace('"', '""') + draw(st.sampled_from(['"', ',x"']))
     if rows and "pad" in faults:
         row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
-        rows[row][col] = draw(st.sampled_from([" ", "\t", "\u00a0"])) + rows[row][col]
+        pad = draw(st.sampled_from([" ", "\t", "\u00a0", "\u2003", "\x85", "\x1c", "\x1f"]))
+        rows[row][col] = draw(st.sampled_from([pad + rows[row][col], rows[row][col] + pad]))
     if rows and "extra_field" in faults:
         rows[draw(st.integers(0, len(rows) - 1))].append("1")
     if rows and "missing_field" in faults:
@@ -621,14 +702,12 @@ def ratings_files(draw) -> bytes:
     return data
 
 
-@given(data=ratings_files(), block=st.sampled_from([1, 2, 3, matrix._BLOCK_LINES]))
+@given(data=ratings_files())
 @settings(max_examples=400, deadline=None)
-def test_one_pass_reader_matches_the_line_reader(tmp_path_factory, data, block):
+def test_one_pass_reader_matches_the_line_reader(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "r.csv"
     path.write_bytes(data)
-    with mock.patch.object(matrix, "_BLOCK_LINES", block):
-        one_pass = read_outcome(load_ratings_csv, path)
-    assert one_pass == read_outcome(_load_ratings_csv_lines, path)
+    assert read_outcome(load_ratings_csv, path) == read_outcome(_load_ratings_csv_lines, path)
 
 
 def test_plain_files_take_the_one_pass_parser(tmp_path):
@@ -641,6 +720,86 @@ def test_plain_files_take_the_one_pass_parser(tmp_path):
     assert ratings.tolist() == R.entries.ravel().tolist()
     for fault in (b'"', b"\r", b"\0", b"\n\n", b" "):
         assert _parse_plain_csv(data.replace(b"\n", fault + b"\n", 2)) is None
+
+
+def test_written_indicator_files_take_the_one_pass_parser(tmp_path):
+    from rankgap.generators import indicator_scenario
+
+    R, _ = indicator_scenario((900, 700, 390), (6, 4))
+    assert R.rows == 2000
+    save_ratings_csv(tmp_path / "r.csv", R)
+    parsed = _parse_plain_csv((tmp_path / "r.csv").read_bytes())
+    assert parsed is not None
+    users, items, u, i, ratings = parsed
+    assert users == [str(x) for x in range(R.rows)] and items == [str(x) for x in range(R.cols)]
+    a = np.zeros(R.shape)
+    a[u, i] = ratings
+    assert a.tobytes() == R.entries.tobytes()
+
+
+def test_fields_over_the_key_width_go_to_the_line_reader(tmp_path):
+    wide = "w" * (matrix._KEY_BYTES + 1)
+    R = RatingsMatrix(np.eye(2))
+    save_ratings_csv(tmp_path / "r.csv", R, ["u", wide])
+    assert _parse_plain_csv((tmp_path / "r.csv").read_bytes()) is None
+    back, users, _ = load_ratings_csv(tmp_path / "r.csv")
+    assert users == ["u", wide] and np.array_equal(back.entries, R.entries)
+
+
+def test_one_pass_keys_tell_labels_apart_past_the_first_word(tmp_path):
+    # Neighbouring lines whose labels share their first 8 or 56 bytes.
+    labels = ["x" * 8, "x" * 9, "x" * 16, "x" * 17, "z" * 63 + "a", "z" * 63 + "b", "aé", "éa"]
+    R = RatingsMatrix(np.arange(1.0, 1.0 + len(labels) ** 2).reshape(len(labels), -1))
+    save_ratings_csv(tmp_path / "r.csv", R, labels, labels)
+    users, items, u, i, ratings = _parse_plain_csv((tmp_path / "r.csv").read_bytes())
+    assert users == labels and items == labels
+    assert read_outcome(load_ratings_csv, tmp_path / "r.csv") == (
+        R.shape, R.entries.tobytes(), labels, labels
+    )
+
+
+@pytest.mark.parametrize(
+    "pad", [" ", "\t", "\v", "\x1c", "\x1f", "\x85", "\u00a0", "\u2003", "\u3000"]
+)
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("end", [False, True])
+def test_labels_padded_with_whitespace_go_to_the_line_reader(tmp_path, pad, column, end):
+    rows = [["u", "a", "1"], ["v", "b", "2"]]
+    rows[1][column] = rows[0][column] + pad if end else pad + rows[0][column]
+    path = tmp_path / "r.csv"
+    path.write_text("user,item,rating\n" + "".join(",".join(r) + "\n" for r in rows), "utf-8")
+    assert _parse_plain_csv(path.read_bytes()) is None
+    assert read_outcome(load_ratings_csv, path) == read_outcome(_load_ratings_csv_lines, path)
+
+
+@pytest.mark.parametrize("body", [b"u,x\n1\nv,y,2\n", b"u\nv\nw\n", b"u,a,1\n\n\n\n"])
+def test_lines_without_three_fields_go_to_the_line_reader(tmp_path, body):
+    # Each body has a multiple of three delimiters, but not "," "," "\n" on every line.
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"user,item,rating\n" + body)
+    assert _parse_plain_csv(path.read_bytes()) is None
+    assert read_outcome(load_ratings_csv, path) == read_outcome(_load_ratings_csv_lines, path)
+
+
+@pytest.mark.parametrize("label", [b"\xff", b"a\xc3", b"\xa9b", b"\xed\xa0\x80"])
+def test_labels_that_are_not_utf8_go_to_the_line_reader(tmp_path, label):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"user,item,rating\nu,a,1\n" + label + b",a,2\n")
+    assert _parse_plain_csv(path.read_bytes()) is None
+    with pytest.raises(ValueError, match="not UTF-8"):
+        load_ratings_csv(path)
+
+
+def test_a_field_size_limit_below_the_key_width_still_holds(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("user,item,rating\n" + "u" * 20 + ",a,1\n")
+    old = csv.field_size_limit(10)
+    try:
+        assert _parse_plain_csv(path.read_bytes()) is None
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            load_ratings_csv(path)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_csv_line_reader_errors_name_the_line(tmp_path):
