@@ -25,8 +25,10 @@ from . import fixtures, generators, reports
 from .collective import (
     CollectiveStrategy,
     FinderInputs,
+    _collective_index,
     _column_sq,
     _power,
+    _require_majority,
     aggregate_value,
     apply_uprating,
     check_sufficient_conditions,
@@ -359,14 +361,11 @@ def _resolve_strategy(
     elif kind == "explicit":
         if "users" not in selector:
             raise ValueError("an explicit collective selector requires users")
-        collective = frozenset(int(u) for u in selector["users"])
+        collective = _collective_index(selector["users"])
     else:
         raise ValueError(f"unknown collective selector kind {kind!r}")
-    if not collective:
-        raise ValueError("collective selector chose no users")
-    outside = sorted(collective - partition.majority_users)
-    if outside:
-        raise ValueError(f"collective users {outside} are not majority users")
+    # Checked before aggregate_value indexes the matrix with the collective.
+    _require_majority(collective, partition)
 
     maj_block = partition.majority_block(matrix.entries)
     k_maj = numeric_rank_of(maj_block)
@@ -397,7 +396,6 @@ def _resolve_strategy(
         _power("strategy.eta", eta)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
-    strategy.validate_for(partition)
     return strategy, inputs, eta, source
 
 

@@ -1,16 +1,16 @@
 """Collective uprating: strategy application, sufficiency checks, eta finder.
 
 A collective is a nonempty set of majority users who all report the same
-positive value eta for one minority target item. The functions here decide
-when such a strategy is guaranteed to improve welfare, search for a working
-eta with closed-form arithmetic, and bound how much parameter misestimation
-the guarantee survives.
+positive value eta for one minority target item, held as a sorted index
+array. The functions here decide when such a strategy is guaranteed to
+improve welfare, search for a working eta with closed-form arithmetic, and
+bound how much parameter misestimation the guarantee survives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .matrix import (
     GroupPartition,
     OpenInterval,
     RatingsMatrix,
+    _index_array,
     _index_set,
     numeric_rank_of,
     singular_values_of,
@@ -47,26 +48,51 @@ def _column_sq(R: RatingsMatrix, item: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
+def _collective_index(users) -> np.ndarray:
+    """``users`` as a collective: its distinct user indices as a sorted,
+    read-only np.intp array, the form of GroupPartition's index arrays.  Each
+    must be integral and not a bool (numpy integers pass), and there must be
+    at least one.  An array already in that form is returned as it is."""
+    if isinstance(users, np.ndarray):
+        if users.dtype == np.intp and users.ndim == 1 and not users.flags.writeable:
+            if users.size and (users[1:] > users[:-1]).all():
+                return users
+        users = users.tolist()
+    out = _index_array(_index_set(users, "collective"))
+    if not out.size:
+        raise ValueError("collective must be nonempty")
+    return out
+
+
+def _require_majority(collective: np.ndarray, p: GroupPartition) -> None:
+    """Raise ValueError naming the collective's users outside p's majority."""
+    outside = np.setdiff1d(collective, p.majority_user_index, assume_unique=True)
+    if outside.size:
+        raise ValueError(f"collective users {outside.tolist()} are not majority users")
+
+
+@dataclass(frozen=True, eq=False)
 class CollectiveStrategy:
-    """Uniform uprating of one minority item by a set of majority users."""
+    """Uniform uprating of one minority item by a set of majority users.
+
+    ``collective`` takes any iterable of user indices and holds them as a
+    collective index array (see ``_collective_index``).  Strategies compare
+    by identity.
+    """
 
     target_item: int
-    collective: frozenset[int]
+    collective: np.ndarray
     eta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "collective", _index_set(self.collective, "collective"))
-        if not self.collective:
-            raise ValueError("collective must be nonempty")
+        object.__setattr__(self, "collective", _collective_index(self.collective))
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
     def validate_for(self, p: GroupPartition) -> None:
         if self.target_item not in p.minority_items:
             raise ValueError(f"target item {self.target_item} is not a minority item")
-        if not self.collective <= p.majority_users:
-            raise ValueError("collective is not a subset of the majority users")
+        _require_majority(self.collective, p)
 
 
 @dataclass(frozen=True)
@@ -119,29 +145,12 @@ class FinderInputs:
 
 @dataclass(frozen=True)
 class SufficiencyReport:
-    """Named condition booleans with margins; welfare fields filled by runners."""
+    """Named condition booleans with margins and the gap they open."""
 
     conditions: dict[str, bool]
     margins: dict[str, float]
     verdict: bool
     gap_interval: OpenInterval | None = None
-    sw_before: float | None = None
-    sw_after: float | None = None
-    ratio: float | None = None
-    recommendation_diffs: tuple = field(default=())
-
-    def with_welfare(self, sw_before: float, sw_after: float, diffs=()) -> "SufficiencyReport":
-        ratio = sw_after / sw_before if sw_before > 0 else float("inf")
-        return SufficiencyReport(
-            conditions=self.conditions,
-            margins=self.margins,
-            verdict=self.verdict,
-            gap_interval=self.gap_interval,
-            sw_before=sw_before,
-            sw_after=sw_after,
-            ratio=ratio,
-            recommendation_diffs=tuple(diffs),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +164,20 @@ def apply_uprating(
     p.validate_for(R_star)
     s.validate_for(p)
     out = R_star.entries.copy()
-    out[list(s.collective), s.target_item] = s.eta
+    out[s.collective, s.target_item] = s.eta
     return RatingsMatrix(out)
 
 
-def aggregate_value(R: RatingsMatrix, coll: frozenset[int] | set[int], n_bar: int) -> float:
-    """Largest popular-column rating mass held by the collective.
+def aggregate_value(R: RatingsMatrix, coll, n_bar: int) -> float:
+    """Largest popular-column rating mass held by the collective ``coll``
+    (an index array, or any iterable of user indices).
 
     Assumes block order: the popular items are the first n_bar columns.
     """
-    if not coll:
-        raise ValueError("collective must be nonempty")
+    coll = _collective_index(coll)
     if not 1 <= n_bar <= R.cols:
         raise ValueError(f"n_bar must be in [1, {R.cols}], got {n_bar}")
-    rows = sorted(int(u) for u in coll)
-    return float(R.entries[rows, :n_bar].sum(axis=0).max())
+    return float(R.entries[coll, :n_bar].sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +204,7 @@ def sufficient_gap(
     s_min = singular_values_of(p.minority_block(R_star.entries))
     sigma1_min = float(s_min[0]) if s_min.size else 0.0
     col_sq = _column_sq(R_star, s.target_item)
-    coll_rows = R_star.entries[sorted(s.collective)]
+    coll_rows = R_star.entries[s.collective]
     av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
     radicand = (
         min(_power("sigma_kmaj", sigma_kmaj), _power("eta", s.eta) * len(s.collective) + col_sq)
@@ -296,17 +304,25 @@ def grid_feasible_eta(
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if z.kappa <= 0:
         return None
-    eta = z.kappa * np.arange(1, steps) / steps
-    passing = (
-        (0.0 < eta)
-        & (eta < z.kappa)
-        & (
-            _power("alpha", z.alpha)
-            < np.minimum(_power("sigma_kmaj", z.sigma_kmaj), eta**2 * z.coll_size + z.picky_col_sq)
-            - eta * math.sqrt(z.n_bar) * z.av
+    # A grid point past about 1.3e154 squares to inf, and one past about
+    # 1e308 is inf itself, as in Python floats.  An inf saturates correctly:
+    # sigma_kmaj squared is finite, so the min is finite and the radicand
+    # never forms inf - inf.  A NaN (inf * 0 when av is 0) arises only at an
+    # inf grid point, which eta < kappa already rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = z.kappa * np.arange(1, steps) / steps
+        passing = (
+            (0.0 < eta)
+            & (eta < z.kappa)
+            & (
+                _power("alpha", z.alpha)
+                < np.minimum(
+                    _power("sigma_kmaj", z.sigma_kmaj), eta**2 * z.coll_size + z.picky_col_sq
+                )
+                - eta * math.sqrt(z.n_bar) * z.av
+            )
+            & (z.alpha > sigma1_min)
         )
-        & (z.alpha > sigma1_min)
-    )
     hits = np.flatnonzero(passing)
     return float(eta[hits[0]]) if hits.size else None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import FinderInputs
+from .collective import FinderInputs, _collective_index
 from .matrix import (
     GroupPartition,
     RatingsMatrix,
@@ -84,7 +84,7 @@ class StrategyInstance:
     n_bar: int
     alpha: float
     strategy: GeneralStrategy
-    collective: frozenset[int]
+    collective: np.ndarray
     uprating: float
 
 
@@ -127,8 +127,9 @@ def multigroup_example() -> tuple[RatingsMatrix, GroupPartition]:
 
 def stratified_collective(
     matrix: RatingsMatrix, partition: GroupPartition, fraction: float
-) -> frozenset[int]:
-    """First ceil(fraction * size) users of each majority top-item group.
+) -> np.ndarray:
+    """First ceil(fraction * size) users of each majority top-item group, as
+    a collective index array.
 
     Majority users are grouped by their unique true top item; a tie on a row
     maximum makes the grouping ambiguous and raises.
@@ -150,7 +151,7 @@ def stratified_collective(
     start = np.searchsorted(item, item, side="left")
     size = np.searchsorted(item, item, side="right") - start
     keep = np.arange(item.size) - start < np.ceil(fraction * size)
-    return frozenset(users[order[keep]].tolist())
+    return _collective_index(users[order[keep]])
 
 
 def random_block_scenario(rng: np.random.Generator) -> BlockScenario:
@@ -255,7 +256,7 @@ def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:
         n_bar=n_bar,
         alpha=alpha,
         strategy=GeneralStrategy(r_tilde),
-        collective=frozenset(collective.tolist()),
+        collective=_collective_index(collective),
         uprating=COLLECTIVE_RATING,
     )
 

@@ -230,7 +230,6 @@ _KEY_PAD = "\n      "
 _ITEM_PAD = "\n        "
 _PER_USER_SLOT = '\n  "per_user": []'
 _ROW_KEYS = tuple(sorted(PER_USER_COLUMNS))
-_ROW_KEY_SET = frozenset(PER_USER_COLUMNS)
 # "user" sorts last, so a row is its body, then the user id, then _ROW_END.
 _ROW_BODY_KEYS = _ROW_KEYS[:-1]
 _ROW_HEAD = (
@@ -240,43 +239,22 @@ _ROW_HEAD = (
     + '"user": '
 )
 _ROW_END = _ROW_PAD + "}"
-_ROW_TEMPLATE = _ROW_HEAD + "%s" + _ROW_END
-
-
-def _json_value(value, floats: _FloatTexts) -> str:
-    """A row value as ``json.dumps(_canon(value), indent=2)`` writes it at key depth.
-
-    Values of exact type int, float or str never get here: ``_texts`` prices them."""
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return floats[value]
-    if isinstance(value, (list, tuple)) and value and all(type(v) is int for v in value):
-        return "[" + _ITEM_PAD + ("," + _ITEM_PAD).join(map(int.__repr__, value)) + _KEY_PAD + "]"
-    return _dumps(_canon(value)).replace("\n", _KEY_PAD)
 
 
 def _json_texts():
-    """Prices a list of row values as JSON text at key depth."""
+    """Prices a list of table values as JSON text at key depth; a table value
+    of no other type is the None of a truthful-only run's collective column."""
     floats = _FloatTexts("")
     return functools.partial(
         _texts,
         exact={float: floats.__getitem__, int: int.__repr__, str: encode_basestring_ascii},
-        other=functools.partial(_json_value, floats=floats),
+        other=lambda value: "null",
     )
 
 
 def _json_picks(k: int) -> str:
-    """``_json_value``'s text of a list of k ints, as a template of k %d slots."""
+    """The JSON text of a list of k ints at key depth, as a template of k %d slots."""
     return "[" + _ITEM_PAD + ("," + _ITEM_PAD).join(["%d"] * k) + _KEY_PAD + "]"
-
-
-def _per_user_json(rows) -> str:
-    """The per-user table as the canonical report writes it under ``per_user``;
-    every row holds exactly the PER_USER_COLUMNS keys."""
-    texts = _json_texts()([row[k] for row in rows for k in _ROW_KEYS])
-    table = ("," + _ROW_PAD).join([_ROW_TEMPLATE] * len(rows)) % tuple(texts)
-    return "[" + _ROW_PAD + table + "\n  ]"
 
 
 def _body_texts(table: PerUserTable, rows, texts, picks) -> dict[str, list[str]]:
@@ -295,7 +273,8 @@ def _body_texts(table: PerUserTable, rows, texts, picks) -> dict[str, list[str]]
 
 
 def _table_json(table: PerUserTable) -> str:
-    """``_per_user_json`` of ``table.rows()``, each distinct row body rendered once."""
+    """``table.rows()`` as the canonical report writes it under ``per_user``,
+    each distinct row body rendered once."""
     first, body = table._distinct()
     texts = _body_texts(table, first, _json_texts(), _json_picks)
     heads = list(map(_ROW_HEAD.__mod__, zip(*(texts[k] for k in _ROW_BODY_KEYS))))
@@ -307,23 +286,16 @@ def _table_json(table: PerUserTable) -> str:
 
 def canonical_json_bytes(report: dict) -> bytes:
     """``json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)``
-    plus a newline, as UTF-8; a run report's per-user rows are rendered from
-    one template instead of by the stdlib's pure-Python indent encoder, and a
-    :class:`PerUserTable` renders each distinct row body once."""
-    rows = report.get("per_user") if isinstance(report, dict) else None
-    if isinstance(rows, PerUserTable) and len(rows):
-        table = _table_json(rows)
-    elif (
-        isinstance(rows, (list, tuple))
-        and rows
-        and all(isinstance(row, dict) and row.keys() == _ROW_KEY_SET for row in rows)
-    ):
-        table = _per_user_json(rows)
-    else:
+    plus a newline, as UTF-8; those bytes are the contract.  A nonempty
+    :class:`PerUserTable` under ``per_user`` is written from its columns to the
+    same bytes, each distinct row body once, instead of by the stdlib's
+    pure-Python indent encoder; per-user rows held as dicts take the encoder."""
+    table = report.get("per_user") if isinstance(report, dict) else None
+    if not (isinstance(table, PerUserTable) and len(table)):
         return (_dumps(_canon(report)) + "\n").encode("utf-8")
     text = _dumps(_canon({**report, "per_user": []}))
     # Only the top-level key sits at two spaces of indent, so the slot is unique.
-    text = text.replace(_PER_USER_SLOT, _PER_USER_SLOT[:-2] + table, 1)
+    text = text.replace(_PER_USER_SLOT, _PER_USER_SLOT[:-2] + _table_json(table), 1)
     return (text + "\n").encode("utf-8")
 
 

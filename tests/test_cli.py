@@ -1,6 +1,7 @@
 """End-to-end command line checks: presets, configs, reports, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -279,6 +280,51 @@ def test_multigroup_report_bytes_are_reproducible(multigroup_report):
     assert main(["run", "--preset", "multigroup", "--out", str(out)]) == 0
     assert (out / "multigroup.report.json").read_bytes() == raw
     assert raw == canonical_json_bytes(report)
+
+
+TOP_K2_DOC = {
+    "name": "topk2",
+    "seed": 3,
+    "matrix": {"family": "indicator", "popular_sizes": [100, 90, 80, 70], "niche_sizes": [4, 1]},
+    "alpha": 2.1,
+    "alpha_sweep": {"start": 1.0, "stop": 3.6, "step": 0.2},
+    "strategy": {
+        "target_item": "picky",
+        "selector": {"kind": "stratified", "fraction": 0.25},
+        "eta": "auto",
+    },
+    "top_k": 2,
+}
+# SHA-256 of each report file; a change that alters a single report byte fails here.
+REPORT_DIGESTS = {
+    "multigroup.report.json": "9a063142514edff777363eb565e9d2fa109ddde7a50aa6033c11497b840b47e3",
+    "multigroup.report.csv": "4701fe547ef37be3fab21435ffac7fbeca64013093b8a319c7e2893aa4c27e7e",
+    "paired.report.json": "69a37ce84c26ac13cdd709f41845caedc1384333a5a54a9a6e22864392c7b70e",
+    "paired.report.csv": "eea703e121d9fe794174d458ce89b78954590887d1141272588647bce7ad341e",
+    "topk2.report.json": "b14e135e5f13e300b7b8053f59dfd4e1c56b2cf182357e3d27499c147198178e",
+    "topk2.report.csv": "6d8cf557cc6605c9ec7901855659ab82a55b18ec45cb32c4c08967961150d882",
+    "topk2.sweep.json": "9701a2bfd78aa81ca083178d53d004937cccf29e37e5c7db7a95e7be82d53d4d",
+    "topk2.sweep.csv": "627c5bb68e0e75f74b389be731f253b33e13f693ece77555cf0948d20cefa0b1",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_bytes_are_pinned(tmp_path, capsys, fmt):
+    out = str(tmp_path / "out")
+    config = write_config(tmp_path, TOP_K2_DOC)
+    for argv in (
+        ["run", "--preset", "multigroup"],
+        ["run", "--preset", "paired"],
+        ["run", "--config", config],
+        ["sweep", "--config", config],
+    ):
+        assert main([*argv, "--out", out, "--format", fmt]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "out").iterdir())
+    }
+    assert digests == {k: v for k, v in REPORT_DIGESTS.items() if k.endswith(f".{fmt}")}
 
 
 def test_multigroup_report_validates_against_the_schema(multigroup_report):
@@ -582,6 +628,43 @@ def test_explicit_collective_outside_the_majority_is_a_clean_error(tmp_path, cap
     config = write_config(tmp_path, doc)
     assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
     assert "requires users" in capsys.readouterr().err
+
+
+def test_an_empty_explicit_collective_is_one_error_line(tmp_path, capsys):
+    doc = dict(PRESETS["paired"], strategy={"selector": {"kind": "explicit", "users": []}})
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: collective must be nonempty\n"
+
+
+def test_a_negative_explicit_user_is_named(tmp_path, capsys):
+    doc = dict(PRESETS["paired"], strategy={"selector": {"kind": "explicit", "users": [-1]}})
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[-1]" in err and "majority" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_repeated_explicit_users_write_the_same_report(tmp_path, capsys, fmt):
+    outputs = []
+    for users in ([0, 0, 1], [0, 1]):
+        doc = dict(
+            PRESETS["paired"],
+            strategy={"selector": {"kind": "explicit", "users": users}, "eta": 0.5},
+        )
+        out = tmp_path / f"out{len(users)}"
+        argv = ["run", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main([*argv, "--format", fmt]) == 0
+        outputs.append((out / f"paired.report.{fmt}").read_bytes())
+    capsys.readouterr()
+    # The documents differ in their users list, which the JSON report echoes.
+    if fmt == "json":
+        outputs = [json.loads(raw) for raw in outputs]
+        for report in outputs:
+            del report["scenario"]["strategy"]["selector"]["users"]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("target", [99, -1])

@@ -27,9 +27,15 @@ from rankgap.collective import (
     robustness_margin,
     sufficient_gap,
 )
-from rankgap.generators import random_finder_inputs, stratified_collective
+from rankgap.generators import random_block_scenario, random_finder_inputs, stratified_collective
 from rankgap.learner import fit_learner, recommend, social_welfare, utility_en
-from rankgap.matrix import RatingsMatrix, block_partition, singular_values_of
+from rankgap.matrix import (
+    OpenInterval,
+    RatingsMatrix,
+    block_partition,
+    numeric_rank_of,
+    singular_values_of,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,14 +100,15 @@ def test_strategy_rejects_non_integer_collective_members(bad):
 
 def test_strategy_takes_numpy_integers_as_ints():
     s = CollectiveStrategy(target_item=2, collective=np.array([0, 3]), eta=0.5)
-    assert s.collective == {0, 3} and all(type(u) is int for u in s.collective)
+    assert s.collective.tolist() == [0, 3] and s.collective.dtype == np.intp
+    assert not s.collective.flags.writeable
 
 
 def test_strategy_validation_against_partition(paired_scene):
     _, p = paired_scene
     with pytest.raises(ValueError, match="not a minority item"):
         CollectiveStrategy(target_item=0, collective=frozenset({0}), eta=0.5).validate_for(p)
-    with pytest.raises(ValueError, match="subset of the majority"):
+    with pytest.raises(ValueError, match=r"^collective users \[9\] are not majority users$"):
         CollectiveStrategy(target_item=2, collective=frozenset({9}), eta=0.5).validate_for(p)
 
 
@@ -175,6 +182,92 @@ def test_aggregate_value_validation(multi_scene):
         aggregate_value(R, set(), 4)
     with pytest.raises(ValueError, match="n_bar"):
         aggregate_value(R, {0}, 7)
+
+
+# ---------------------------------------------------------------------------
+# Collective index arrays against the set-based code they replaced
+# ---------------------------------------------------------------------------
+
+def reference_validate(p, target: int, coll: frozenset) -> None:
+    if target not in p.minority_items:
+        raise ValueError(f"target item {target} is not a minority item")
+    outside = sorted(coll - p.majority_users)
+    if outside:
+        raise ValueError(f"collective users {outside} are not majority users")
+
+
+def reference_aggregate_value(R, coll: frozenset, n_bar: int) -> float:
+    rows = sorted(int(u) for u in coll)
+    return float(R.entries[rows, :n_bar].sum(axis=0).max())
+
+
+def reference_apply_uprating(R, p, target: int, coll: frozenset, eta: float) -> bytes:
+    reference_validate(p, target, coll)
+    out = R.entries.copy()
+    out[list(coll), target] = eta
+    return out.tobytes()
+
+
+def reference_sufficient_gap(R, p, target: int, coll: frozenset, eta: float) -> OpenInterval:
+    reference_validate(p, target, coll)
+    maj_block = p.majority_block(R.entries)
+    sigma_kmaj = float(singular_values_of(maj_block)[numeric_rank_of(maj_block) - 1])
+    s_min = singular_values_of(p.minority_block(R.entries))
+    sigma1_min = float(s_min[0]) if s_min.size else 0.0
+    col_sq = float((R.entries[:, target] ** 2).sum())
+    coll_rows = R.entries[sorted(coll)]
+    av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
+    radicand = min(sigma_kmaj**2, eta**2 * len(coll) + col_sq) - eta * math.sqrt(p.n_bar) * av
+    upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
+    return OpenInterval(sigma1_min, upper)
+
+
+def _outcome(fn, *args):
+    """A comparable result: the repr of the value (NaN equals NaN there), or the error text."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+def readonly_array(users) -> np.ndarray:
+    out = np.array(users, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_collective_paths_match_the_set_based_code(seed, data):
+    scene = random_block_scenario(np.random.default_rng(seed))
+    R, p = scene.matrix, scene.partition
+    majority = sorted(p.majority_users)
+    # Any order, with repeats; now and then a user from outside the majority.
+    outsiders = [-1, R.rows, *sorted(p.minority_users)]
+    users = data.draw(
+        st.lists(st.sampled_from(majority), min_size=1, max_size=12)
+        | st.lists(st.sampled_from(majority + outsiders), min_size=1, max_size=6)
+    )
+    form = data.draw(st.sampled_from([list, tuple, set, frozenset, np.array, readonly_array]))
+    target = data.draw(st.sampled_from(sorted(p.minority_items) + [0]))
+    eta = data.draw(st.floats(1e-3, 5.0))
+    coll = frozenset(users)
+
+    strategy = CollectiveStrategy(target_item=target, collective=form(users), eta=eta)
+    assert strategy.collective.tolist() == sorted(coll)
+    assert strategy.collective.dtype == np.intp and not strategy.collective.flags.writeable
+    again = CollectiveStrategy(target_item=target, collective=strategy.collective, eta=eta)
+    assert again.collective is strategy.collective
+    assert _outcome(strategy.validate_for, p) == _outcome(reference_validate, p, target, coll)
+    revealed = _outcome(lambda: apply_uprating(R, p, strategy).entries.tobytes())
+    assert revealed == _outcome(reference_apply_uprating, R, p, target, coll, eta)
+    gap = _outcome(sufficient_gap, R, p, strategy)
+    assert gap == _outcome(reference_sufficient_gap, R, p, target, coll, eta)
+    if coll <= p.majority_users:
+        for n_bar in range(1, R.cols + 1):
+            expected = reference_aggregate_value(R, coll, n_bar)
+            assert aggregate_value(R, form(users), n_bar) == expected
+            assert aggregate_value(R, strategy.collective, n_bar) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +590,6 @@ def test_top_k_collective_keeps_true_top_sets(multi_scene, multi_strategy):
         assert R.entries[u, outcome.chosen[u, 0]] == R.entries[u].max()
 
 
-def test_sufficiency_report_welfare_enrichment():
-    z = FinderInputs(**MULTI_Z)
-    base = check_sufficient_conditions(z, 2.0, MULTI_ETA)
-    enriched = base.with_welfare(400.0, 404.0, diffs=((400, 0, 4),))
-    assert enriched.sw_before == 400.0
-    assert enriched.sw_after == 404.0
-    assert enriched.ratio == pytest.approx(1.01)
-    assert enriched.recommendation_diffs == ((400, 0, 4),)
-    assert enriched.verdict == base.verdict
-
-
 # ---------------------------------------------------------------------------
 # Independent scipy oracle
 # ---------------------------------------------------------------------------
@@ -575,6 +657,33 @@ def test_conditions_name_a_square_that_overflows():
         check_sufficient_conditions(z, 0.0, 1e200)
     with pytest.raises(ValueError, match="^eta is too large: "):
         margin_numerator(z, 1e200)
+
+
+def python_float_grid_eta(z: FinderInputs, sigma1_min: float, steps: int) -> float | None:
+    """The three conditions at each grid point in Python floats, where a
+    product that overflows is inf (eta * eta, not eta ** 2, which raises)."""
+    for j in range(1, steps):
+        eta = z.kappa * j / steps
+        radicand = (
+            min(z.sigma_kmaj * z.sigma_kmaj, eta * eta * z.coll_size + z.picky_col_sq)
+            - eta * math.sqrt(z.n_bar) * z.av
+        )
+        if 0.0 < eta < z.kappa and z.alpha * z.alpha < radicand and z.alpha > sigma1_min:
+            return eta
+    return None
+
+
+@pytest.mark.parametrize(
+    "kappa, av, expected",
+    [(1e300, 25.0, None), (1e300, 1e-300, 1e299), (1e308, 0.0, 1e307), (1e308, 25.0, None)],
+)
+def test_grid_oracle_saturates_past_the_square_of_a_float(kappa, av, expected):
+    z = FinderInputs(**{**MULTI_Z, "sigma_kmaj": 10.0, "alpha": 2.1, "kappa": kappa, "av": av})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid_feasible_eta(z, 0.0, steps=10)
+    assert got == expected
+    assert got == python_float_grid_eta(z, 0.0, 10)
 
 
 @pytest.mark.parametrize("norm", ["l1_norm", "l2_norm"])

@@ -91,13 +91,13 @@ def test_stratified_collective_takes_group_prefixes():
     expected = set()
     for block in range(4):
         expected.update(range(block * 100, block * 100 + 25))
-    assert coll == frozenset(expected)
+    assert coll.tolist() == sorted(expected)
 
 
 def test_stratified_collective_rounds_up():
     R, p = paired_indicator(3, 1)
     assert sorted(stratified_collective(R, p, 0.5)) == [0, 1, 3, 4]
-    assert stratified_collective(R, p, 1.0) == p.majority_users
+    assert stratified_collective(R, p, 1.0).tolist() == sorted(p.majority_users)
 
 
 def test_stratified_collective_validates_fraction():
@@ -135,6 +135,15 @@ def reference_stratified_collective(matrix, partition, fraction):
         users = groups[item]
         chosen.update(users[: math.ceil(fraction * len(users))])
     return frozenset(chosen)
+
+
+def reference_collective_list(matrix, partition, fraction):
+    """reference_stratified_collective as a sorted list; choosing no user is
+    no collective."""
+    chosen = reference_stratified_collective(matrix, partition, fraction)
+    if not chosen:
+        raise ValueError("collective must be nonempty")
+    return sorted(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +346,8 @@ def test_partition_arrays_match_the_set_based_code(case):
     for k in range(1, R.cols + 1):
         assert _outcome(kappa_k, R, p, k) == _outcome(_ref_kappa, R, p, k)
     for fraction in (0.2, 0.5, 1.0):
-        assert _outcome(stratified_collective, R, p, fraction) == _outcome(
-            reference_stratified_collective, R, p, fraction
+        assert _outcome(lambda: stratified_collective(R, p, fraction).tolist()) == _outcome(
+            reference_collective_list, R, p, fraction
         )
     assert observed_minority_block_zero(omega, R, p) == _ref_observed_zero(omega, R, p)
     partial = PartialMatrix.from_full(R, omega)
@@ -415,7 +424,7 @@ def test_strategy_instance_sweep_passes_all_checks():
         column = inst.strategy.replacement_column
         truthful = inst.matrix.entries[:, inst.n_bar]
         changed = {int(u) for u in np.flatnonzero(column != truthful)}
-        assert changed == inst.collective
+        assert sorted(changed) == inst.collective.tolist()
         assert np.all(column[sorted(inst.collective)] == inst.uprating)
         assert inst.uprating == 0.75
 
@@ -424,7 +433,7 @@ def test_strategy_instance_is_seed_deterministic():
     first = general_strategy_instance(np.random.default_rng(9))
     second = general_strategy_instance(np.random.default_rng(9))
     assert np.array_equal(first.matrix.entries, second.matrix.entries)
-    assert first.collective == second.collective
+    assert first.collective.tolist() == second.collective.tolist()
     assert first.alpha == second.alpha
     assert np.array_equal(
         first.strategy.replacement_column, second.strategy.replacement_column
