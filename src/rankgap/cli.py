@@ -289,7 +289,7 @@ def _user_classes(mat: MaterializedScenario) -> tuple[np.ndarray, tuple[str, ...
     """Each user's class as a code into the returned labels."""
     if mat.partition is not None:
         codes = np.ones(mat.matrix.rows, dtype=np.intp)
-        codes[mat.partition.majority_user_index] = 0
+        codes[mat.partition.majority_users] = 0
         return codes, ("majority", "minority")
     majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
     return np.select([majority & minority, majority], [0, 1], 2), ("both", "majority", "minority")

@@ -19,7 +19,6 @@ from .matrix import (
     OpenInterval,
     RatingsMatrix,
     _index_array,
-    _index_set,
     numeric_rank_of,
     singular_values_of,
 )
@@ -50,15 +49,9 @@ def _column_sq(R: RatingsMatrix, item: int) -> float:
 
 def _collective_index(users) -> np.ndarray:
     """``users`` as a collective: its distinct user indices as a sorted,
-    read-only np.intp array, the form of GroupPartition's index arrays.  Each
-    must be integral and not a bool (numpy integers pass), and there must be
-    at least one.  An array already in that form is returned as it is."""
-    if isinstance(users, np.ndarray):
-        if users.dtype == np.intp and users.ndim == 1 and not users.flags.writeable:
-            if users.size and (users[1:] > users[:-1]).all():
-                return users
-        users = users.tolist()
-    out = _index_array(_index_set(users, "collective"))
+    read-only np.intp array, the form of GroupPartition's fields (see
+    ``matrix._index_array``).  There must be at least one."""
+    out = _index_array(users, "collective")
     if not out.size:
         raise ValueError("collective must be nonempty")
     return out
@@ -66,7 +59,7 @@ def _collective_index(users) -> np.ndarray:
 
 def _require_majority(collective: np.ndarray, p: GroupPartition) -> None:
     """Raise ValueError naming the collective's users outside p's majority."""
-    outside = np.setdiff1d(collective, p.majority_user_index, assume_unique=True)
+    outside = np.setdiff1d(collective, p.majority_users, assume_unique=True)
     if outside.size:
         raise ValueError(f"collective users {outside.tolist()} are not majority users")
 
@@ -205,7 +198,7 @@ def sufficient_gap(
     sigma1_min = float(s_min[0]) if s_min.size else 0.0
     col_sq = _column_sq(R_star, s.target_item)
     coll_rows = R_star.entries[s.collective]
-    av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
+    av = float(coll_rows[:, p.majority_items].sum(axis=0).max())
     radicand = (
         min(_power("sigma_kmaj", sigma_kmaj), _power("eta", s.eta) * len(s.collective) + col_sq)
         - s.eta * math.sqrt(p.n_bar) * av

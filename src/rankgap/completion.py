@@ -39,7 +39,7 @@ class ObservedSet:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialMatrix:
     """Known entries on an observation mask; everything else is unknown."""
 
@@ -203,8 +203,8 @@ def sparsest_majority_completion(
     observed_nonzero = mask & (vals != 0.0)
     for block, what in (
         (p.minority_block(observed_nonzero), "minority-block"),
-        (observed_nonzero[:, p.minority_item_index], "majority-user/minority-item"),
-        (observed_nonzero[p.minority_user_index], "minority-user/majority-item"),
+        (observed_nonzero[:, p.minority_items], "majority-user/minority-item"),
+        (observed_nonzero[p.minority_users], "minority-user/majority-item"),
     ):
         if np.any(block):
             raise ValueError(f"observed nonzero {what} entry; zero-padding is infeasible")
@@ -223,8 +223,8 @@ def reduce_solution(X: RatingsMatrix, p: GroupPartition) -> RatingsMatrix:
     observation set satisfying the zero-observation hypothesis.
     """
     out = X.entries.copy()
-    out[:, p.minority_item_index] = 0.0
-    out[p.minority_user_index, :] = 0.0
+    out[:, p.minority_items] = 0.0
+    out[p.minority_users, :] = 0.0
     return RatingsMatrix(out, nonnegative=bool(np.all(out >= 0)))
 
 
@@ -265,7 +265,7 @@ def miss_probability_mc(
     # escape the sample iff its smallest hot key does.  The count is an
     # integer product; uint8 holds every count of a row shorter than 256.
     ones = np.ones(n, dtype=np.uint8 if n < 256 else np.intp)
-    for r, items in enumerate(np.split(p.minority_item_index[cols], starts[1:])):
+    for r, items in enumerate(np.split(p.minority_items[cols], starts[1:])):
         row = keys[:, r, :]
         # Column views, so a single hot item costs no copy.
         smallest = functools.reduce(np.minimum, [row[:, i : i + 1] for i in items.tolist()])

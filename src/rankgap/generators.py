@@ -76,7 +76,7 @@ class GapInstance:
     alpha: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyInstance:
     """Gap-class matrix plus a replacement strategy passing every sufficiency check."""
 
@@ -137,7 +137,7 @@ def stratified_collective(
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    users = partition.majority_user_index
+    users = partition.majority_users
     rows = matrix.entries[users]
     top = rows == rows.max(axis=1, keepdims=True)
     tied = np.flatnonzero(top.sum(axis=1) != 1)

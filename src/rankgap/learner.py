@@ -257,9 +257,9 @@ def kappa_k(R_star: RatingsMatrix, p: GroupPartition, k: int) -> float:
     m, n = R_star.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not p.majority_users:
+    if not p.majority_users.size:
         raise ValueError("no majority users")
-    rows = R_star.entries[p.majority_user_index]
+    rows = R_star.entries[p.majority_users]
     kth = np.sort(rows, axis=1)[:, n - k]
     return float(kth.min())
 

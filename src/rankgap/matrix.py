@@ -13,7 +13,6 @@ import io
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +33,45 @@ class PartitionError(ValueError):
     """A group partition is malformed or does not match a matrix."""
 
 
-def _index_set(values, name: str, error=ValueError) -> frozenset[int]:
-    """``values`` as a frozenset of ints; each must be integral and not a bool
-    (numpy integers pass), else ``error`` naming ``name`` is raised."""
-    values = values if isinstance(values, frozenset) else frozenset(values)
-    if set(map(type, values)) <= {int}:
+def _index_array(values, name: str, error=ValueError) -> np.ndarray:
+    """``values`` as a sorted, read-only np.intp array of its distinct indices.
+
+    ``values`` is an integer array or any iterable of integral, non-bool
+    indices (numpy integers pass); anything else, or an index np.intp cannot
+    hold, raises ``error`` naming ``name``.  An array already in the returned
+    form is returned as it is.
+    """
+    ints = isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1
+    if ints and values.dtype == np.intp and not values.flags.writeable and _increasing(values):
         return values
-    out = set()
-    for value in values:
+    if not (ints and np.can_cast(values.dtype, np.intp)):
         try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            out.add(operator.index(value))
+            values = list(values.tolist() if isinstance(values, np.ndarray) else values)
         except TypeError:
-            raise error(f"{name} must hold integer indices, got {value!r}") from None
-    return frozenset(out)
+            raise error(f"{name} must be an iterable of indices, got {values!r}") from None
+        if not set(map(type, values)) <= {int}:
+            values = [_as_index(value, name, error) for value in values]
+    try:
+        a = np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        raise error(f"{name} index {max(values, key=abs)} is out of range") from None
+    if not _increasing(a):
+        # Deduplicated by hand: a bare np.unique imports numpy.ma (about 1 MB).
+        a = np.sort(a)
+        a = a[np.concatenate([[True], a[1:] != a[:-1]])]
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _as_index(value, name: str, error) -> int:
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must hold integer indices, got {value!r}")
+    return operator.index(value)
+
+
+def _increasing(a: np.ndarray) -> bool:
+    return bool((a[1:] > a[:-1]).all())
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -57,7 +80,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingsMatrix:
     """Dense m x n grid of user-item ratings.
 
@@ -99,7 +122,7 @@ class RatingsMatrix:
         return RatingsMatrix(entries, nonnegative=flag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupPartition:
     """Majority/minority split of users and items.
 
@@ -107,62 +130,49 @@ class GroupPartition:
     the item sets partition its columns, every cross-block entry is exactly
     zero, and no user row is entirely zero.
 
-    Each set is also held, derived once, as a sorted read-only ``np.intp``
-    array (``*_index``); other modules take indices and blocks only from here.
+    Each set is held as a sorted, read-only ``np.intp`` array (see
+    ``_index_array``); other modules take indices and blocks only from here.
+    Partitions compare by identity.
     """
 
-    majority_users: frozenset[int]
-    minority_users: frozenset[int]
-    majority_items: frozenset[int]
-    minority_items: frozenset[int]
+    majority_users: np.ndarray
+    minority_users: np.ndarray
+    majority_items: np.ndarray
+    minority_items: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("majority_users", "minority_users", "majority_items", "minority_items"):
-            object.__setattr__(self, name, _index_set(getattr(self, name), name, PartitionError))
-        if self.majority_users & self.minority_users:
+        names = ("majority_users", "minority_users", "majority_items", "minority_items")
+        for name in names:
+            object.__setattr__(self, name, _index_array(getattr(self, name), name, PartitionError))
+        if np.intersect1d(self.majority_users, self.minority_users, assume_unique=True).size:
             raise PartitionError("user groups overlap")
-        if self.majority_items & self.minority_items:
+        if np.intersect1d(self.majority_items, self.minority_items, assume_unique=True).size:
             raise PartitionError("item groups overlap")
-        for name in ("majority_users", "minority_users", "majority_items", "minority_items"):
-            if any(i < 0 for i in getattr(self, name)):
+        for name in names:
+            # Sorted, so a negative index is the first one.
+            if (getattr(self, name)[:1] < 0).any():
                 raise PartitionError(f"negative index in {name}")
 
     @property
     def m_bar(self) -> int:
-        return len(self.majority_users)
+        return self.majority_users.size
 
     @property
     def n_bar(self) -> int:
-        return len(self.majority_items)
-
-    @cached_property
-    def majority_user_index(self) -> np.ndarray:
-        return _index_array(self.majority_users)
-
-    @cached_property
-    def minority_user_index(self) -> np.ndarray:
-        return _index_array(self.minority_users)
-
-    @cached_property
-    def majority_item_index(self) -> np.ndarray:
-        return _index_array(self.majority_items)
-
-    @cached_property
-    def minority_item_index(self) -> np.ndarray:
-        return _index_array(self.minority_items)
+        return self.majority_items.size
 
     def majority_block(self, a: np.ndarray) -> np.ndarray:
         """Majority-user x majority-item submatrix of a, rows and columns in index order."""
-        return a[np.ix_(self.majority_user_index, self.majority_item_index)]
+        return a[np.ix_(self.majority_users, self.majority_items)]
 
     def minority_block(self, a: np.ndarray) -> np.ndarray:
         """Minority-user x minority-item submatrix of a, rows and columns in index order."""
-        return a[np.ix_(self.minority_user_index, self.minority_item_index)]
+        return a[np.ix_(self.minority_users, self.minority_items)]
 
     def covers(self, m: int, n: int) -> bool:
         """True when the user sets partition range(m) and the item sets range(n)."""
-        return _covers(self.majority_user_index, self.minority_user_index, m) and _covers(
-            self.majority_item_index, self.minority_item_index, n
+        return _covers(self.majority_users, self.minority_users, m) and _covers(
+            self.majority_items, self.minority_items, n
         )
 
     def validate_for(self, R: RatingsMatrix) -> None:
@@ -172,26 +182,20 @@ class GroupPartition:
         entries as identically zero, not approximately so.
         """
         m, n = R.shape
-        if not _covers(self.majority_user_index, self.minority_user_index, m):
+        if not _covers(self.majority_users, self.minority_users, m):
             raise PartitionError(f"user sets do not partition range({m})")
-        if not _covers(self.majority_item_index, self.minority_item_index, n):
+        if not _covers(self.majority_items, self.minority_items, n):
             raise PartitionError(f"item sets do not partition range({n})")
         a = R.entries
-        if np.any(a[np.ix_(self.majority_user_index, self.minority_item_index)] != 0.0):
+        if np.any(a[np.ix_(self.majority_users, self.minority_items)] != 0.0):
             raise PartitionError("majority user rates a minority item")
-        if np.any(a[np.ix_(self.minority_user_index, self.majority_item_index)] != 0.0):
+        if np.any(a[np.ix_(self.minority_users, self.majority_items)] != 0.0):
             raise PartitionError("minority user rates a majority item")
         # Each row's largest entry, as a fold over the columns when rows are
         # short: numpy reduces along a short row slowly.
         top = functools.reduce(np.maximum, a.T) if a.shape[1] <= a.shape[0] else a.max(axis=1)
         if np.any(top <= 0.0):
             raise PartitionError("a user has no positive rating")
-
-
-def _index_array(indices: frozenset[int]) -> np.ndarray:
-    out = np.array(sorted(indices), dtype=np.intp)
-    out.flags.writeable = False
-    return out
 
 
 def _covers(a: np.ndarray, b: np.ndarray, size: int) -> bool:
@@ -204,14 +208,14 @@ def block_partition(m_bar: int, n_bar: int, m: int, n: int) -> GroupPartition:
     if not (0 <= m_bar <= m and 0 <= n_bar <= n):
         raise PartitionError("block sizes exceed matrix shape")
     return GroupPartition(
-        majority_users=frozenset(range(m_bar)),
-        minority_users=frozenset(range(m_bar, m)),
-        majority_items=frozenset(range(n_bar)),
-        minority_items=frozenset(range(n_bar, n)),
+        majority_users=np.arange(m_bar),
+        minority_users=np.arange(m_bar, m),
+        majority_items=np.arange(n_bar),
+        minority_items=np.arange(n_bar, n),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Full singular value decomposition with a numeric-rank cutoff.
 
@@ -349,8 +353,8 @@ def reorder_to_blocks(
     permutations recovers R exactly.
     """
     p.validate_for(R)
-    rows = np.concatenate([p.majority_user_index, p.minority_user_index])
-    cols = np.concatenate([p.majority_item_index, p.minority_item_index])
+    rows = np.concatenate([p.majority_users, p.minority_users])
+    cols = np.concatenate([p.majority_items, p.minority_items])
     out = R.entries[np.ix_(rows, cols)]
     return R.with_entries(out), tuple(rows.tolist()), tuple(cols.tolist())
 
@@ -375,7 +379,7 @@ def find_picky_items(
     # A rater rates nothing else iff the item is the only nonzero in its row.
     lone = np.count_nonzero(a, axis=1) == 1
     out: list[tuple[int, frozenset[int]]] = []
-    for i in p.minority_item_index.tolist():
+    for i in p.minority_items.tolist():
         raters = np.flatnonzero(a[:, i] > 0.0)
         if raters.size and lone[raters].all():
             out.append((i, frozenset(raters.tolist())))

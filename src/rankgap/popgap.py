@@ -426,7 +426,7 @@ def _validate_replacement(matrix: RatingsMatrix, column: np.ndarray) -> np.ndarr
     return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralStrategy:
     """Replacement of the first unpopular column by an arbitrary [0,1] vector.
 

@@ -137,7 +137,7 @@ def test_a03_collective_run_end_to_end(multi_scene):
     assert after_model.chosen_rank == 5
 
     picky_users = set(range(400, 404))
-    for u in sorted(partition.majority_users | picky_users):
+    for u in sorted(set(partition.majority_users.tolist()) | picky_users):
         item = after_outcome.chosen[u, 0]
         assert R.entries[u, item] == R.entries[u].max()
 
@@ -309,7 +309,7 @@ def test_a10_top_k_inclusions(multi_scene):
     start = time.perf_counter()
     R, partition = multi_scene
     entries = R.entries
-    majority_items = partition.majority_items
+    majority_items = set(partition.majority_items.tolist())
 
     # order-statistic ceilings: only k = 1 leaves room for a positive uprating
     assert kappa_k(R, partition, 1) == 1.0
@@ -336,7 +336,7 @@ def test_a10_top_k_inclusions(multi_scene):
     strategy = CollectiveStrategy(target_item=4, collective=collective, eta=eta)
     revealed = apply_uprating(R, partition, strategy)
     outcome = recommend(fit_learner(revealed, 2.1).truncated, k_items=1, derandomize=True)
-    for u in sorted(partition.majority_users | set(range(400, 404))):
+    for u in sorted(set(partition.majority_users.tolist()) | set(range(400, 404))):
         item = outcome.chosen[u, 0]
         assert entries[u, item] == entries[u].max()
     elapsed = time.perf_counter() - start

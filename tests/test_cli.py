@@ -233,7 +233,7 @@ def reference_per_user(mat) -> list[dict]:
         collective_welfares = collective_welfare.per_user_welfare.tolist()
     if mat.partition is not None:
         labels = np.full(users, "minority")
-        labels[mat.partition.majority_user_index] = "majority"
+        labels[mat.partition.majority_users] = "majority"
     else:
         majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
         labels = np.select([majority & minority, majority], ["both", "majority"], "minority")
@@ -646,6 +646,18 @@ def test_a_negative_explicit_user_is_named(tmp_path, capsys):
     assert "[-1]" in err and "majority" in err
 
 
+@pytest.mark.parametrize("users", [[2**70], [0, -(2**70)], [1, 2**63]])
+def test_an_explicit_user_np_intp_cannot_hold_is_one_error_line(tmp_path, capsys, users):
+    doc = dict(
+        PRESETS["paired"],
+        strategy={"selector": {"kind": "explicit", "users": users}, "target_item": 2},
+    )
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: collective index {users[-1]} is out of range\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_repeated_explicit_users_write_the_same_report(tmp_path, capsys, fmt):
     outputs = []
@@ -667,7 +679,7 @@ def test_repeated_explicit_users_write_the_same_report(tmp_path, capsys, fmt):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("target", [99, -1])
+@pytest.mark.parametrize("target", [99, -1, 2**70])
 def test_target_outside_the_minority_items_is_a_clean_error(tmp_path, capsys, target):
     doc = dict(
         PRESETS["paired"],

@@ -104,6 +104,12 @@ def test_strategy_takes_numpy_integers_as_ints():
     assert not s.collective.flags.writeable
 
 
+@pytest.mark.parametrize("big", [2**70, -(2**70)])
+def test_strategy_rejects_users_np_intp_cannot_hold(big):
+    with pytest.raises(ValueError, match=f"^collective index {big} is out of range$"):
+        CollectiveStrategy(target_item=2, collective=[0, big], eta=0.5)
+
+
 def test_strategy_validation_against_partition(paired_scene):
     _, p = paired_scene
     with pytest.raises(ValueError, match="not a minority item"):
@@ -189,9 +195,9 @@ def test_aggregate_value_validation(multi_scene):
 # ---------------------------------------------------------------------------
 
 def reference_validate(p, target: int, coll: frozenset) -> None:
-    if target not in p.minority_items:
+    if target not in set(p.minority_items.tolist()):
         raise ValueError(f"target item {target} is not a minority item")
-    outside = sorted(coll - p.majority_users)
+    outside = sorted(coll - set(p.majority_users.tolist()))
     if outside:
         raise ValueError(f"collective users {outside} are not majority users")
 
@@ -216,7 +222,7 @@ def reference_sufficient_gap(R, p, target: int, coll: frozenset, eta: float) -> 
     sigma1_min = float(s_min[0]) if s_min.size else 0.0
     col_sq = float((R.entries[:, target] ** 2).sum())
     coll_rows = R.entries[sorted(coll)]
-    av = float(coll_rows[:, p.majority_item_index].sum(axis=0).max())
+    av = float(coll_rows[:, p.majority_items].sum(axis=0).max())
     radicand = min(sigma_kmaj**2, eta**2 * len(coll) + col_sq) - eta * math.sqrt(p.n_bar) * av
     upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
     return OpenInterval(sigma1_min, upper)
@@ -241,15 +247,15 @@ def readonly_array(users) -> np.ndarray:
 def test_collective_paths_match_the_set_based_code(seed, data):
     scene = random_block_scenario(np.random.default_rng(seed))
     R, p = scene.matrix, scene.partition
-    majority = sorted(p.majority_users)
+    majority = sorted(set(p.majority_users.tolist()))
     # Any order, with repeats; now and then a user from outside the majority.
-    outsiders = [-1, R.rows, *sorted(p.minority_users)]
+    outsiders = [-1, R.rows, *sorted(set(p.minority_users.tolist()))]
     users = data.draw(
         st.lists(st.sampled_from(majority), min_size=1, max_size=12)
         | st.lists(st.sampled_from(majority + outsiders), min_size=1, max_size=6)
     )
     form = data.draw(st.sampled_from([list, tuple, set, frozenset, np.array, readonly_array]))
-    target = data.draw(st.sampled_from(sorted(p.minority_items) + [0]))
+    target = data.draw(st.sampled_from(sorted(set(p.minority_items.tolist())) + [0]))
     eta = data.draw(st.floats(1e-3, 5.0))
     coll = frozenset(users)
 
@@ -263,7 +269,7 @@ def test_collective_paths_match_the_set_based_code(seed, data):
     assert revealed == _outcome(reference_apply_uprating, R, p, target, coll, eta)
     gap = _outcome(sufficient_gap, R, p, strategy)
     assert gap == _outcome(reference_sufficient_gap, R, p, target, coll, eta)
-    if coll <= p.majority_users:
+    if coll <= set(p.majority_users.tolist()):
         for n_bar in range(1, R.cols + 1):
             expected = reference_aggregate_value(R, coll, n_bar)
             assert aggregate_value(R, form(users), n_bar) == expected
@@ -558,7 +564,7 @@ def test_end_to_end_uprating_on_multigroup(multi_scene, multi_strategy):
 
     assert truthful.social_welfare == 400.0
     assert report.social_welfare == 404.0
-    covered = sorted(p.majority_users | picky)
+    covered = sorted(set(p.majority_users.tolist()) | picky)
     assert report.social_welfare == float(R.entries[covered].max(axis=1).sum())
 
 
@@ -586,7 +592,7 @@ def test_top_k_collective_keeps_true_top_sets(multi_scene, multi_strategy):
     revealed = apply_uprating(R, p, multi_strategy)
     outcome = recommend(fit_learner(revealed, 2.1).truncated, k_items=1, seed=2)
     picky = set(range(400, 404))
-    for u in sorted(p.majority_users | picky):
+    for u in sorted(set(p.majority_users.tolist()) | picky):
         assert R.entries[u, outcome.chosen[u, 0]] == R.entries[u].max()
 
 

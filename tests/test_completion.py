@@ -407,7 +407,7 @@ def _loop_miss_probability(R_star, p, per_user, trials, seed):
     rng = np.random.default_rng(seed)
     ok = np.ones(trials, dtype=bool)
     keys = rng.random((trials, hot_rows.size, n))
-    for r, i in zip(key_row.tolist(), p.minority_item_index[cols].tolist()):
+    for r, i in zip(key_row.tolist(), p.minority_items[cols].tolist()):
         rank = (keys[:, r, :] < keys[:, r, i : i + 1]).sum(axis=1)
         ok &= rank >= per_user
     return float(ok.mean())
@@ -428,8 +428,8 @@ def shuffled_block_instance(rng, n_min):
     block = rng.uniform(0.5, 1.5, size=(m_min, n_min)) * (rng.random((m_min, n_min)) < 0.6)
     block[0, rng.choice(n_min, size=int(rng.integers(2, n_min + 1)), replace=False)] = 1.0
     a = np.zeros((m, n))
-    a[np.ix_(p.majority_user_index, p.majority_item_index)] = rng.uniform(0.5, 1.5, (m_bar, n_bar))
-    a[np.ix_(p.minority_user_index, p.minority_item_index)] = block
+    a[np.ix_(p.majority_users, p.majority_items)] = rng.uniform(0.5, 1.5, (m_bar, n_bar))
+    a[np.ix_(p.minority_users, p.minority_items)] = block
     return RatingsMatrix(a), p
 
 

@@ -1,6 +1,7 @@
 """Scenario builders: shapes, determinism, and the self-checks they promise."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from rankgap.matrix import (
 from rankgap.popgap import class_membership, popularity_gap_interval
 
 SWEEP_SEED = 20260816
+PARTITION_FIELDS = ("majority_users", "minority_users", "majority_items", "minority_items")
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +51,9 @@ SWEEP_SEED = 20260816
 def test_indicator_scenario_layout():
     R, p = indicator_scenario((3, 2), (1,))
     assert R.shape == (6, 3)
-    assert p.majority_users == frozenset(range(5))
-    assert p.minority_users == {5}
-    assert p.majority_items == {0, 1}
+    assert set(p.majority_users.tolist()) == frozenset(range(5))
+    assert set(p.minority_users.tolist()) == {5}
+    assert set(p.majority_items.tolist()) == {0, 1}
     assert np.array_equal(R.entries.sum(axis=0), [3.0, 2.0, 1.0])
     assert np.all(R.entries.sum(axis=1) == 1.0)
 
@@ -149,6 +151,11 @@ def reference_collective_list(matrix, partition, fraction):
 # ---------------------------------------------------------------------------
 # Partition index arrays against the set-based code they replaced
 # ---------------------------------------------------------------------------
+
+def _set_view(p):
+    """p's groups as the sets the reference code below was written for."""
+    return SimpleNamespace(**{name: set(getattr(p, name).tolist()) for name in PARTITION_FIELDS})
+
 
 def _ref_block(a, users, items):
     return a[np.ix_(sorted(users), sorted(items))]
@@ -325,39 +332,37 @@ def shuffled_partitions(draw):
 @settings(max_examples=300, deadline=None)
 def test_partition_arrays_match_the_set_based_code(case):
     R, p, omega, seed = case
+    ref = _set_view(p)
     a = R.entries
     for got, users, items in (
-        (p.majority_block(a), p.majority_users, p.majority_items),
-        (p.minority_block(a), p.minority_users, p.minority_items),
+        (p.majority_block(a), ref.majority_users, ref.majority_items),
+        (p.minority_block(a), ref.minority_users, ref.minority_items),
     ):
         expected = _ref_block(a, users, items)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    for index, members in (
-        (p.majority_user_index, p.majority_users),
-        (p.minority_user_index, p.minority_users),
-        (p.majority_item_index, p.majority_items),
-        (p.minority_item_index, p.minority_items),
-    ):
-        assert index.dtype == np.intp and index.tolist() == sorted(members)
-    assert _outcome(p.validate_for, R) == _outcome(_ref_validate, p, R)
-    assert _outcome(singular_value_gap, R, p) == _outcome(_ref_gap, R, p)
-    assert _outcome(reorder_to_blocks, R, p) == _outcome(_ref_reorder, R, p)
-    assert _outcome(find_picky_items, R, p) == _outcome(_ref_picky, R, p)
+    for name in PARTITION_FIELDS:
+        index = getattr(p, name)
+        assert index.dtype == np.intp and index.tolist() == sorted(getattr(ref, name))
+        assert not index.flags.writeable
+    assert _outcome(p.validate_for, R) == _outcome(_ref_validate, ref, R)
+    assert _outcome(singular_value_gap, R, p) == _outcome(_ref_gap, R, ref)
+    assert _outcome(reorder_to_blocks, R, p) == _outcome(_ref_reorder, R, ref)
+    assert _outcome(find_picky_items, R, p) == _outcome(_ref_picky, R, ref)
     for k in range(1, R.cols + 1):
-        assert _outcome(kappa_k, R, p, k) == _outcome(_ref_kappa, R, p, k)
+        assert _outcome(kappa_k, R, p, k) == _outcome(_ref_kappa, R, ref, k)
     for fraction in (0.2, 0.5, 1.0):
         assert _outcome(lambda: stratified_collective(R, p, fraction).tolist()) == _outcome(
-            reference_collective_list, R, p, fraction
+            reference_collective_list, R, ref, fraction
         )
-    assert observed_minority_block_zero(omega, R, p) == _ref_observed_zero(omega, R, p)
+    assert observed_minority_block_zero(omega, R, p) == _ref_observed_zero(omega, R, ref)
     partial = PartialMatrix.from_full(R, omega)
     assert _outcome(sparsest_majority_completion, partial, p) == _outcome(
-        _ref_sparsest, partial, p
+        _ref_sparsest, partial, ref
     )
-    assert _outcome(reduce_solution, R, p) == _outcome(_ref_reduce, R, p)
+    assert _outcome(reduce_solution, R, p) == _outcome(_ref_reduce, R, ref)
     for per_user in (1, 2):
         assert miss_probability_mc(R, p, per_user, 40, seed) == _ref_miss_probability(
-            R, p, per_user, 40, seed
+            R, ref, per_user, 40, seed
         )
 
 
@@ -386,7 +391,8 @@ def test_block_scenario_is_seed_deterministic():
     second = random_block_scenario(np.random.default_rng(123))
     assert np.array_equal(first.matrix.entries, second.matrix.entries)
     assert first.alpha == second.alpha
-    assert first.partition == second.partition
+    for name in PARTITION_FIELDS:
+        assert np.array_equal(getattr(first.partition, name), getattr(second.partition, name))
 
 
 # ---------------------------------------------------------------------------

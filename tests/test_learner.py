@@ -521,7 +521,7 @@ def test_top_k_keeps_majority_maxima_and_popular_minority(multi_scene, k):
             top_k_sum = float(np.sort(R.entries[u])[::-1][:k].sum())
             assert float(R.entries[u, list(chosen)].sum()) == top_k_sum
         else:
-            assert chosen <= p.majority_items
+            assert chosen <= set(p.majority_items.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import csv
 import math
+import operator
 import re
 import warnings
 from pathlib import Path
@@ -33,6 +34,9 @@ from rankgap.matrix import (
     tie_tolerance,
 )
 from rankgap import matrix
+from rankgap.completion import PartialMatrix
+from rankgap.generators import general_strategy_instance
+from rankgap.popgap import GeneralStrategy
 from rankgap.matrix import _load_ratings_csv_lines, _parse_plain_csv
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -226,6 +230,8 @@ def test_partition_rejects_overlaps_and_negatives():
             majority_items=frozenset({0}),
             minority_items=frozenset({1}),
         )
+    with pytest.raises(PartitionError, match="^negative index in minority_items$"):
+        GroupPartition({0}, {1}, {0}, {2, -3, 1})
 
 
 SMALL_PARTITION = {
@@ -253,23 +259,179 @@ def test_partition_takes_numpy_integers_as_ints():
         majority_items={np.uint8(0)},
         minority_items=frozenset({1}),
     )
-    assert p == GroupPartition(**SMALL_PARTITION)
-    assert all(type(i) is int for name in SMALL_PARTITION for i in getattr(p, name))
+    expected = GroupPartition(**SMALL_PARTITION)
+    for name in SMALL_PARTITION:
+        assert getattr(p, name).dtype == np.intp
+        assert np.array_equal(getattr(p, name), getattr(expected, name))
+        assert getattr(p, name).tolist() == sorted(SMALL_PARTITION[name])
+
+
+@pytest.mark.parametrize("big", [2**70, -(2**70), 2**63])
+def test_partition_rejects_indices_np_intp_cannot_hold(big):
+    with pytest.raises(PartitionError, match=f"^majority_users index {big} is out of range$"):
+        GroupPartition([0, big], [1], [0], [1])
+    with pytest.raises(PartitionError, match=f"^minority_items index {big} is out of range$"):
+        GroupPartition({0}, {1}, {0}, {1, big})
+    if 0 < big < 2**64:
+        with pytest.raises(PartitionError, match=f"^minority_users index {big} is out of range$"):
+            GroupPartition([0], np.array([1, big], dtype=np.uint64), [0], [1])
+
+
+def reference_index_set(values, name: str) -> frozenset:
+    """The frozenset path GroupPartition took each group through before its
+    groups were index arrays."""
+    values = values if isinstance(values, frozenset) else frozenset(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    out = set()
+    for value in values:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            out.add(operator.index(value))
+        except TypeError:
+            raise PartitionError(f"{name} must hold integer indices, got {value!r}") from None
+    return frozenset(out)
+
+
+# Groups far above the drawn indices, so that any drawn group fits beside them.
+FAR_PARTITION = {
+    "majority_users": {100},
+    "minority_users": {101},
+    "majority_items": {100},
+    "minority_items": {101},
+}
+INDEX_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def index_sources(draw):
+    """A group as a caller may pass it: a set, a list with duplicates, a
+    range, a tuple, a list of numpy integers or an integer array."""
+    kind = draw(st.sampled_from(["set", "list", "range", "tuple", "scalars", "array"]))
+    if kind == "range":
+        start = draw(st.integers(0, 50))
+        return range(start, draw(st.integers(start, 60)))
+    values = draw(st.lists(st.integers(0, 60), max_size=10))
+    if kind == "set":
+        return set(values)
+    if kind == "list":
+        return values + draw(st.lists(st.sampled_from(values), max_size=5)) if values else []
+    if kind == "tuple":
+        return tuple(values)
+    dtype = draw(st.sampled_from(INDEX_DTYPES))
+    if kind == "scalars":
+        return [dtype(v) for v in values]
+    out = np.array(draw(st.permutations(values)), dtype=dtype)
+    out.flags.writeable = draw(st.booleans())
+    return out
+
+
+@given(field=st.sampled_from(sorted(FAR_PARTITION)), source=index_sources())
+@settings(max_examples=200, deadline=None)
+def test_partition_groups_are_sorted_distinct_intp_arrays(field, source):
+    writeable = getattr(source, "flags", None) and source.flags.writeable
+    got = getattr(GroupPartition(**{**FAR_PARTITION, field: source}), field)
+    assert got.dtype == np.intp and got.ndim == 1 and not got.flags.writeable
+    assert got.tolist() == sorted(reference_index_set(source, field))
+    if writeable:
+        assert source.flags.writeable
+
+
+@given(
+    field=st.sampled_from(sorted(FAR_PARTITION)),
+    values=st.lists(st.integers(0, 60), max_size=6),
+    bad=st.sampled_from([True, False, np.bool_(True), 0.5, 2.0, np.float64(3.0), "3", None]),
+    form=st.sampled_from([list, tuple, set]),
+    at=st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_partition_rejects_what_the_frozenset_path_rejected(field, values, bad, form, at):
+    source = form([*values[:at], bad, *values[at:]])
+
+    def outcome(build):
+        try:
+            return sorted(build())
+        except PartitionError as exc:
+            return str(exc)
+
+    got = outcome(lambda: getattr(GroupPartition(**{**FAR_PARTITION, field: source}), field))
+    expected = outcome(lambda: reference_index_set(source, field))
+    if any(value is bad for value in source):
+        # The frozenset path let a bad value equal to a good one (0 and
+        # False, 2 and 2.0) vanish into it; every other one it rejected.
+        assert got == f"{field} must hold integer indices, got {bad!r}"
+        assert expected in (got, sorted(set(values)))
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("field", sorted(FAR_PARTITION))
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0, 1]]),
+        np.array([0.0, 1.0]),
+        np.array([True]),
+        np.int64(3),
+        5,
+        [[0, 1]],
+    ],
+)
+def test_partition_names_the_group_it_rejects(field, bad):
+    with pytest.raises(PartitionError, match=f"^{field} "):
+        GroupPartition(**{**FAR_PARTITION, field: bad})
+
+
+def test_partition_keeps_an_array_already_in_its_form():
+    first = block_partition(3, 1, 5, 2)
+    again = GroupPartition(*(getattr(first, name) for name in FAR_PARTITION))
+    for name in FAR_PARTITION:
+        assert getattr(again, name) is getattr(first, name)
+    # A writeable array is copied, and the caller's stays writeable.
+    users = np.arange(3)
+    p = GroupPartition(users, [3], [0], [1])
+    assert p.majority_users is not users and users.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RatingsMatrix(np.eye(2)),
+        lambda: spectral(RatingsMatrix(np.eye(2))),
+        lambda: GroupPartition(**SMALL_PARTITION),
+        lambda: PartialMatrix(np.eye(2), np.eye(2, dtype=bool)),
+        lambda: GeneralStrategy(np.array([0.5, 1.0])),
+        lambda: general_strategy_instance(np.random.default_rng(9)),
+    ],
+    ids=[
+        "RatingsMatrix",
+        "SpectralSummary",
+        "GroupPartition",
+        "PartialMatrix",
+        "GeneralStrategy",
+        "StrategyInstance",
+    ],
+)
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # With generated equality these raised: == on array fields has no truth
+    # value, and hash() cannot hash an array.
+    x, copy = make(), make()
+    assert x == x and not x != x
+    assert x != copy and not x == copy
+    assert hash(x) == hash(x) and {x, copy} == {copy, x}
 
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "rankgap"
-PARTITION_SETS = {"majority_users", "minority_users", "majority_items", "minority_items"}
-PARTITION_NAMES = PARTITION_SETS | {
-    "majority_user_index", "minority_user_index", "majority_item_index", "minority_item_index"
-}
+PARTITION_NAMES = {"majority_users", "minority_users", "majority_items", "minority_items"}
 
 
 def _is_partition_set(node) -> bool:
-    """Whether node is one of GroupPartition's sets: directly, through a
+    """Whether node is one of GroupPartition's groups: directly, through a
     one-argument call such as set(...), or as the source of a comprehension."""
     while True:
         if isinstance(node, ast.Attribute):
-            return node.attr in PARTITION_SETS
+            return node.attr in PARTITION_NAMES
         if isinstance(node, ast.Call) and len(node.args) == 1:
             node = node.args[0]
         elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
@@ -279,8 +441,7 @@ def _is_partition_set(node) -> bool:
 
 
 def partition_index_builders(source: str) -> list[int]:
-    """Lines that sort a GroupPartition set, or build np.ix_ from a partition
-    set or index array."""
+    """Lines that sort a GroupPartition group, or build np.ix_ from one."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -315,7 +476,7 @@ def test_partition_index_guard_flags_each_form():
         "sorted(int(u) for u in p.minority_items)",
         "sorted(set(partition.minority_users))",
         "np.ix_(sorted(p.majority_users), cols)",
-        "np.ix_(p.majority_user_index, p.majority_item_index)",
+        "np.ix_(p.majority_users, p.majority_items)",
     ]
     for source in flagged:
         assert partition_index_builders(source) == [1], source
