@@ -493,6 +493,8 @@ def _matrix_summary(mat: MaterializedScenario) -> dict:
 def _sweep_grid(spec: dict) -> list[float]:
     """Half-open grid [start, stop) with the given step."""
     start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+    if start + step == start:
+        raise ValueError(f"alpha_sweep step {step!r} does not move the grid off start {start!r}")
     grid = []
     value = start
     index = 0

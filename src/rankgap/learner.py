@@ -148,16 +148,18 @@ def recommend(
     it. For k > 1 the same two-stage rule applies to k-sets, represented by
     their forced and tied members rather than by enumeration.
 
-    Every stage is one masked expression over the whole estimate. With v_k
-    a row's k-th largest entry, items above v_k + tol are mandatory and
-    items within tol of v_k fill the remaining slots. Among those boundary
-    items, p_k is the popularity of the slots-th most popular one: more
-    popular boundary items are locked in, and the last places are filled
-    from the pool of items tied with p_k.
+    Each run of consecutive rows equal as bytes (in the block model, one
+    taste group) is decided once, on its first row, and repeated: the rule
+    reads only a row and the tolerances, which come from the whole estimate.
+    Every stage is one masked expression over those first rows. With v_k a
+    row's k-th largest entry, items above v_k + tol are mandatory and items
+    within tol of v_k fill the remaining slots. Among those boundary items,
+    p_k is the popularity of the slots-th most popular one. More popular ones
+    are locked in; the last places are filled from the pool tied with p_k.
 
     ``derandomize=True`` fills them with the lowest-indexed pool items, the
     lexicographically smallest optimal set, for golden tests and
-    byte-stable reports. Otherwise each row, in order, draws its fill from
+    byte-stable reports. Otherwise each user, in order, draws her fill from
     the seeded generator.
 
     Rows with no nonnegative entry cannot occur under the model's
@@ -167,12 +169,17 @@ def recommend(
     if not 1 <= k_items <= n:
         raise ValueError(f"k_items must be in [1, {n}], got {k_items}")
     colpop = column_abs_sums(R_hat)
-    a = R_hat.entries
-    top = float(singular_values_of(a)[0]) if a.any() else 0.0
+    entries = R_hat.entries
+    top = float(singular_values_of(entries)[0]) if entries.any() else 0.0
     tol = tie_tolerance(top)
     tol_pop = tie_tolerance(float(colpop.max(initial=0.0)))
 
-    # A list index copies the column, so the partitioned m x n buffer is freed.
+    bits = entries.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)]))
+    lengths = np.diff(starts, append=m)
+    a = entries[starts]
+
+    # A list index copies the column, so the partitioned buffer is freed.
     v_k = np.partition(a, n - k_items, axis=1)[:, [n - k_items]]
     mandatory = a > v_k + tol
     boundary = np.abs(a - v_k) <= tol
@@ -183,18 +190,19 @@ def recommend(
     pop_locked = boundary & (colpop > p_k + tol_pop)
     pop_pool = boundary & (np.abs(colpop - p_k) <= tol_pop)
     pop_slots = slots - pop_locked.sum(axis=1)
+    picked = mandatory | pop_locked
     if derandomize:
-        filled = pop_pool & (np.cumsum(pop_pool, axis=1) <= pop_slots[:, None])
+        picked |= pop_pool & (np.cumsum(pop_pool, axis=1) <= pop_slots[:, None])
+        chosen = np.repeat(np.nonzero(picked)[1].reshape(-1, k_items), lengths, axis=0)
     else:
         rng = np.random.default_rng(seed)
-        filled = np.zeros_like(pop_pool)
-        for u in range(m):
-            pool = np.flatnonzero(pop_pool[u])
-            filled[u, rng.choice(pool, size=int(pop_slots[u]), replace=False)] = True
-
-    chosen = np.nonzero(mandatory | pop_locked | filled)[1].reshape(m, k_items)
-    tie = mandatory | boundary
-    pop_tie = mandatory | pop_locked | pop_pool
+        picked = np.repeat(picked, lengths, axis=0)
+        for u, row in enumerate(np.repeat(np.arange(len(a)), lengths).tolist()):
+            pool = np.flatnonzero(pop_pool[row])
+            picked[u, rng.choice(pool, size=int(pop_slots[row]), replace=False)] = True
+        chosen = np.nonzero(picked)[1].reshape(m, k_items)
+    tie = np.repeat(mandatory | boundary, lengths, axis=0)
+    pop_tie = np.repeat(mandatory | pop_locked | pop_pool, lengths, axis=0)
     for array in (chosen, tie, pop_tie):
         array.flags.writeable = False
     return RecommendationOutcome(
@@ -204,7 +212,7 @@ def recommend(
         k_items=k_items,
         n_items=n,
         derandomized=derandomize,
-        negative_rows=frozenset(np.flatnonzero(a.max(axis=1) < 0.0).tolist()),
+        negative_rows=frozenset(np.flatnonzero(np.repeat(a.max(axis=1) < 0.0, lengths)).tolist()),
     )
 
 

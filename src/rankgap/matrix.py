@@ -187,9 +187,14 @@ class GroupPartition:
         if not _covers(self.majority_items, self.minority_items, n):
             raise PartitionError(f"item sets do not partition range({n})")
         a = R.entries
-        if np.any(a[np.ix_(self.majority_users, self.minority_items)] != 0.0):
+        # Counted on a mask, no float block copied: minority columns (rows)
+        # hold a cross nonzero iff they hold more than the minority block.
+        nonzero = a != 0.0
+        rows = nonzero[self.minority_users]
+        inside = np.count_nonzero(rows[:, self.minority_items])
+        if np.count_nonzero(nonzero[:, self.minority_items]) > inside:
             raise PartitionError("majority user rates a minority item")
-        if np.any(a[np.ix_(self.minority_users, self.majority_items)] != 0.0):
+        if np.count_nonzero(rows) > inside:
             raise PartitionError("minority user rates a majority item")
         # Each row's largest entry, as a fold over the columns when rows are
         # short: numpy reduces along a short row slowly.

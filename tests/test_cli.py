@@ -562,6 +562,24 @@ def test_sweep_requires_a_grid(capsys):
     assert "alpha_sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "start, stop, step", [(2.1, 3.0, 1e-300), (2.0, 10.0, 1e-16), (1e300, 1e301, 1.0)]
+)
+def test_a_sweep_step_that_does_not_move_off_start_is_one_error_line(
+    tmp_path, capsys, start, stop, step
+):
+    # start + step == start: the grid would never grow past its first value.
+    doc = dict(PRESETS["multigroup"], alpha_sweep={"start": start, "stop": stop, "step": step})
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: alpha_sweep step {step!r} does not move the grid off start {start!r}\n"
+    )
+    assert not list(tmp_path.glob("*.sweep.*"))
+
+
 # ---------------------------------------------------------------------------
 # random families through the CLI
 # ---------------------------------------------------------------------------

@@ -286,6 +286,62 @@ def test_array_recommendation_matches_the_per_row_reference(R_hat, seed):
             ]
 
 
+def _twin(row, kind):
+    """A neighbour of ``row`` that is a different run: one entry 1 ulp away,
+    or one zero with its sign flipped (the same values, other bytes). A row
+    without a zero comes back as an equal copy, one more row of its run."""
+    row = row.copy()
+    if kind == "ulp":
+        row[0] = np.nextafter(row[0], np.inf)
+    elif (row == 0.0).any():
+        j = np.flatnonzero(row == 0.0)[0]
+        row[j] = -0.0 if not np.signbit(row[j]) else 0.0
+    return row
+
+
+@st.composite
+def run_structured_estimates(draw):
+    """Estimates made of a few distinct rows repeated in runs, as a block
+    model's estimate is: runs in drawn order or shuffled, rows beside a twin
+    that differs by 1 ulp or only in the sign of a zero, all-negative rows."""
+    n = draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, 4))
+    base = np.array(
+        draw(st.lists(st.sampled_from(TIE_GRID), min_size=distinct * n, max_size=distinct * n))
+    ).reshape(distinct, n)
+    base[draw(st.lists(st.booleans(), min_size=distinct, max_size=distinct))] -= 1.5
+    order = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=len(order), max_size=len(order)))
+    rows = list(np.repeat(base[order], lengths, axis=0))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows.insert(at + 1, _twin(rows[at], draw(st.sampled_from(["ulp", "zero sign"]))))
+    a = np.array(rows)
+    if draw(st.booleans()):
+        a = a[draw(st.permutations(range(len(a))))]
+    return RatingsMatrix(a, nonnegative=False)
+
+
+@given(run_structured_estimates(), seeds)
+@settings(max_examples=150, deadline=None)
+def test_run_structured_estimates_match_the_per_row_reference(R_hat, seed):
+    a = R_hat.entries
+    for k in range(1, R_hat.cols + 1):
+        for draw_seed, derandomize in ((None, True), (seed, False)):
+            outcome = recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+            expected = reference_recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+            assert outcome.chosen.tolist() == [rec["chosen"] for rec in expected]
+            assert [items(row) for row in outcome.tie] == [rec["tie"] for rec in expected]
+            assert [items(row) for row in outcome.pop_tie] == [
+                rec["pop_tie"] for rec in expected
+            ]
+            assert outcome.negative_rows == {
+                u for u in range(R_hat.rows) if a[u].max() < 0.0
+            }
+            for array in (outcome.chosen, outcome.tie, outcome.pop_tie):
+                assert not array.flags.writeable
+
+
 def test_outcome_arrays_are_read_only(paired_scene):
     R, _ = paired_scene
     outcome = recommend(R, k_items=2, seed=0)

@@ -199,6 +199,62 @@ def test_partition_rejects_cross_block_entries_and_zero_rows():
         GroupPartition(**split).validate_for(zero_row)
 
 
+def reference_validate_for(p, R) -> None:
+    """GroupPartition.validate_for as it was when it copied both float cross
+    blocks through np.ix_."""
+    m, n = R.shape
+    if not matrix._covers(p.majority_users, p.minority_users, m):
+        raise PartitionError(f"user sets do not partition range({m})")
+    if not matrix._covers(p.majority_items, p.minority_items, n):
+        raise PartitionError(f"item sets do not partition range({n})")
+    a = R.entries
+    if np.any(a[np.ix_(p.majority_users, p.minority_items)] != 0.0):
+        raise PartitionError("majority user rates a minority item")
+    if np.any(a[np.ix_(p.minority_users, p.majority_items)] != 0.0):
+        raise PartitionError("minority user rates a majority item")
+    if np.any(a.max(axis=1) <= 0.0):
+        raise PartitionError("a user has no positive rating")
+
+
+@st.composite
+def planted_partitions(draw):
+    """A matrix and a split of it whose cross blocks hold zeros of either
+    sign, and on some draws a few planted nonzeros (5e-324 among them)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    minority_users = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    minority_items = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cells = st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, -1.0]), min_size=m * n, max_size=m * n)
+    a = np.array(draw(cells)).reshape(m, n)
+    zeros = st.sampled_from([0.0, -0.0])
+    planted = st.one_of(zeros, zeros, zeros, st.sampled_from([1.0, -0.25, 5e-324]))
+    fill = planted if draw(st.booleans()) else zeros
+    cross = np.array(draw(st.lists(fill, min_size=m * n, max_size=m * n))).reshape(m, n)
+    a = np.where(minority_users[:, None] != minority_items, cross, a)
+    p = GroupPartition(
+        majority_users=np.flatnonzero(~minority_users),
+        minority_users=np.flatnonzero(minority_users),
+        majority_items=np.flatnonzero(~minority_items),
+        minority_items=np.flatnonzero(minority_items),
+    )
+    return RatingsMatrix(a, nonnegative=False), p
+
+
+@given(planted_partitions())
+@settings(max_examples=300, deadline=None)
+def test_cross_block_checks_raise_as_the_ix_copies_did(case):
+    R, p = case
+
+    def outcome(check):
+        try:
+            check(p, R)
+        except PartitionError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(GroupPartition.validate_for) == outcome(reference_validate_for)
+
+
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
 def test_partition_finds_a_row_without_a_positive_rating_in_any_shape(shape):
     # Short rows are checked as a fold over the columns, wide ones by row.
