@@ -225,7 +225,7 @@ def main():
     assert report.alpha_above_tail
     win = pg.delta_interval(m2, 4)
     assert (win.lower, win.upper) == (d_lower, d_upper) and win.has_positive_point
-    assert pg.switch_users(m2, 4) == frozenset(switch)
+    assert pg.switch_users(m2, 4).tolist() == sorted(switch)
     larger = pg.no_larger_nbar_check(m1, 4)
     print(f"no-larger-split: premise={larger.premise_holds} "
           f"confirmed={larger.confirmed} checked={larger.checked}")

@@ -41,7 +41,6 @@ from .collective import (
     sufficient_gap,
 )
 from .completion import (
-    ObservedSet,
     PartialMatrix,
     explore,
     explore_per_user,

@@ -88,6 +88,9 @@ NESTED_KEYS = {
     },
     "selector": {"kind": ("string",), "fraction": ("number",), "users": ("list of integers",)},
 }
+# The most points an alpha_sweep grid may span; a larger one is refused before
+# it is built, since no sweep could fit that many points.
+MAX_SWEEP_POINTS = 100_000
 MATRIX_FAMILIES = ("paired", "indicator", "csv", "block_random", "gap_class")
 # The keys each matrix family requires, with their JSON types.
 FAMILY_KEYS = {
@@ -495,6 +498,11 @@ def _sweep_grid(spec: dict) -> list[float]:
     start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
     if start + step == start:
         raise ValueError(f"alpha_sweep step {step!r} does not move the grid off start {start!r}")
+    points = (stop - start) / step
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"alpha_sweep grid spans {points:.6g} points, more than the cap of {MAX_SWEEP_POINTS}"
+        )
     grid = []
     value = start
     index = 0

@@ -20,35 +20,20 @@ import numpy as np
 from .matrix import GroupPartition, RatingsMatrix, numeric_rank_of
 
 
-@dataclass(frozen=True)
-class ObservedSet:
-    """Set of (user, item) pairs whose ratings the learner has seen."""
-
-    rows: int
-    cols: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        pairs = frozenset((int(u), int(i)) for u, i in self.pairs)
-        for u, i in pairs:
-            if not (0 <= u < self.rows and 0 <= i < self.cols):
-                raise ValueError(f"pair ({u}, {i}) outside a {self.rows}x{self.cols} grid")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 @dataclass(frozen=True, eq=False)
 class PartialMatrix:
-    """Known entries on an observation mask; everything else is unknown."""
+    """Known entries on an observation mask; everything else is unknown.
+
+    ``mask`` is a read-only m x n bool array marking the cells the learner has
+    seen, the form :func:`explore` and :func:`explore_per_user` return.
+    """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        m = np.ascontiguousarray(self.mask, dtype=bool)
+        m = np.array(self.mask, dtype=bool, order="C")
         if v.shape != m.shape or v.ndim != 2:
             raise ValueError("values and mask must be equal-shape 2-D arrays")
         v = v.copy()
@@ -59,13 +44,11 @@ class PartialMatrix:
         object.__setattr__(self, "mask", m)
 
     @classmethod
-    def from_full(cls, R_star: RatingsMatrix, omega: ObservedSet) -> "PartialMatrix":
-        if (omega.rows, omega.cols) != R_star.shape:
-            raise ValueError("observation grid does not match the matrix")
-        mask = np.zeros(R_star.shape, dtype=bool)
-        for u, i in omega.pairs:
-            mask[u, i] = True
-        return cls(values=np.where(mask, R_star.entries, 0.0), mask=mask)
+    def from_full(cls, R_star: RatingsMatrix, mask: np.ndarray) -> "PartialMatrix":
+        """The entries of ``R_star`` on an observation mask of its shape."""
+        if np.shape(mask) != R_star.shape:
+            raise ValueError(f"observation mask shape {np.shape(mask)} is not {R_star.shape}")
+        return cls(values=R_star.entries, mask=mask)
 
     @classmethod
     def from_triples(cls, rows: int, cols: int, triples) -> "PartialMatrix":
@@ -101,11 +84,6 @@ class PartialMatrix:
             values[u, i] = r
         return cls(values=values, mask=mask)
 
-    @property
-    def observed(self) -> ObservedSet:
-        pairs = frozenset((int(u), int(i)) for u, i in zip(*np.nonzero(self.mask)))
-        return ObservedSet(rows=self.mask.shape[0], cols=self.mask.shape[1], pairs=pairs)
-
     def feasible(self, X: RatingsMatrix) -> bool:
         """True when X matches every known entry exactly."""
         if X.shape != self.values.shape:
@@ -140,33 +118,38 @@ def save_partial_json(path, partial: PartialMatrix) -> None:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def explore(R_star: RatingsMatrix, rounds: int, per_round: int, seed: int) -> ObservedSet:
+def explore(R_star: RatingsMatrix, rounds: int, per_round: int, seed: int) -> np.ndarray:
     """Query rounds*per_round distinct cells uniformly at random.
 
     The rounds/per_round split is a query budget only; draws are uniform
     without replacement over the whole grid and deterministic under seed.
+    Returns the queried cells as a read-only m x n bool mask.
     """
     m, n = R_star.shape
     total = rounds * per_round
     if total > m * n:
         raise ValueError(f"requested {total} cells from a grid of {m * n}")
     rng = np.random.default_rng(seed)
-    flat = rng.choice(m * n, size=total, replace=False)
-    pairs = frozenset((int(f // n), int(f % n)) for f in flat)
-    return ObservedSet(rows=m, cols=n, pairs=pairs)
+    mask = np.zeros(m * n, dtype=bool)
+    mask[rng.choice(m * n, size=total, replace=False)] = True
+    mask.flags.writeable = False
+    return mask.reshape(m, n)
 
 
-def explore_per_user(R_star: RatingsMatrix, per_user: int, seed: int) -> ObservedSet:
-    """Query per_user distinct items for every user, uniformly per row."""
+def explore_per_user(R_star: RatingsMatrix, per_user: int, seed: int) -> np.ndarray:
+    """Query per_user distinct items for every user, uniformly per row.
+
+    Returns the queried cells as a read-only m x n bool mask.
+    """
     m, n = R_star.shape
     if not 0 <= per_user <= n:
         raise ValueError(f"per_user must be in [0, {n}], got {per_user}")
     rng = np.random.default_rng(seed)
-    pairs = set()
+    mask = np.zeros((m, n), dtype=bool)
     for u in range(m):
-        for i in rng.choice(n, size=per_user, replace=False):
-            pairs.add((u, int(i)))
-    return ObservedSet(rows=m, cols=n, pairs=frozenset(pairs))
+        mask[u, rng.choice(n, size=per_user, replace=False)] = True
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +157,15 @@ def explore_per_user(R_star: RatingsMatrix, per_user: int, seed: int) -> Observe
 # ---------------------------------------------------------------------------
 
 def observed_minority_block_zero(
-    omega: ObservedSet, R_star: RatingsMatrix, p: GroupPartition
+    mask: np.ndarray, R_star: RatingsMatrix, p: GroupPartition
 ) -> bool:
     """True iff every observed minority-user x minority-item rating is zero.
 
-    This is the hypothesis under which zero-padding the majority block is a
-    sparsest completion; an empty observation set satisfies it vacuously.
+    ``mask`` is an observation mask of R_star's shape. This is the hypothesis
+    under which zero-padding the majority block is a sparsest completion; an
+    empty mask satisfies it vacuously.
     """
-    observed = PartialMatrix.from_full(R_star, omega).values
+    observed = PartialMatrix.from_full(R_star, mask).values
     return not np.any(p.minority_block(observed) != 0.0)
 
 
@@ -220,7 +204,7 @@ def reduce_solution(X: RatingsMatrix, p: GroupPartition) -> RatingsMatrix:
 
     The surviving block is a submatrix of X, so the numeric rank can only
     stay or drop; feasibility is preserved whenever X was feasible for an
-    observation set satisfying the zero-observation hypothesis.
+    observation mask satisfying the zero-observation hypothesis.
     """
     out = X.entries.copy()
     out[:, p.minority_items] = 0.0
@@ -274,7 +258,6 @@ def miss_probability_mc(
 
 
 __all__ = [
-    "ObservedSet",
     "PartialMatrix",
     "load_partial_json",
     "save_partial_json",

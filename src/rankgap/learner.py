@@ -15,6 +15,7 @@ from .matrix import (
     RatingsMatrix,
     GroupPartition,
     SpectralSummary,
+    _mask_indices,
     column_abs_sums,
     singular_values_of,
     spectral,
@@ -39,8 +40,8 @@ class RecommendationOutcome:
     ``chosen`` is m x k: row u lists user u's picks in ascending column
     order. ``tie`` (m x n) marks the items in at least one value-optimal
     k-set of each user, and ``pop_tie`` (m x n, inside ``tie``) those in at
-    least one popularity-optimal k-set. ``negative_rows`` holds the users
-    whose estimated row has no nonnegative entry.
+    least one popularity-optimal k-set. ``negative_rows`` is a sorted np.intp
+    array of the users whose estimated row has no nonnegative entry.
     """
 
     chosen: np.ndarray
@@ -49,7 +50,7 @@ class RecommendationOutcome:
     k_items: int
     n_items: int
     derandomized: bool
-    negative_rows: frozenset[int]
+    negative_rows: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +164,8 @@ def recommend(
     the seeded generator.
 
     Rows with no nonnegative entry cannot occur under the model's
-    assumptions; they are recommended by the same rule and flagged.
+    assumptions; they are recommended by the same rule and listed, as a
+    sorted read-only np.intp array, in ``negative_rows``.
     """
     m, n = R_hat.shape
     if not 1 <= k_items <= n:
@@ -212,7 +214,7 @@ def recommend(
         k_items=k_items,
         n_items=n,
         derandomized=derandomize,
-        negative_rows=frozenset(np.flatnonzero(np.repeat(a.max(axis=1) < 0.0, lengths)).tolist()),
+        negative_rows=_mask_indices(np.repeat(a.max(axis=1) < 0.0, lengths)),
     )
 
 

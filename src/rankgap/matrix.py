@@ -64,6 +64,13 @@ def _index_array(values, name: str, error=ValueError) -> np.ndarray:
     return out
 
 
+def _mask_indices(mask: np.ndarray) -> np.ndarray:
+    """Where a 1-D bool mask holds, in the form ``_index_array`` returns."""
+    out = np.flatnonzero(mask)
+    out.flags.writeable = False
+    return out
+
+
 def _as_index(value, name: str, error) -> int:
     if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
         raise error(f"{name} must hold integer indices, got {value!r}")
@@ -371,23 +378,22 @@ def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def find_picky_items(
-    R: RatingsMatrix, p: GroupPartition
-) -> list[tuple[int, frozenset[int]]]:
+def find_picky_items(R: RatingsMatrix, p: GroupPartition) -> list[tuple[int, np.ndarray]]:
     """Minority items rated by exactly one user group that rates nothing else.
 
     An item qualifies when its raters form a nonempty set and each of those
-    users has zero ratings everywhere else. Returned in item-index order.
+    users has zero ratings everywhere else. Returned in item-index order as
+    ``(item, raters)`` pairs; ``raters`` is a sorted, read-only np.intp array.
     """
     p.validate_for(R)
     a = R.entries
     # A rater rates nothing else iff the item is the only nonzero in its row.
     lone = np.count_nonzero(a, axis=1) == 1
-    out: list[tuple[int, frozenset[int]]] = []
+    out = []
     for i in p.minority_items.tolist():
-        raters = np.flatnonzero(a[:, i] > 0.0)
+        raters = _mask_indices(a[:, i] > 0.0)
         if raters.size and lone[raters].all():
-            out.append((i, frozenset(raters.tolist())))
+            out.append((i, raters))
     return out
 
 

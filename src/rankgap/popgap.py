@@ -26,6 +26,8 @@ import numpy as np
 from .matrix import (
     OpenInterval,
     RatingsMatrix,
+    _index_array,
+    _mask_indices,
     numeric_rank_of,
     singular_values_of,
     spectral,
@@ -131,7 +133,7 @@ class PopularitySplit:
     def classes(self) -> UserClasses:
         """Majority and minority users, as :func:`classify_users` returns them."""
         majority, minority, _ = self._masks
-        return UserClasses(_users(majority), _users(minority))
+        return UserClasses(_mask_indices(majority), _mask_indices(minority))
 
     @cached_property
     def _off_top_max(self) -> np.ndarray:
@@ -140,10 +142,6 @@ class PopularitySplit:
         off = np.where(self._top_mask, -np.inf, self.matrix.entries).max(axis=1)
         off[self._top_mask.all(axis=1)] = np.inf
         return off
-
-
-def _users(mask: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def popular_prefs(matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
@@ -160,28 +158,35 @@ def top_items(row: np.ndarray) -> np.ndarray:
     return np.flatnonzero(row == row.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserClasses:
     """Per-user grouping induced by where each row maximum lands.
 
-    A user whose tied top items straddle the popular boundary appears in both
-    sets; exclusivity is an assumption to check, not a structural fact.
+    ``majority`` and ``minority`` are sorted, read-only np.intp arrays of user
+    indices, built from any form ``GroupPartition`` takes its groups in.  A
+    user whose tied top items straddle the popular boundary is in both
+    (``dual``); exclusivity is an assumption to check, not a structural fact.
+    Classes compare by identity: compare the arrays to compare two.
     """
 
-    majority: frozenset[int]
-    minority: frozenset[int]
+    majority: np.ndarray
+    minority: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("majority", "minority"):
+            object.__setattr__(self, name, _index_array(getattr(self, name), name))
 
     @property
-    def dual(self) -> frozenset[int]:
-        return self.majority & self.minority
+    def dual(self) -> np.ndarray:
+        return np.intersect1d(self.majority, self.minority, assume_unique=True)
 
     @property
     def exclusive(self) -> bool:
-        return not self.dual
+        return not self.dual.size
 
     @property
     def has_minority(self) -> bool:
-        return bool(self.minority)
+        return bool(self.minority.size)
 
 
 def classify_users(matrix: RatingsMatrix, n_bar: int) -> UserClasses:
@@ -207,7 +212,7 @@ class ClassMembershipReport:
     """Outcome of the popularity-gap class checks for one (matrix, n_bar) pair.
 
     Per-user results are read-only arrays.  ``majority_users`` and
-    ``minority_users`` list each class in ascending user order.
+    ``minority_users`` are the split's :class:`UserClasses` arrays.
     ``majority_margins`` holds, per majority user, how far the top rating
     beats every other rating beyond ``delta_gap``; ``minority_margins`` holds,
     per minority user, how far the best popular rating exceeds ``delta_gap``.
@@ -236,13 +241,6 @@ class ClassMembershipReport:
     has_minority: bool
     reason: str | None = None
 
-    @cached_property
-    def classes(self) -> UserClasses:
-        """The two classes as :func:`classify_users` returns them."""
-        return UserClasses(
-            frozenset(self.majority_users.tolist()), frozenset(self.minority_users.tolist())
-        )
-
 
 def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport:
     """Evaluate the popularity-gap class conditions with strict inequalities."""
@@ -250,8 +248,8 @@ def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport
 
 
 def _membership(split: PopularitySplit) -> ClassMembershipReport:
-    majority, minority, _ = split._masks
-    majority_users, minority_users = np.flatnonzero(majority), np.flatnonzero(minority)
+    classes = split.classes
+    majority_users, minority_users = classes.majority, classes.minority
     n = split.matrix.cols
     kappa = split.kappa
     sigma = split.sigma_popular
@@ -268,9 +266,7 @@ def _membership(split: PopularitySplit) -> ClassMembershipReport:
         minority_margins = split.popular_block[minority_users].max(axis=1) - delta
     majority_ok = majority_margins > 0.0
     minority_ok = minority_margins > 0.0
-    for array in (
-        majority_users, minority_users, majority_margins, minority_margins, majority_ok, minority_ok
-    ):
+    for array in (majority_margins, minority_margins, majority_ok, minority_ok):
         array.flags.writeable = False
     return ClassMembershipReport(
         n_bar=split.n_bar,
@@ -286,8 +282,8 @@ def _membership(split: PopularitySplit) -> ClassMembershipReport:
         minority_support_ok=minority_ok,
         in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
         popularity_inequality=2.0**1.25 * n**0.75 * math.sqrt(kappa) < sigma,
-        classes_exclusive=not bool((majority & minority).any()),
-        has_minority=bool(minority.any()),
+        classes_exclusive=classes.exclusive,
+        has_minority=classes.has_minority,
         reason=reason,
     )
 
@@ -363,9 +359,10 @@ def projection_gap_check(matrix: RatingsMatrix, n_bar: int) -> float:
     return float(np.linalg.norm(projector - reference, "fro"))
 
 
-def switch_users(matrix: RatingsMatrix, n_bar: int) -> frozenset[int]:
-    """Minority users whose row maximum is attained on the first unpopular column."""
-    return _users(PopularitySplit(matrix, n_bar)._masks[2])
+def switch_users(matrix: RatingsMatrix, n_bar: int) -> np.ndarray:
+    """Minority users whose row maximum is attained on the first unpopular
+    column, as a sorted, read-only np.intp array."""
+    return _mask_indices(PopularitySplit(matrix, n_bar)._masks[2])
 
 
 @dataclass(frozen=True)

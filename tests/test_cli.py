@@ -580,6 +580,37 @@ def test_a_sweep_step_that_does_not_move_off_start_is_one_error_line(
     assert not list(tmp_path.glob("*.sweep.*"))
 
 
+@pytest.mark.parametrize(
+    "start, stop, step, points",
+    [
+        (0.0, 14.0, 1e-300, "1.4e+301"),
+        (0.0, 1.0, 9.99e-6, "100100"),
+        (0.0, 100001.0, 1.0, "100001"),
+        (-1e308, 1e308, 1e300, "inf"),
+    ],
+)
+def test_a_sweep_grid_past_the_point_cap_is_one_error_line(
+    tmp_path, capsys, start, stop, step, points
+):
+    # The step moves off start, but no sweep could fit this many points.
+    doc = dict(PRESETS["multigroup"], alpha_sweep={"start": start, "stop": stop, "step": step})
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: alpha_sweep grid spans {points} points, more than the cap of "
+        f"{cli.MAX_SWEEP_POINTS}\n"
+    )
+    assert not list(tmp_path.glob("*.sweep.*"))
+
+
+def test_a_sweep_grid_at_the_point_cap_is_built():
+    grid = cli._sweep_grid({"start": 0.0, "stop": float(cli.MAX_SWEEP_POINTS), "step": 1.0})
+    assert len(grid) == cli.MAX_SWEEP_POINTS
+    assert grid[-1] == cli.MAX_SWEEP_POINTS - 1.0
+
+
 # ---------------------------------------------------------------------------
 # random families through the CLI
 # ---------------------------------------------------------------------------

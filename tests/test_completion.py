@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgap.completion import (
-    ObservedSet,
     PartialMatrix,
     explore,
     explore_per_user,
@@ -34,8 +33,21 @@ from rankgap.matrix import GroupPartition, RatingsMatrix, block_partition, numer
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def mask_of(m, n, pairs):
+    """An m x n observation mask holding the given (user, item) pairs."""
+    mask = np.zeros((m, n), dtype=bool)
+    for u, i in pairs:
+        mask[u, i] = True
+    return mask
+
+
+def pairs_of(mask):
+    """The (user, item) pairs an observation mask holds."""
+    return frozenset(zip(*(x.tolist() for x in np.nonzero(mask))))
+
+
 def random_feasible_instance(rng):
-    """A random two-block matrix, a hypothesis-satisfying observation set,
+    """A random two-block matrix, a hypothesis-satisfying observation mask,
     and an arbitrary feasible completion of it."""
     m_bar, n_bar = int(rng.integers(2, 5)), int(rng.integers(2, 4))
     m_min, n_min = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -54,7 +66,7 @@ def random_feasible_instance(rng):
     ]
     take = int(rng.integers(1, len(allowed) + 1))
     chosen = [allowed[j] for j in rng.choice(len(allowed), size=take, replace=False)]
-    omega = ObservedSet(rows=m, cols=n, pairs=frozenset(chosen))
+    omega = mask_of(m, n, chosen)
     partial = PartialMatrix.from_full(R, omega)
 
     filler = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -63,12 +75,16 @@ def random_feasible_instance(rng):
 
 
 # ---------------------------------------------------------------------------
-# Observed sets and partial matrices
+# Observation masks and partial matrices
 # ---------------------------------------------------------------------------
 
-def test_observed_set_bounds_check():
-    with pytest.raises(ValueError, match="outside"):
-        ObservedSet(rows=2, cols=2, pairs=frozenset({(2, 0)}))
+def test_from_full_rejects_a_mask_of_another_shape():
+    R = RatingsMatrix(np.ones((2, 2)))
+    for mask in (np.ones((2, 3), bool), np.ones((3, 2), bool), np.ones(4, bool), True):
+        with pytest.raises(ValueError, match=r"observation mask shape .* is not \(2, 2\)"):
+            PartialMatrix.from_full(R, mask)
+    partial = PartialMatrix.from_full(R, np.eye(2, dtype=bool))
+    assert partial.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_partial_matrix_shape_and_duplicate_checks():
@@ -79,9 +95,12 @@ def test_partial_matrix_shape_and_duplicate_checks():
 
 
 def test_partial_matrix_zeroes_unobserved_values():
-    partial = PartialMatrix(values=np.ones((2, 2)), mask=np.eye(2, dtype=bool))
+    mask = np.eye(2, dtype=bool)
+    partial = PartialMatrix(values=np.ones((2, 2)), mask=mask)
     assert partial.values[0, 1] == 0.0
-    assert partial.observed.pairs == {(0, 0), (1, 1)}
+    assert pairs_of(partial.mask) == {(0, 0), (1, 1)}
+    # The mask is copied: the caller's array is neither shared nor frozen.
+    assert not partial.mask.flags.writeable and mask.flags.writeable
 
 
 def test_feasibility_is_exact_equality_on_the_mask():
@@ -175,8 +194,8 @@ def test_partial_json_must_be_an_object(tmp_path):
 def test_exhaustive_exploration_sees_everything():
     R = RatingsMatrix(np.ones((3, 4)))
     omega = explore(R, rounds=3, per_round=4, seed=0)
-    assert len(omega) == 12
-    assert omega.pairs == {(u, i) for u in range(3) for i in range(4)}
+    assert omega.sum() == 12
+    assert pairs_of(omega) == {(u, i) for u in range(3) for i in range(4)}
 
 
 def test_exploration_is_deterministic_under_seed():
@@ -184,8 +203,8 @@ def test_exploration_is_deterministic_under_seed():
     a = explore(R, rounds=2, per_round=7, seed=42)
     b = explore(R, rounds=2, per_round=7, seed=42)
     c = explore(R, rounds=2, per_round=7, seed=43)
-    assert a.pairs == b.pairs
-    assert a.pairs != c.pairs
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_exploration_rejects_oversampling():
@@ -202,9 +221,8 @@ def test_exploration_coverage_matches_sampled_fraction():
     coverages = []
     for seed in range(1000):
         omega = explore(R, rounds=2, per_round=4, seed=seed)
-        coverages.append(len(omega) / 20)
-        for u, i in omega.pairs:
-            counts[u, i] += 1
+        coverages.append(omega.sum() / 20)
+        counts += omega
     assert abs(np.mean(coverages) - 0.4) <= 0.02
     assert np.abs(counts / 1000 - 0.4).mean() <= 0.02
 
@@ -212,13 +230,46 @@ def test_exploration_coverage_matches_sampled_fraction():
 def test_per_user_exploration_samples_each_row():
     R = RatingsMatrix(np.ones((4, 5)))
     omega = explore_per_user(R, per_user=2, seed=3)
-    assert len(omega) == 8
-    per_row = {u: 0 for u in range(4)}
-    for u, _ in omega.pairs:
-        per_row[u] += 1
-    assert all(v == 2 for v in per_row.values())
+    assert omega.sum() == 8
+    assert omega.sum(axis=1).tolist() == [2, 2, 2, 2]
     with pytest.raises(ValueError, match="per_user"):
         explore_per_user(R, per_user=6, seed=0)
+
+
+def reference_explore(R_star, rounds, per_round, seed):
+    """explore as it was when it returned an ObservedSet: the pair set."""
+    m, n = R_star.shape
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(m * n, size=rounds * per_round, replace=False)
+    return frozenset((int(f // n), int(f % n)) for f in flat)
+
+
+def reference_explore_per_user(R_star, per_user, seed):
+    """explore_per_user as it was when it returned an ObservedSet."""
+    m, n = R_star.shape
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    for u in range(m):
+        for i in rng.choice(n, size=per_user, replace=False):
+            pairs.add((u, int(i)))
+    return frozenset(pairs)
+
+
+@given(seeds, st.integers(1, 7), st.integers(1, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exploration_masks_match_the_pair_set_code(seed, m, n, data):
+    """Same seed, same cells: the mask holds exactly the pairs drawn before."""
+    R = RatingsMatrix(np.ones((m, n)))
+    per_round = data.draw(st.integers(1, 3))
+    rounds = data.draw(st.integers(0, m * n // per_round))
+    per_user = data.draw(st.integers(0, n))
+    for mask, expected in (
+        (explore(R, rounds, per_round, seed), reference_explore(R, rounds, per_round, seed)),
+        (explore_per_user(R, per_user, seed), reference_explore_per_user(R, per_user, seed)),
+    ):
+        assert mask.dtype == bool and mask.shape == (m, n)
+        assert not mask.flags.writeable
+        assert pairs_of(mask) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +288,7 @@ def test_observations_avoiding_hot_entries_pass():
     everything_else = frozenset(
         (u, i) for u in range(10) for i in range(10) if (u, i) not in hot
     )
-    omega = ObservedSet(rows=10, cols=10, pairs=everything_else)
-    assert observed_minority_block_zero(omega, R, p)
+    assert observed_minority_block_zero(mask_of(10, 10, everything_else), R, p)
 
 
 def test_observing_a_positive_minority_entry_fails():
@@ -249,14 +299,12 @@ def test_observing_a_positive_minority_entry_fails():
         for i in sorted(p.minority_items)
         if R.entries[u, i] != 0.0
     )
-    omega = ObservedSet(rows=10, cols=10, pairs=frozenset({(u, i)}))
-    assert not observed_minority_block_zero(omega, R, p)
+    assert not observed_minority_block_zero(mask_of(10, 10, {(u, i)}), R, p)
 
 
 def test_empty_observation_set_passes_vacuously():
     R, p = mc_10x10()
-    omega = ObservedSet(rows=10, cols=10, pairs=frozenset())
-    assert observed_minority_block_zero(omega, R, p)
+    assert observed_minority_block_zero(np.zeros((10, 10), dtype=bool), R, p)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +316,8 @@ def test_tiny_walkthrough_ranks_and_feasibility():
     assert numeric_rank_of(true.entries) == 2
     round1 = mc_4x4_round1()
     round_t = mc_4x4_round_t()
-    assert len(round1.observed) == 4
-    assert len(round_t.observed) == 10
+    assert round1.mask.sum() == 4
+    assert round_t.mask.sum() == 10
     assert round1.feasible(true) and round_t.feasible(true)
     completed = mc_4x4_completed()
     assert numeric_rank_of(completed.entries) == 2
@@ -301,7 +349,7 @@ def test_zero_fill_with_fully_observed_majority_block():
     a[2, 2] = 5.0
     R = RatingsMatrix(a)
     p = block_partition(2, 2, 3, 3)
-    omega = ObservedSet(rows=3, cols=3, pairs=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+    omega = mask_of(3, 3, {(0, 0), (0, 1), (1, 0), (1, 1)})
     filled = sparsest_majority_completion(PartialMatrix.from_full(R, omega), p)
     expected = np.zeros((3, 3))
     expected[:2, :2] = a[:2, :2]
@@ -315,7 +363,7 @@ def test_zero_fill_rejects_observed_hot_entries():
     a[2, 2] = 5.0
     R = RatingsMatrix(a)
     p = block_partition(2, 2, 3, 3)
-    omega = ObservedSet(rows=3, cols=3, pairs=frozenset({(2, 2)}))
+    omega = mask_of(3, 3, {(2, 2)})
     with pytest.raises(ValueError, match="infeasible"):
         sparsest_majority_completion(PartialMatrix.from_full(R, omega), p)
 
@@ -371,9 +419,7 @@ def test_zero_fill_is_rank_minimal_among_reduced_solutions(seed):
     a[m_bar, n_bar] = float(rng.uniform(0.0, 1.0))
     R = RatingsMatrix(a)
     p = block_partition(m_bar, n_bar, m, n)
-    omega = ObservedSet(
-        rows=m, cols=n, pairs=frozenset((u, i) for u in range(m_bar) for i in range(n_bar))
-    )
+    omega = mask_of(m, n, ((u, i) for u in range(m_bar) for i in range(n_bar)))
     partial = PartialMatrix.from_full(R, omega)
     zero_fill = sparsest_majority_completion(partial, p)
     for _ in range(3):

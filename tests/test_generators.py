@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rankgap.collective import find_eta
 from rankgap.completion import (
-    ObservedSet,
     PartialMatrix,
     miss_probability_mc,
     observed_minority_block_zero,
@@ -219,8 +218,8 @@ def _ref_kappa(R, p, k):
     return float(np.sort(R.entries[maj], axis=1)[:, R.cols - k].min())
 
 
-def _ref_observed_zero(omega, R, p):
-    for u, i in omega.pairs:
+def _ref_observed_zero(pairs, R, p):
+    for u, i in pairs:
         if u in p.minority_users and i in p.minority_items and R.entries[u, i] != 0.0:
             return False
     return True
@@ -324,8 +323,7 @@ def shuffled_partitions(draw):
             a[rows[-1], cols[0]] = 0.5
     p = GroupPartition(*(frozenset(x.tolist()) for x in (mu, nu, mi, ni)))
     observed = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
-    omega = ObservedSet(m, n, frozenset(zip(*(x.tolist() for x in np.nonzero(observed)))))
-    return RatingsMatrix(a), p, omega, int(rng.integers(2**31))
+    return RatingsMatrix(a), p, observed, int(rng.integers(2**31))
 
 
 @given(shuffled_partitions())
@@ -347,14 +345,21 @@ def test_partition_arrays_match_the_set_based_code(case):
     assert _outcome(p.validate_for, R) == _outcome(_ref_validate, ref, R)
     assert _outcome(singular_value_gap, R, p) == _outcome(_ref_gap, R, ref)
     assert _outcome(reorder_to_blocks, R, p) == _outcome(_ref_reorder, R, ref)
-    assert _outcome(find_picky_items, R, p) == _outcome(_ref_picky, R, ref)
+    # Each rater array as its values, dtype and read-only flag.
+    assert _outcome(
+        lambda: [
+            (i, raters.tolist(), raters.dtype == np.intp, raters.flags.writeable)
+            for i, raters in find_picky_items(R, p)
+        ]
+    ) == _outcome(lambda: [(i, sorted(raters), True, False) for i, raters in _ref_picky(R, ref)])
     for k in range(1, R.cols + 1):
         assert _outcome(kappa_k, R, p, k) == _outcome(_ref_kappa, R, ref, k)
     for fraction in (0.2, 0.5, 1.0):
         assert _outcome(lambda: stratified_collective(R, p, fraction).tolist()) == _outcome(
             reference_collective_list, R, ref, fraction
         )
-    assert observed_minority_block_zero(omega, R, p) == _ref_observed_zero(omega, R, ref)
+    pairs = frozenset(zip(*(x.tolist() for x in np.nonzero(omega))))
+    assert observed_minority_block_zero(omega, R, p) == _ref_observed_zero(pairs, R, ref)
     partial = PartialMatrix.from_full(R, omega)
     assert _outcome(sparsest_majority_completion, partial, p) == _outcome(
         _ref_sparsest, partial, ref

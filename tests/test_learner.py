@@ -277,9 +277,9 @@ def test_array_recommendation_matches_the_per_row_reference(R_hat, seed):
             assert [items(row) for row in outcome.pop_tie] == [
                 rec["pop_tie"] for rec in expected
             ]
-            assert outcome.negative_rows == {
+            assert outcome.negative_rows.tolist() == [
                 u for u in range(R_hat.rows) if a[u].max() < 0.0
-            }
+            ]
             welfare = social_welfare(R_hat, outcome).per_user_welfare
             assert welfare.tolist() == [
                 float(a[u, rec["chosen"]].sum()) for u, rec in enumerate(expected)
@@ -335,10 +335,12 @@ def test_run_structured_estimates_match_the_per_row_reference(R_hat, seed):
             assert [items(row) for row in outcome.pop_tie] == [
                 rec["pop_tie"] for rec in expected
             ]
-            assert outcome.negative_rows == {
+            # Ascending like the per-row scan, so sorted and distinct.
+            assert outcome.negative_rows.tolist() == [
                 u for u in range(R_hat.rows) if a[u].max() < 0.0
-            }
-            for array in (outcome.chosen, outcome.tie, outcome.pop_tie):
+            ]
+            assert outcome.negative_rows.dtype == np.intp
+            for array in (outcome.chosen, outcome.tie, outcome.pop_tie, outcome.negative_rows):
                 assert not array.flags.writeable
 
 
@@ -418,7 +420,7 @@ def test_seeded_draws_are_reproducible_and_seed_sensitive(paired_scene):
 def test_negative_only_rows_are_flagged_but_still_served():
     R_hat = RatingsMatrix(np.array([[-1.0, -2.0], [1.0, 0.0]]), nonnegative=False)
     outcome = recommend(R_hat, seed=0)
-    assert outcome.negative_rows == {0}
+    assert outcome.negative_rows.tolist() == [0]
     assert outcome.chosen[0, 0] == 0  # argmax rule still applies
 
 

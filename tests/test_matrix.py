@@ -36,7 +36,7 @@ from rankgap.matrix import (
 from rankgap import matrix
 from rankgap.completion import PartialMatrix
 from rankgap.generators import general_strategy_instance
-from rankgap.popgap import GeneralStrategy
+from rankgap.popgap import GeneralStrategy, classify_users
 from rankgap.matrix import _load_ratings_csv_lines, _parse_plain_csv
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -459,6 +459,7 @@ def test_partition_keeps_an_array_already_in_its_form():
         lambda: PartialMatrix(np.eye(2), np.eye(2, dtype=bool)),
         lambda: GeneralStrategy(np.array([0.5, 1.0])),
         lambda: general_strategy_instance(np.random.default_rng(9)),
+        lambda: classify_users(RatingsMatrix(np.eye(2)), 1),
     ],
     ids=[
         "RatingsMatrix",
@@ -467,6 +468,7 @@ def test_partition_keeps_an_array_already_in_its_form():
         "PartialMatrix",
         "GeneralStrategy",
         "StrategyInstance",
+        "UserClasses",
     ],
 )
 def test_array_holding_dataclasses_compare_by_identity(make):
@@ -644,7 +646,7 @@ def test_appending_column_never_decreases_singular_values(seed):
 def test_picky_items_of_paired_scene(paired_scene):
     R, p = paired_scene
     found = find_picky_items(R, p)
-    assert found == [(2, frozenset({8})), (3, frozenset({9}))]
+    assert [(i, raters.tolist()) for i, raters in found] == [(2, [8]), (3, [9])]
 
 
 def test_item_with_a_double_rating_user_is_not_picky():
@@ -675,9 +677,9 @@ def test_picky_items_empty_without_minority_items():
 def test_picky_items_of_multigroup_scene(multi_scene):
     R, p = multi_scene
     found = find_picky_items(R, p)
-    assert found == [
-        (4, frozenset(range(400, 404))),
-        (5, frozenset({404})),
+    assert [(i, raters.tolist()) for i, raters in found] == [
+        (4, list(range(400, 404))),
+        (5, [404]),
     ]
 
 

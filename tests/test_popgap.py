@@ -17,6 +17,7 @@ from rankgap.matrix import RatingsMatrix, singular_values_of
 from rankgap.popgap import (
     GeneralStrategy,
     PopularitySplit,
+    UserClasses,
     check_general_sufficiency,
     class_membership,
     classify_users,
@@ -115,8 +116,8 @@ def test_popular_prefs_spectrum_is_the_block_spectrum(seed):
 def test_unique_top_items_classify_cleanly():
     a = np.array([[1.0, 0.0, 0.2], [0.1, 0.2, 0.9]])
     classes = classify_users(RatingsMatrix(a), 2)
-    assert classes.majority == {0}
-    assert classes.minority == {1}
+    assert classes.majority.tolist() == [0]
+    assert classes.minority.tolist() == [1]
     assert classes.exclusive and classes.has_minority
 
 
@@ -124,8 +125,20 @@ def test_straddling_tie_lands_in_both_classes():
     a = np.array([[0.5, 0.2, 0.5], [1.0, 0.0, 0.0]])
     classes = classify_users(RatingsMatrix(a), 2)
     assert 0 in classes.majority and 0 in classes.minority
-    assert classes.dual == {0}
+    assert classes.dual.tolist() == [0]
     assert not classes.exclusive
+
+
+def test_user_classes_built_by_hand_take_the_array_form():
+    # Sets, the form before, and lists are sorted into read-only np.intp arrays.
+    classes = UserClasses({2, 0}, [2, 1, 2])
+    assert classes.majority.tolist() == [0, 2] and classes.minority.tolist() == [1, 2]
+    for array in (classes.majority, classes.minority):
+        assert array.dtype == np.intp and not array.flags.writeable
+    assert classes.dual.tolist() == [2] and not classes.exclusive and classes.has_minority
+    assert UserClasses([0], []).exclusive and not UserClasses([0], []).has_minority
+    with pytest.raises(ValueError, match="majority must hold integer indices"):
+        UserClasses([True], [])
 
 
 def by_user(users: np.ndarray, values: np.ndarray) -> dict:
@@ -157,9 +170,16 @@ def test_classification_matches_argmax_scan(seed):
     residual = [u for u in minority if u not in switching]
 
     classes = classify_users(R, n_bar)
-    assert classes.majority == set(majority)
-    assert classes.minority == set(minority)
-    assert switch_users(R, n_bar) == set(switching)
+    switch = switch_users(R, n_bar)
+    # Ascending like the scan, so each array is sorted and distinct.
+    assert classes.majority.tolist() == majority
+    assert classes.minority.tolist() == minority
+    assert switch.tolist() == switching
+    assert classes.dual.tolist() == [u for u in majority if u in minority]
+    assert classes.exclusive is not (set(majority) & set(minority))
+    assert classes.has_minority is bool(minority)
+    for array in (classes.majority, classes.minority, switch):
+        assert array.dtype == np.intp and not array.flags.writeable
 
     head = a[residual, : n_bar + 1]
     window = delta_interval(R, n_bar)
@@ -280,18 +300,21 @@ def test_gap_case_is_in_class(gap_case):
     assert report.kappa == pytest.approx(0.3)
     assert report.delta_gap == 0.12470765814495914
     assert report.classes_exclusive
-    assert report.classes.minority == {800, 801}
+    assert report.minority_users.tolist() == [800, 801]
 
 
 def _ref_membership(matrix: RatingsMatrix, n_bar: int) -> dict:
     """class_membership as per-user dicts, keyed in ascending user order."""
     split = PopularitySplit(matrix, n_bar)
-    classes = split.classes
     majority, minority, _ = split._masks
+    classes = {
+        "majority": frozenset(np.flatnonzero(majority).tolist()),
+        "minority": frozenset(np.flatnonzero(minority).tolist()),
+    }
     out = {
         "classes": classes,
-        "classes_exclusive": classes.exclusive,
-        "has_minority": classes.has_minority,
+        "classes_exclusive": not classes["majority"] & classes["minority"],
+        "has_minority": bool(classes["minority"]),
         "delta_gap": None,
         "majority_margins": {},
         "minority_margins": {},
@@ -337,7 +360,7 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
         users = getattr(report, f"{name}_users")
         margins = getattr(report, f"{name}_margins")
         expected = ref[f"{name}_margins"]
-        assert users.tolist() == sorted(getattr(ref["classes"], name))
+        assert users.tolist() == sorted(ref["classes"][name])
         if ref["delta_gap"] is None:
             assert margins.size == 0
             continue
@@ -351,7 +374,9 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
     assert report.in_class is ref["in_class"]
     assert report.classes_exclusive is ref["classes_exclusive"]
     assert report.has_minority is ref["has_minority"]
-    assert report.classes == ref["classes"] == classify_users(R, n_bar)
+    classes = classify_users(R, n_bar)
+    for name in ("majority", "minority"):
+        assert getattr(classes, name).tolist() == sorted(ref["classes"][name])
     # Reports hold arrays, so they compare by identity instead of raising.
     assert report == report and report != class_membership(R, n_bar)
 
@@ -476,12 +501,12 @@ def test_projection_requires_enough_rank():
 def test_switch_users_of_the_gap_case(gap_case):
     R, n_bar = gap_case
     # user 800 tops the target column; user 801 tops the later niche column
-    assert switch_users(R, n_bar) == {800}
+    assert switch_users(R, n_bar).tolist() == [800]
 
 
 def test_switch_users_empty_when_nobody_tops_the_target():
     a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.0, 0.5]])
-    assert switch_users(RatingsMatrix(a), 1) == frozenset()
+    assert switch_users(RatingsMatrix(a), 1).tolist() == []
 
 
 def test_switch_users_three_way():
@@ -489,8 +514,8 @@ def test_switch_users_three_way():
     a[:4, 0] = 1.0
     a[4:, 1] = 0.4
     classes = classify_users(RatingsMatrix(a), 1)
-    assert switch_users(RatingsMatrix(a), 1) == {4, 5, 6}
-    assert switch_users(RatingsMatrix(a), 1) <= classes.minority
+    assert switch_users(RatingsMatrix(a), 1).tolist() == [4, 5, 6]
+    assert set(switch_users(RatingsMatrix(a), 1).tolist()) <= set(classes.minority.tolist())
 
 
 def test_slack_window_of_the_strategy_case(strategy_case):
@@ -505,8 +530,8 @@ def test_slack_window_of_the_strategy_case(strategy_case):
 def test_slack_window_matches_a_brute_force_scan(strategy_case):
     R = strategy_case["matrix"]
     entries = R.entries
-    switching = sorted(switch_users(R, 4))
-    residual = sorted(classify_users(R, 4).minority - set(switching))
+    switching = switch_users(R, 4).tolist()
+    residual = sorted(set(classify_users(R, 4).minority.tolist()) - set(switching))
     w = delta_interval(R, 4)
     for delta in np.linspace(0.0, 0.4, 401):
         if delta <= 0:
