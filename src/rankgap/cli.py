@@ -57,16 +57,21 @@ from .popgap import PopularitySplit, popularity_gap_interval
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
 # Tests for the JSON types the key tables below name; numpy scalars pass as
-# numbers, and NaN and the infinities (which Python's json reads) do not.
+# numbers, NaN, the infinities (which Python's json reads) and integers past
+# the largest float do not, and a quoted name is the type of that one string.
 JSON_TYPES = {
     "null": lambda v: v is None,
     "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "number": lambda v: (
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
     ),
     "string": lambda v: isinstance(v, str),
     "object": lambda v: isinstance(v, dict),
     "list of integers": lambda v: isinstance(v, list) and all(map(JSON_TYPES["integer"], v)),
+    "positive integer": lambda v: JSON_TYPES["integer"](v) and v > 0,
+    "positive number": lambda v: JSON_TYPES["number"](v) and v > 0,
+    "number in (0, 1]": lambda v: JSON_TYPES["number"](v) and 0 < v <= 1,
+    **{f"'{w}'": (lambda v, w=w: v == w) for w in ("picky", "auto", "stratified", "explicit")},
 }
 # Each key a scenario document may hold, with the JSON types it accepts; the
 # nested tables type the keys of the object under that key.
@@ -77,26 +82,31 @@ SCENARIO_KEYS = {
     "alpha": ("number", "null"),
     "alpha_sweep": ("object", "null"),
     "strategy": ("object", "null"),
-    "top_k": ("integer",),
+    "top_k": ("positive integer",),
 }
 NESTED_KEYS = {
     "alpha_sweep": dict.fromkeys(("start", "stop", "step"), ("number",)),
     "strategy": {
-        "target_item": ("string", "integer"),
+        "target_item": ("'picky'", "integer"),
         "selector": ("object",),
-        "eta": ("string", "number"),
+        "eta": ("'auto'", "positive number"),
     },
-    "selector": {"kind": ("string",), "fraction": ("number",), "users": ("list of integers",)},
+    "selector": {
+        "kind": ("'stratified'", "'explicit'"),
+        "fraction": ("number in (0, 1]",),
+        "users": ("list of integers",),
+    },
 }
 # The most points an alpha_sweep grid may span; a larger one is refused before
 # it is built, since no sweep could fit that many points.
 MAX_SWEEP_POINTS = 100_000
-MATRIX_FAMILIES = ("paired", "indicator", "csv", "block_random", "gap_class")
 # The keys each matrix family requires, with their JSON types.
 FAMILY_KEYS = {
     "paired": {"m_maj": ("integer",), "m_minor": ("integer",)},
     "indicator": {"popular_sizes": ("list of integers",), "niche_sizes": ("list of integers",)},
     "csv": {"path": ("string",), "m_bar": ("integer",), "n_bar": ("integer",)},
+    "block_random": {},
+    "gap_class": {},
 }
 
 PRESETS: dict[str, dict] = {
@@ -154,46 +164,59 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        """The one validity check of a document, made from the document alone:
+        every command refuses the same documents, each with one ValueError.
+        What a command still refuses needs the matrix, or is a part only that
+        command reads (``sweep`` an alpha_sweep, ``run`` an alpha)."""
         if not isinstance(doc, dict):
             raise ValueError("a scenario document must be a JSON object")
-        unknown = set(doc) - set(SCENARIO_KEYS)
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+        _check_keys(doc, SCENARIO_KEYS, "")
         if "seed" not in doc:
             raise ValueError("scenario documents require a seed")
         matrix_spec = doc.get("matrix")
         if not isinstance(matrix_spec, dict) or "family" not in matrix_spec:
             raise ValueError("scenario matrix spec must be an object with a family")
-        if matrix_spec["family"] not in MATRIX_FAMILIES:
+        family = matrix_spec["family"]
+        # Typed first: a family such as [] cannot be looked up in the table.
+        if not isinstance(family, str) or family not in FAMILY_KEYS:
             raise ValueError(
-                f"unknown matrix family {matrix_spec['family']!r}; "
-                f"expected one of {MATRIX_FAMILIES}"
+                f"unknown matrix family {family!r}; expected one of {tuple(FAMILY_KEYS)}"
             )
-        _check_json_types(doc, SCENARIO_KEYS, "")
         sweep_spec = doc.get("alpha_sweep")
         if sweep_spec is not None:
             missing = set(NESTED_KEYS["alpha_sweep"]) - set(sweep_spec)
             if missing:
                 raise ValueError(f"alpha_sweep is missing {sorted(missing)}")
-            if float(sweep_spec["step"]) <= 0:
-                raise ValueError("alpha_sweep step must be positive")
-        alpha = doc.get("alpha")
-        top_k = int(doc.get("top_k", 1))
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
-        required = FAMILY_KEYS.get(matrix_spec["family"], {})
-        missing = [key for key in required if key not in matrix_spec]
+            _sweep_grid(sweep_spec)  # refuses a grid that no sweep could run
+        _check_keys(matrix_spec, {"family": ("string",), **FAMILY_KEYS[family]}, "matrix.")
+        missing = [key for key in FAMILY_KEYS[family] if key not in matrix_spec]
         if missing:
-            raise ValueError(f"matrix family {matrix_spec['family']!r} requires {missing}")
-        _check_json_types(matrix_spec, required, "matrix.")
+            raise ValueError(f"matrix family {family!r} requires {missing}")
+        strategy = doc.get("strategy")
+        if strategy is not None:
+            if family == "gap_class":
+                raise ValueError("collective uprating runs require a block-model scenario")
+            selector = strategy.get("selector", {})
+            if selector.get("kind") == "explicit":
+                if "users" not in selector:
+                    raise ValueError("an explicit collective selector requires users")
+                _collective_index(selector["users"])  # refuses [] and indices np.intp cannot hold
+            if strategy.get("eta", "auto") != "auto":
+                _power("strategy.eta", float(strategy["eta"]))  # refuses a square that overflows
+        alpha = doc.get("alpha")
+        # The random families draw their own tolerance.
+        if alpha is None and sweep_spec is None and family not in ("block_random", "gap_class"):
+            raise ValueError("scenario has no alpha and its family draws none")
+        if alpha is not None and alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
         return cls(
             name=str(doc.get("name", "scenario")),
             seed=int(doc["seed"]),
             matrix_spec=dict(matrix_spec),
             alpha=None if alpha is None else float(alpha),
             alpha_sweep=None if sweep_spec is None else dict(sweep_spec),
-            strategy_spec=None if doc.get("strategy") is None else dict(doc["strategy"]),
-            top_k=top_k,
+            strategy_spec=None if strategy is None else dict(strategy),
+            top_k=int(doc.get("top_k", 1)),
         )
 
     def to_dict(self) -> dict:
@@ -208,14 +231,18 @@ class Scenario:
         }
 
 
-def _check_json_types(obj: dict, types: dict, prefix: str) -> None:
-    """Raise ValueError when a key of obj that types lists holds another JSON
-    type; an object under a key of NESTED_KEYS is checked against its table."""
+def _check_keys(obj: dict, types: dict, prefix: str) -> None:
+    """Raise ValueError when obj holds a key that types does not list, or a
+    listed key of another JSON type; an object under a key of NESTED_KEYS is
+    checked against that key's table in turn."""
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {prefix[:-1] or 'scenario'} keys: {sorted(unknown)}")
     for key, allowed in types.items():
         if key in obj and not any(JSON_TYPES[t](obj[key]) for t in allowed):
             raise ValueError(f"{prefix}{key} must be of type {' or '.join(allowed)}")
         if key in NESTED_KEYS and isinstance(obj.get(key), dict):
-            _check_json_types(obj[key], NESTED_KEYS[key], f"{prefix}{key}.")
+            _check_keys(obj[key], NESTED_KEYS[key], f"{prefix}{key}.")
 
 
 @dataclass(frozen=True)
@@ -259,10 +286,8 @@ def _build_matrix(
     if family == "block_random":
         sc = generators.random_block_scenario(rng)
         return sc.matrix, sc.partition, None, sc.alpha
-    if family == "gap_class":
-        inst = generators.gap_class_instance(rng)
-        return inst.matrix, None, inst.n_bar, inst.alpha
-    raise ValueError(f"unknown matrix family {family!r}")
+    inst = generators.gap_class_instance(rng)
+    return inst.matrix, None, inst.n_bar, inst.alpha
 
 
 def generate_scenario(doc: dict) -> MaterializedScenario:
@@ -281,11 +306,10 @@ def generate_scenario(doc: dict) -> MaterializedScenario:
 
 
 def _resolve_alpha(mat: MaterializedScenario) -> float:
-    if mat.scenario.alpha is not None:
-        return mat.scenario.alpha
-    if mat.drawn_alpha is not None:
-        return mat.drawn_alpha
-    raise ValueError("scenario has no alpha and its family draws none")
+    alpha = mat.scenario.alpha if mat.scenario.alpha is not None else mat.drawn_alpha
+    if alpha is None:  # a valid document then gives an alpha_sweep
+        raise ValueError("run requires an alpha; this scenario gives only an alpha_sweep")
+    return alpha
 
 
 def _user_classes(mat: MaterializedScenario) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -338,9 +362,10 @@ def _run_side(
 def _resolve_strategy(
     mat: MaterializedScenario, alpha: float
 ) -> tuple[CollectiveStrategy, FinderInputs, float, str]:
+    """The strategy on the matrix.  Scenario.from_dict has judged the spec, so
+    the refusals here need the matrix: no picky item, a target outside the
+    minority items, a collective outside the majority, or a finder's 0."""
     spec = mat.scenario.strategy_spec
-    if mat.partition is None:
-        raise ValueError("collective uprating runs require a block-model scenario")
     matrix, partition = mat.matrix, mat.partition
 
     target = spec.get("target_item", "picky")
@@ -349,24 +374,17 @@ def _resolve_strategy(
         if not picky:
             raise ValueError("scenario has no picky item to target")
         target = picky[0][0]
-    elif isinstance(target, str):
-        raise ValueError(f"strategy.target_item must be 'picky' or an integer, got {target!r}")
     target = int(target)
     if target not in partition.minority_items:
         raise ValueError(f"target item {target} is not a minority item")
 
-    selector = spec.get("selector", {"kind": "stratified", "fraction": 0.25})
-    kind = selector.get("kind", "stratified")
-    if kind == "stratified":
+    selector = spec.get("selector", {})
+    if selector.get("kind", "stratified") == "stratified":
         collective = generators.stratified_collective(
             matrix, partition, float(selector.get("fraction", 0.25))
         )
-    elif kind == "explicit":
-        if "users" not in selector:
-            raise ValueError("an explicit collective selector requires users")
-        collective = _collective_index(selector["users"])
     else:
-        raise ValueError(f"unknown collective selector kind {kind!r}")
+        collective = _collective_index(selector["users"])
     # Checked before aggregate_value indexes the matrix with the collective.
     _require_majority(collective, partition)
 
@@ -392,11 +410,8 @@ def _resolve_strategy(
                 "the uprating finder returned 0: no value passes the sufficient "
                 "conditions for this scenario"
             )
-    elif isinstance(eta_spec, str):
-        raise ValueError(f"strategy.eta must be 'auto' or a number, got {eta_spec!r}")
     else:
         eta = float(eta_spec)
-        _power("strategy.eta", eta)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
     return strategy, inputs, eta, source
@@ -496,6 +511,8 @@ def _matrix_summary(mat: MaterializedScenario) -> dict:
 def _sweep_grid(spec: dict) -> list[float]:
     """Half-open grid [start, stop) with the given step."""
     start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+    if step <= 0:
+        raise ValueError("alpha_sweep step must be positive")
     if start + step == start:
         raise ValueError(f"alpha_sweep step {step!r} does not move the grid off start {start!r}")
     points = (stop - start) / step
@@ -503,6 +520,8 @@ def _sweep_grid(spec: dict) -> list[float]:
         raise ValueError(
             f"alpha_sweep grid spans {points:.6g} points, more than the cap of {MAX_SWEEP_POINTS}"
         )
+    if start < 0:
+        raise ValueError(f"alpha_sweep start must be nonnegative, got {start}")
     grid = []
     value = start
     index = 0
@@ -684,8 +703,6 @@ def _finder_inputs_from_args(args, squared=("--sigma-kmaj", "--alpha")) -> Finde
 
 def _maybe_emit(args, report: dict, name: str) -> None:
     if args.out:
-        if args.format != "json":
-            raise ValueError(f"{report['kind']} reports are emitted as json only")
         path = reports.report_emit(report, "json", _out_dir(args), name)
         print(f"wrote {path}")
 
@@ -771,82 +788,67 @@ def cmd_mc_demo(args) -> int:
     return 0 if mp["within_3_sigma"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags its handler reads, so a flag it
+    would ignore stops at the parser (exit 2) before any work."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         default=None,
         help=f"output directory (default: ${OUT_DIR_ENV} or the working directory)",
     )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-
-
-def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="scenario JSON document")
-    parser.add_argument(
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=None, help="override the seed")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    scenario.add_argument("--config", default=None, help="scenario JSON document")
+    scenario.add_argument(
         "--preset", choices=sorted(PRESETS), default=None, help="built-in scenario"
     )
+    report = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    report.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    finder = argparse.ArgumentParser(add_help=False, parents=[out])
+    finder.add_argument("--sigma-kmaj", dest="sigma_kmaj", type=float, required=True)
+    finder.add_argument("--alpha", type=float, required=True)
+    finder.add_argument("--n-bar", dest="n_bar", type=int, required=True)
+    finder.add_argument("--picky-col-sq", dest="picky_col_sq", type=float, required=True)
+    finder.add_argument("--av", type=float, required=True)
+    finder.add_argument("--kappa", type=float, required=True)
+    finder.add_argument("--coll-size", dest="coll_size", type=int, required=True)
 
-
-def _add_finder_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma-kmaj", dest="sigma_kmaj", type=float, required=True)
-    parser.add_argument("--alpha", type=float, required=True)
-    parser.add_argument("--n-bar", dest="n_bar", type=int, required=True)
-    parser.add_argument("--picky-col-sq", dest="picky_col_sq", type=float, required=True)
-    parser.add_argument("--av", type=float, required=True)
-    parser.add_argument("--kappa", type=float, required=True)
-    parser.add_argument("--coll-size", dest="coll_size", type=int, required=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankgap",
         description="Rank-selection gaps, collective uprating, and report emission.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, parent, handler, help_text in (
+        ("generate", scenario, cmd_generate, "materialize a scenario to ratings CSV"),
+        ("run", report, cmd_run, "truthful and collective runs, full report"),
+        ("sweep", report, cmd_sweep, "truthful runs across an alpha grid"),
+        ("find-eta", finder, cmd_find_eta, "closed-form effective uprating finder"),
+    ):
+        sub.add_parser(name, parents=[parent], help=help_text).set_defaults(handler=handler)
 
-    p = sub.add_parser("generate", help="materialize a scenario to ratings CSV")
-    _add_scenario_source(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_generate)
-
-    p = sub.add_parser("run", help="truthful and collective runs, full report")
-    _add_scenario_source(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("sweep", help="truthful runs across an alpha grid")
-    _add_scenario_source(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("find-eta", help="closed-form effective uprating finder")
-    _add_finder_args(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_find_eta)
-
-    p = sub.add_parser("check", help="evaluate the sufficient uprating conditions")
-    _add_finder_args(p)
+    p = sub.add_parser(
+        "check", parents=[finder], help="evaluate the sufficient uprating conditions"
+    )
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--sigma1-min", dest="sigma1_min", type=float, default=0.0)
-    _add_common(p)
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("robustness", help="parameter-error budget for a found eta")
-    _add_finder_args(p)
+    p = sub.add_parser(
+        "robustness", parents=[finder], help="parameter-error budget for a found eta"
+    )
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--l1-norm", dest="l1_norm", type=float, required=True)
     p.add_argument("--l2-norm", dest="l2_norm", type=float, required=True)
     p.add_argument("--n-items", dest="n_items", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=cmd_robustness)
 
-    p = sub.add_parser("mc-demo", help="completion fixture ranks and exploration MC")
+    p = sub.add_parser(
+        "mc-demo", parents=[seeded], help="completion fixture ranks and exploration MC"
+    )
     p.add_argument("--per-user", dest="per_user", type=int, default=3)
     p.add_argument("--trials", type=int, default=100_000)
-    _add_common(p)
     p.set_defaults(handler=cmd_mc_demo)
 
     return parser

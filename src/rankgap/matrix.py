@@ -267,8 +267,7 @@ def spectral(R: RatingsMatrix) -> SpectralSummary:
     err = _frobenius_norm(recon - a)
     if err > RECONSTRUCTION_RTOL * max(1.0, scale):
         raise ArithmeticError(f"decomposition reconstruction error {err:.3e} exceeds tolerance")
-    rank = int(np.count_nonzero(s > RANK_RTOL * (s[0] if s.size else 0.0)))
-    return SpectralSummary(singular_values=s, numeric_rank=rank, left=u, right_t=vt)
+    return SpectralSummary(singular_values=s, numeric_rank=_numeric_rank(s), left=u, right_t=vt)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
@@ -289,11 +288,13 @@ def singular_values_of(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _numeric_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values s exceed RANK_RTOL * s[0]."""
+    return int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size else 0
+
+
 def numeric_rank_of(a: np.ndarray) -> int:
-    s = singular_values_of(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return _numeric_rank(singular_values_of(a))
 
 
 @dataclass(frozen=True)

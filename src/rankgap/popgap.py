@@ -28,7 +28,7 @@ from .matrix import (
     RatingsMatrix,
     _index_array,
     _mask_indices,
-    numeric_rank_of,
+    _numeric_rank,
     singular_values_of,
     spectral,
 )
@@ -97,16 +97,19 @@ class PopularitySplit:
         return float(self.unpopular_block.sum(axis=0).min())
 
     @cached_property
-    def popular_rank(self) -> int:
-        return numeric_rank_of(self.popular_block)
+    def _popular_spectrum(self) -> np.ndarray:
+        """The popular block's singular values, one SVD for both readers below."""
+        return singular_values_of(self.popular_block)
 
-    @cached_property
+    @property
+    def popular_rank(self) -> int:
+        return _numeric_rank(self._popular_spectrum)
+
+    @property
     def sigma_popular(self) -> float:
         """The n_bar-th singular value of the popular block (0 when absent)."""
-        s = singular_values_of(self.popular_block)
-        if self.n_bar > s.size:
-            return 0.0
-        return float(s[self.n_bar - 1])
+        s = self._popular_spectrum
+        return float(s[self.n_bar - 1]) if self.n_bar <= s.size else 0.0
 
     @cached_property
     def _row_max(self) -> np.ndarray:

@@ -44,6 +44,28 @@ def write_config(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+# The commands that read a scenario document; each refuses the same documents.
+SCENARIO_COMMANDS = ("generate", "run", "sweep")
+
+
+def assert_refused_by_every_command(tmp_path, doc, message):
+    """Each scenario command ends in the same one error line, which starts
+    with message, and exit 1, and writes no file."""
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    errors = set()
+    for command in SCENARIO_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert stdout.getvalue() == ""
+        errors.add(err.getvalue())
+    assert len(errors) == 1
+    (err,) = errors
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Scenario documents
 # ---------------------------------------------------------------------------
@@ -93,15 +115,34 @@ def test_scenario_validation_errors(doc, message):
         ({"seed": 1, "matrix": {"family": "paired", "m_maj": 2}}, "m_minor"),
         ({"seed": 1, "matrix": {"family": "indicator", "niche_sizes": [1]}}, "popular_sizes"),
         ({"seed": 1, "matrix": {"family": "csv", "path": "x.csv"}}, "m_bar"),
+        # A part that one command alone reads is judged for every command.
+        (dict(PRESETS["paired"], strategy={"selector": {"kind": "explicit"}}), "requires users"),
+        (dict(PRESETS["paired"], alpha_sweep={"start": 2.0, "stop": 1.0, "step": 0.5}), "empty"),
+        (dict(PRESETS["paired"], strategy={"selector": {"fraction": 2}}), "in (0, 1]"),
+        (dict(PRESETS["paired"], strategy={"eta": 0}), "strategy.eta must be of type 'auto' or"),
+        (dict(PRESETS["paired"], strategy={"eta": 1e200}), "strategy.eta is too large"),
+        (
+            dict(PRESETS["paired"], strategy={"selector": {"kind": "explicit", "users": []}}),
+            "collective must be nonempty",
+        ),
+        (dict(PRESETS["paired"], alpha=-1.0), "alpha must be nonnegative"),
+        (
+            dict(PRESETS["paired"], alpha_sweep={"start": -1.0, "stop": 1.0, "step": 0.5}),
+            "alpha_sweep start must be nonnegative",
+        ),
     ],
 )
 def test_malformed_scenario_documents_are_clean_errors(tmp_path, capsys, doc, message):
     config = write_config(tmp_path, doc)
-    for argv in (["run", "--config", config], ["run", "--config", config, "--seed", "2"]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+    out = tmp_path / "out"
+    for command in SCENARIO_COMMANDS:
+        for argv in ([command, "--config", config], [command, "--config", config, "--seed", "2"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert message in captured.err
+    assert not out.exists()
 
 
 def test_generated_scenarios_are_seed_deterministic():
@@ -647,18 +688,17 @@ def test_gap_class_runs_truthfully(tmp_path):
     assert report["truthful"]["chosen_rank"] == report["matrix"]["majority_items"]
 
 
-def test_gap_class_rejects_uprating_strategies(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        {
-            "name": "gc",
-            "seed": 3,
-            "matrix": {"family": "gap_class"},
-            "strategy": {"target_item": "picky"},
-        },
+def test_gap_class_rejects_uprating_strategies(tmp_path):
+    doc = {
+        "name": "gc",
+        "seed": 3,
+        "matrix": {"family": "gap_class"},
+        "alpha_sweep": {"start": 0.5, "stop": 1.0, "step": 0.5},
+        "strategy": {"target_item": "picky"},
+    }
+    assert_refused_by_every_command(
+        tmp_path, doc, "collective uprating runs require a block-model scenario"
     )
-    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
-    assert "require a block-model scenario" in capsys.readouterr().err
 
 
 def test_explicit_collective_outside_the_majority_is_a_clean_error(tmp_path, capsys):
@@ -854,6 +894,7 @@ def test_tie_tolerance_boundary_is_recorded_consistently(tmp_path, offset, rank,
 PAIRED = {"name": "p", "seed": 1, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}
 STRATEGY = PRESETS["multigroup"]["strategy"]
 FUZZ_BASE = dict(PRESETS["paired"], strategy=STRATEGY)
+SWEEP = {"start": 1.0, "stop": 2.0, "step": 0.5}
 
 
 @pytest.mark.parametrize(
@@ -877,35 +918,49 @@ FUZZ_BASE = dict(PRESETS["paired"], strategy=STRATEGY)
         ),
         (
             dict(FUZZ_BASE, strategy=dict(STRATEGY, eta=math.inf)),
-            "strategy.eta must be of type string or number",
+            "strategy.eta must be of type 'auto' or positive number",
         ),
         (
             dict(FUZZ_BASE, strategy=dict(STRATEGY, eta="inf")),
-            "strategy.eta must be 'auto' or a number, got 'inf'",
+            "strategy.eta must be of type 'auto' or positive number",
         ),
         (
             dict(FUZZ_BASE, strategy=dict(STRATEGY, eta="fast")),
-            "strategy.eta must be 'auto' or a number, got 'fast'",
+            "strategy.eta must be of type 'auto' or positive number",
         ),
         (
             dict(FUZZ_BASE, strategy=dict(STRATEGY, target_item="foo")),
-            "strategy.target_item must be 'picky' or an integer, got 'foo'",
+            "strategy.target_item must be of type 'picky' or integer",
+        ),
+        # An integer past the largest float is no number: float() of it overflows.
+        (dict(FUZZ_BASE, alpha=10**400), "alpha must be of type number or null"),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, eta=-(10**400))),
+            "strategy.eta must be of type 'auto' or positive number",
+        ),
+        (
+            dict(PAIRED, alpha_sweep={"start": 1.0, "stop": 10**400, "step": 0.5}),
+            "alpha_sweep.stop must be of type number",
+        ),
+        (
+            dict(FUZZ_BASE, strategy=dict(STRATEGY, selector={"kind": "all"})),
+            "strategy.selector.kind must be of type 'stratified' or 'explicit'",
         ),
     ],
 )
-def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, capsys, doc, message):
-    config = write_config(tmp_path, doc)
-    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, doc, message):
+    assert_refused_by_every_command(tmp_path, doc, message)
 
 
-FUZZ_PATHS = (
-    [(key,) for key in [*FUZZ_BASE, "alpha_sweep"]]
-    + [("matrix", key) for key in FUZZ_BASE["matrix"]]
-    + [("strategy", key) for key in FUZZ_BASE["strategy"]]
-    + [("strategy", "selector", key) for key in FUZZ_BASE["strategy"]["selector"]]
-)
+FUZZ_DOC = dict(FUZZ_BASE, alpha_sweep=SWEEP)
+# Every key of FUZZ_DOC, and an unknown key at each depth.
+FUZZ_PATHS = [
+    *((key,) for key in [*FUZZ_DOC, "bogus"]),
+    *(("matrix", key) for key in [*FUZZ_DOC["matrix"], "bogus"]),
+    *(("strategy", key) for key in [*FUZZ_DOC["strategy"], "bogus"]),
+    *(("strategy", "selector", key) for key in [*FUZZ_DOC["strategy"]["selector"], "bogus"]),
+    *(("alpha_sweep", key) for key in [*SWEEP, "bogus"]),
+]
 # Small values only, so that no draw builds a large matrix.
 FUZZ_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], [1], {}, {"a": 1}]
 # Values a scenario key rejects by name wherever they are not the key's type.
@@ -915,21 +970,32 @@ NAMED_FUZZ_VALUES = [math.nan, math.inf, -math.inf, "inf", "fast"]
 @given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES + NAMED_FUZZ_VALUES))
 @settings(max_examples=200, deadline=None)
 def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, path, value):
-    doc = json.loads(json.dumps(FUZZ_BASE))
+    doc = json.loads(json.dumps(FUZZ_DOC))
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    out = tmp_path_factory.mktemp("fuzz")
-    config = write_config(out, doc)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", "--config", config, "--out", str(out)])
-    assert code in (0, 1)
-    if code == 1:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    if value in NAMED_FUZZ_VALUES and path != ("name",):
-        assert code == 1 and path[-1] in err.getvalue()
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = write_config(tmp, doc)
+    try:
+        Scenario.from_dict(doc)
+    except ValueError as exc:
+        refusal = f"error: {exc}\n"
+    else:
+        refusal = None
+    for command in SCENARIO_COMMANDS:
+        out = tmp / command
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", config, "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if refusal is not None:
+            # The document alone is refused, so every command refuses it alike.
+            assert code == 1 and err.getvalue() == refusal and not out.exists()
+    if path[-1] == "bogus" or (value in NAMED_FUZZ_VALUES and path != ("name",)):
+        assert refusal is not None and path[-1] in refusal
 
 
 # ---------------------------------------------------------------------------
@@ -948,12 +1014,15 @@ def test_scenario_source_is_exclusive_and_required(tmp_path, capsys):
 
 
 def test_missing_alpha_is_a_clean_error(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        {"name": "x", "seed": 0, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}},
+    doc = {"name": "x", "seed": 0, "matrix": {"family": "paired", "m_maj": 2, "m_minor": 1}}
+    assert_refused_by_every_command(tmp_path, doc, "scenario has no alpha")
+    # An alpha_sweep is a tolerance too: sweep runs the document, run cannot.
+    config = write_config(tmp_path, dict(doc, alpha_sweep=SWEEP))
+    assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: run requires an alpha; this scenario gives only an alpha_sweep\n"
     )
-    assert main(["run", "--config", config]) == 1
-    assert "no alpha" in capsys.readouterr().err
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
@@ -1115,10 +1184,40 @@ def test_main_builds_its_parser_once(tmp_path, capsys):
     assert capsys.readouterr().out.count("eta = ") == 2
 
 
+# Each command with flags it needs; none of them reads --format, and the
+# scalar ones no --seed either.
+UNFORMATTED_COMMANDS = {
+    "generate": ["--preset", "paired"],
+    "find-eta": FINDER_ARGS,
+    "check": [*FINDER_ARGS, "--eta", "0.75", "--sigma1-min", "2.0"],
+    "robustness": [*FINDER_ARGS, *(x for kv in ROBUSTNESS_ARGS.items() for x in kv)],
+    "mc-demo": ["--trials", "10"],
+}
+
+
+def assert_parser_refuses(argv, flag, capsys, tmp_path):
+    """argv stops at the parser, exit 2, naming flag, with nothing printed or written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
+
+
 def test_scalar_reports_are_json_only(tmp_path, capsys):
-    argv = ["find-eta", *FINDER_ARGS, "--out", str(tmp_path), "--format", "csv"]
-    assert main(argv) == 1
-    assert "json only" in capsys.readouterr().err
+    # --format is offered only where a report has a CSV projection (run and
+    # sweep); elsewhere it stops at the parser, before any work or output.
+    for command, args in UNFORMATTED_COMMANDS.items():
+        assert_parser_refuses([command, *args, "--format", "csv"], "--format", capsys, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["find-eta", "check", "robustness"])
+def test_scalar_commands_take_no_seed(tmp_path, capsys, command):
+    argv = [command, *UNFORMATTED_COMMANDS[command], "--seed", "1"]
+    assert_parser_refuses(argv, "--seed", capsys, tmp_path)
 
 
 # ---------------------------------------------------------------------------
