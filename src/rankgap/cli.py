@@ -38,11 +38,13 @@ from .collective import (
     sufficient_gap,
 )
 from .completion import miss_probability_mc, reduce_solution, sparsest_majority_completion
-from .learner import fit_learner, kappa_k, recommend, social_welfare, tvr
+from .learner import choose_rank, fit_learner, kappa_k, recommend, social_welfare, tvr
 from .matrix import (
     GroupPartition,
     OpenInterval,
     RatingsMatrix,
+    SpectralSummary,
+    _numeric_rank,
     block_partition,
     find_picky_items,
     load_ratings_csv,
@@ -535,23 +537,30 @@ def _sweep_grid(spec: dict) -> list[float]:
 
 
 def sweep(mat: MaterializedScenario) -> dict:
-    """Truthful runs across the alpha grid; assembly sorted by run id."""
+    """Truthful runs across the alpha grid, one fit per distinct chosen rank.
+
+    The rank depends on alpha only through the matrix's singular values, and
+    the run fields only through the rank, so the first fit's spectrum picks
+    each point's rank and a point of an already fitted rank repeats it."""
     scenario = mat.scenario
     if scenario.alpha_sweep is None:
         raise ValueError("sweep requires an alpha_sweep block in the scenario")
+    spectrum = None
+    fitted = {}
     runs = []
     for index, alpha in enumerate(_sweep_grid(scenario.alpha_sweep)):
-        side, _, _ = _run_side(mat, mat.matrix, alpha)
-        runs.append(
-            {
-                "id": index,
-                "alpha": alpha,
-                "chosen_rank": side["chosen_rank"],
-                "tvr": side["tvr"],
-                "social_welfare": side["social_welfare"],
-            }
-        )
-    runs.sort(key=lambda r: r["id"])
+        rank = None if spectrum is None else choose_rank(spectrum, alpha)
+        if rank not in fitted:
+            # Only the side is bound: the fit's arrays go before the next one.
+            side = _run_side(mat, mat.matrix, alpha)[0]
+            rank = side["chosen_rank"]
+            fitted[rank] = {key: side[key] for key in ("chosen_rank", "tvr", "social_welfare")}
+            if spectrum is None:
+                # The singular values alone: no m x n factor outlives the fit.
+                s = np.array(side["spectrum"])
+                empty = np.zeros((0, 0))
+                spectrum = SpectralSummary(s, _numeric_rank(s), left=empty, right_t=empty)
+        runs.append({"id": index, "alpha": alpha, **fitted[rank]})
     return {
         "kind": "sweep",
         "scenario": scenario.to_dict(),

@@ -216,6 +216,10 @@ def reduce_solution(X: RatingsMatrix, p: GroupPartition) -> RatingsMatrix:
 # Monte Carlo on per-user exploration
 # ---------------------------------------------------------------------------
 
+# Keys drawn per block of Monte Carlo trials: 2**16 float64 keys, 512 KiB.
+MC_BLOCK_KEYS = 2**16
+
+
 def miss_probability_mc(
     R_star: RatingsMatrix,
     p: GroupPartition,
@@ -230,6 +234,11 @@ def miss_probability_mc(
     row); the event holds iff no positive minority-block entry is queried.
     Vectorized with the random-key trick: a row's sampled subset is the
     per_user smallest of n iid uniform keys, which is a uniform subset.
+
+    Keys are drawn in consecutive blocks of about MC_BLOCK_KEYS, so memory
+    does not grow with ``trials``. The generator fills each block in C order
+    from one output per key, so the blocks are the single draw of every
+    key cut into pieces, and the estimate is the same for any block size.
     """
     m, n = R_star.shape
     if not 0 <= per_user <= n:
@@ -241,20 +250,25 @@ def miss_probability_mc(
     if not rows.size:
         return 1.0
     hot_rows, starts = np.unique(rows, return_index=True)
-    rng = np.random.default_rng(seed)
-    ok = np.ones(trials, dtype=bool)
-    keys = rng.random((trials, hot_rows.size, n))
+    hot_items = [items.tolist() for items in np.split(p.minority_items[cols], starts[1:])]
     # A key is sampled iff fewer than per_user keys of its row lie below it.
     # Rank is monotone in the key, ties included, so a row's hot items all
     # escape the sample iff its smallest hot key does.  The count is an
     # integer product; uint8 holds every count of a row shorter than 256.
     ones = np.ones(n, dtype=np.uint8 if n < 256 else np.intp)
-    for r, items in enumerate(np.split(p.minority_items[cols], starts[1:])):
-        row = keys[:, r, :]
-        # Column views, so a single hot item costs no copy.
-        smallest = functools.reduce(np.minimum, [row[:, i : i + 1] for i in items.tolist()])
-        ok &= (row < smallest).view(np.uint8) @ ones >= per_user
-    return float(ok.mean())
+    block = max(1, MC_BLOCK_KEYS // (hot_rows.size * n))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, trials, block):
+        keys = rng.random((min(block, trials - done), hot_rows.size, n))
+        ok = np.ones(keys.shape[0], dtype=bool)
+        for r, items in enumerate(hot_items):
+            row = keys[:, r, :]
+            # Column views, so a single hot item costs no copy.
+            smallest = functools.reduce(np.minimum, [row[:, i : i + 1] for i in items])
+            ok &= (row < smallest).view(np.uint8) @ ones >= per_user
+        hits += int(np.count_nonzero(ok))
+    return hits / trials
 
 
 __all__ = [

@@ -204,8 +204,9 @@ class GroupPartition:
         if np.count_nonzero(rows) > inside:
             raise PartitionError("minority user rates a majority item")
         # Each row's largest entry, as a fold over the columns when rows are
-        # short: numpy reduces along a short row slowly.
-        top = functools.reduce(np.maximum, a.T) if a.shape[1] <= a.shape[0] else a.max(axis=1)
+        # short (at most 64 wide): numpy reduces along a short row slowly,
+        # and a wide matrix costs the fold one pass per column.
+        top = functools.reduce(np.maximum, a.T) if n <= min(m, 64) else a.max(axis=1)
         if np.any(top <= 0.0):
             raise PartitionError("a user has no positive rating")
 

@@ -598,6 +598,40 @@ def test_sweep_csv_matches_the_line_writer(tmp_path, preset, top_k):
     assert expected.count(b"\n") == 29
 
 
+def reference_sweep(mat) -> dict:
+    """The sweep report with a fit at every grid point."""
+    runs = []
+    for index, alpha in enumerate(cli._sweep_grid(mat.scenario.alpha_sweep)):
+        side, _, _ = cli._run_side(mat, mat.matrix, alpha)
+        fields = {key: side[key] for key in ("chosen_rank", "tvr", "social_welfare")}
+        runs.append({"id": index, "alpha": alpha, **fields})
+    return {
+        "kind": "sweep",
+        "scenario": mat.scenario.to_dict(),
+        "matrix": cli._matrix_summary(mat),
+        "runs": runs,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(PRESETS["multigroup"], top_k=2),
+        dict(PRESETS["paired"], top_k=1),
+        {"name": "gc", "seed": 3, "matrix": {"family": "gap_class"}},
+    ],
+    ids=["multigroup", "paired", "gap_class"],
+)
+def test_sweep_fits_each_distinct_rank_once(doc):
+    doc = dict(doc, alpha_sweep={"start": 0.25, "stop": 14.0, "step": 0.5})
+    mat = generate_scenario(doc)
+    with mock.patch.object(cli, "fit_learner", wraps=cli.fit_learner) as fit:
+        report = sweep(mat)
+    ranks = {r["chosen_rank"] for r in report["runs"]}
+    assert 1 < fit.call_count == len(ranks) < len(report["runs"]) == 28
+    assert canonical_json_bytes(report) == canonical_json_bytes(reference_sweep(mat))
+
+
 def test_sweep_requires_a_grid(capsys):
     assert main(["sweep", "--preset", "paired"]) == 1
     assert "alpha_sweep" in capsys.readouterr().err
@@ -953,24 +987,37 @@ def test_wrongly_typed_scenario_fields_are_clean_errors(tmp_path, doc, message):
 
 
 FUZZ_DOC = dict(FUZZ_BASE, alpha_sweep=SWEEP)
-# Every key of FUZZ_DOC, and an unknown key at each depth.
-FUZZ_PATHS = [
-    *((key,) for key in [*FUZZ_DOC, "bogus"]),
-    *(("matrix", key) for key in [*FUZZ_DOC["matrix"], "bogus"]),
-    *(("strategy", key) for key in [*FUZZ_DOC["strategy"], "bogus"]),
-    *(("strategy", "selector", key) for key in [*FUZZ_DOC["strategy"]["selector"], "bogus"]),
-    *(("alpha_sweep", key) for key in [*SWEEP, "bogus"]),
-]
+# The finder satisfies this base's strategy, so its mutations reach the report
+# path; FUZZ_DOC's own strategy is refused by run with the finder's 0.
+FUZZ_REPORTED_DOC = dict(PRESETS["multigroup"], alpha_sweep=SWEEP)
+
+
+def fuzz_paths(doc):
+    """Every key of a fuzz document, and an unknown key at each depth."""
+    return [
+        *((key,) for key in [*doc, "bogus"]),
+        *(("matrix", key) for key in [*doc["matrix"], "bogus"]),
+        *(("strategy", key) for key in [*doc["strategy"], "bogus"]),
+        *(("strategy", "selector", key) for key in [*doc["strategy"]["selector"], "bogus"]),
+        *(("alpha_sweep", key) for key in [*SWEEP, "bogus"]),
+    ]
+
+
 # Small values only, so that no draw builds a large matrix.
 FUZZ_VALUES = [None, True, -1, 0, 2, 1.5, "x", [], [1], {}, {"a": 1}]
 # Values a scenario key rejects by name wherever they are not the key's type.
 NAMED_FUZZ_VALUES = [math.nan, math.inf, -math.inf, "inf", "fast"]
 
 
-@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES + NAMED_FUZZ_VALUES))
+@given(
+    base=st.sampled_from([FUZZ_DOC, FUZZ_REPORTED_DOC]),
+    value=st.sampled_from(FUZZ_VALUES + NAMED_FUZZ_VALUES),
+    data=st.data(),
+)
 @settings(max_examples=200, deadline=None)
-def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, path, value):
-    doc = json.loads(json.dumps(FUZZ_DOC))
+def test_any_one_bad_scenario_value_is_a_clean_exit(tmp_path_factory, base, value, data):
+    path = data.draw(st.sampled_from(fuzz_paths(base)), label="path")
+    doc = json.loads(json.dumps(base))
     node = doc
     for key in path[:-1]:
         node = node[key]

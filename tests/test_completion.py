@@ -3,12 +3,14 @@ Monte Carlo, checked on the packaged walkthrough fixtures and random instances."
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankgap.completion import (
+    MC_BLOCK_KEYS,
     PartialMatrix,
     explore,
     explore_per_user,
@@ -488,6 +490,49 @@ def test_miss_probability_matches_the_per_entry_loop(shape_seed, seed, trials, n
         assert miss_probability_mc(R, p, per_user, trials, seed) == _loop_miss_probability(
             R, p, per_user, trials, seed
         )
+
+
+def assert_blocks_give_the_one_shot_draw(R, p, seed):
+    """Trial counts one short of, at, one past and two blocks past a block
+    boundary give the estimate of the single draw of every key, at every
+    per_user."""
+    hot_rows = np.unique(np.nonzero(p.minority_block(R.entries))[0]).size
+    block = max(1, MC_BLOCK_KEYS // (hot_rows * R.cols))
+    for trials in (block - 1, block, block + 1, 2 * block + 1):
+        for per_user in range(R.cols + 1 if trials else 0):
+            assert miss_probability_mc(R, p, per_user, trials, seed) == (
+                _loop_miss_probability(R, p, per_user, trials, seed)
+            )
+
+
+@given(seeds, seeds, st.integers(2, 7))
+@settings(max_examples=15, deadline=None)
+def test_miss_probability_is_the_one_shot_draw_across_block_boundaries(shape_seed, seed, n_min):
+    R, p = shuffled_block_instance(np.random.default_rng(shape_seed), n_min)
+    assert_blocks_give_the_one_shot_draw(R, p, seed)
+
+
+def test_long_row_miss_probability_is_the_one_shot_draw_across_block_boundaries():
+    """A 256-item row, counted past uint8, with three hot entries: a block
+    is 256 trials."""
+    a = np.zeros((2, 256))
+    a[0, 0] = 1.0
+    a[1, [1, 128, 255]] = 1.0
+    assert_blocks_give_the_one_shot_draw(RatingsMatrix(a), block_partition(1, 1, 2, 256), 5)
+
+
+def test_miss_probability_memory_does_not_grow_with_trials():
+    """A million trials of the 10 x 10 walkthrough stay under 4 MiB, where
+    one draw of every key would hold 160 MB, and give that draw's estimate."""
+    R, p = mc_10x10()
+    tracemalloc.start()
+    try:
+        estimate = miss_probability_mc(R, p, per_user=3, trials=1_000_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate == 0.490969
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 300])
