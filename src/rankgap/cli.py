@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,7 +55,7 @@ from .matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from .popgap import PopularitySplit, popularity_gap_interval
+from .popgap import PopularitySplit, _gap_interval
 
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
@@ -110,6 +111,10 @@ FAMILY_KEYS = {
     "block_random": {},
     "gap_class": {},
 }
+# The families that draw their matrix and tolerance from the document's seed.
+DRAWING_FAMILIES = ("block_random", "gap_class")
+# The group counts of a report's matrix summary, beside its rows and cols.
+GROUP_KEYS = ("majority_users", "minority_users", "majority_items", "minority_items")
 
 PRESETS: dict[str, dict] = {
     # Two popular indicator groups of four users, two singleton niche groups.
@@ -207,10 +212,14 @@ class Scenario:
                 _power("strategy.eta", float(strategy["eta"]))  # refuses a square that overflows
         alpha = doc.get("alpha")
         # The random families draw their own tolerance.
-        if alpha is None and sweep_spec is None and family not in ("block_random", "gap_class"):
+        if alpha is None and sweep_spec is None and family not in DRAWING_FAMILIES:
             raise ValueError("scenario has no alpha and its family draws none")
         if alpha is not None and alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        if family in DRAWING_FAMILIES and doc["seed"] < 0:
+            raise ValueError(
+                f"seed must be nonnegative for the drawing family {family!r}, got {doc['seed']}"
+            )
         return cls(
             name=str(doc.get("name", "scenario")),
             seed=int(doc["seed"]),
@@ -247,81 +256,78 @@ def _check_keys(obj: dict, types: dict, prefix: str) -> None:
             _check_keys(obj[key], NESTED_KEYS[key], f"{prefix}{key}.")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaterializedScenario:
-    """A scenario resolved to concrete data.
+    """A scenario resolved to concrete data under its model: the one scene
+    that ``run`` and ``sweep`` read.
 
-    Block-model families carry a partition; the popularity-model family
-    carries a popular-prefix width instead.  ``drawn_alpha`` is set when the
-    generator family draws its own tolerance.
+    ``partition`` is the block model's; the popularity model (``gap_class``)
+    has none.  ``alpha`` is the document's, else the family's drawn one, else
+    None.  ``class_codes[u]`` indexes ``class_labels``, ``summary`` is the
+    reports' ``matrix`` block, and ``gap_interval()`` gives the true matrix's
+    gap window.  Scenes compare by identity.
     """
 
     scenario: Scenario
     matrix: RatingsMatrix
     partition: GroupPartition | None
-    n_bar: int | None
-    drawn_alpha: float | None
-
-
-def _build_matrix(
-    spec: dict, seed: int
-) -> tuple[RatingsMatrix, GroupPartition | None, int | None, float | None]:
-    family = spec["family"]
-    if family == "paired":
-        matrix, partition = generators.paired_indicator(
-            int(spec["m_maj"]), int(spec["m_minor"])
-        )
-        return matrix, partition, None, None
-    if family == "indicator":
-        matrix, partition = generators.indicator_scenario(
-            spec["popular_sizes"], spec["niche_sizes"]
-        )
-        return matrix, partition, None, None
-    if family == "csv":
-        matrix = load_ratings_csv(spec["path"])[0]
-        partition = block_partition(
-            int(spec["m_bar"]), int(spec["n_bar"]), matrix.rows, matrix.cols
-        )
-        partition.validate_for(matrix)
-        return matrix, partition, None, None
-    rng = np.random.default_rng(seed)
-    if family == "block_random":
-        sc = generators.random_block_scenario(rng)
-        return sc.matrix, sc.partition, None, sc.alpha
-    inst = generators.gap_class_instance(rng)
-    return inst.matrix, None, inst.n_bar, inst.alpha
+    alpha: float | None
+    class_codes: np.ndarray
+    class_labels: tuple[str, ...]
+    summary: dict
+    gap_interval: Callable[[], OpenInterval]
 
 
 def generate_scenario(doc: dict) -> MaterializedScenario:
-    """Resolve a scenario document to concrete data, deterministically."""
+    """Resolve a scenario document to its scene, deterministically.  The one
+    place that tells the block model from the popularity model."""
     scenario = Scenario.from_dict(doc)
-    matrix, partition, n_bar, drawn_alpha = _build_matrix(
-        scenario.matrix_spec, scenario.seed
-    )
+    spec, drawn = scenario.matrix_spec, None
+    family = spec["family"]
+    if family == "gap_class":
+        inst = generators.gap_class_instance(np.random.default_rng(scenario.seed))
+        matrix, partition, drawn = inst.matrix, None, inst.alpha
+        split = PopularitySplit(matrix, inst.n_bar)
+        majority, minority = split.class_masks
+        class_codes = np.select([majority & minority, majority], [0, 1], 2)
+        class_labels = ("both", "majority", "minority")
+        classes, n_bar = split.classes, inst.n_bar
+        counts = (len(classes.majority), len(classes.minority), n_bar, matrix.cols - n_bar)
+        gap_interval = functools.partial(_gap_interval, split)
+    else:
+        if family == "paired":
+            matrix, partition = generators.paired_indicator(
+                int(spec["m_maj"]), int(spec["m_minor"])
+            )
+        elif family == "indicator":
+            matrix, partition = generators.indicator_scenario(
+                spec["popular_sizes"], spec["niche_sizes"]
+            )
+        elif family == "csv":
+            matrix = load_ratings_csv(spec["path"])[0]
+            partition = block_partition(
+                int(spec["m_bar"]), int(spec["n_bar"]), matrix.rows, matrix.cols
+            )
+            partition.validate_for(matrix)
+        else:
+            sc = generators.random_block_scenario(np.random.default_rng(scenario.seed))
+            matrix, partition, drawn = sc.matrix, sc.partition, sc.alpha
+        class_codes = np.ones(matrix.rows, dtype=np.intp)
+        class_codes[partition.majority_users] = 0
+        class_labels = ("majority", "minority")
+        counts = [len(getattr(partition, key)) for key in GROUP_KEYS]
+        gap_interval = functools.partial(singular_value_gap, matrix, partition)
+    class_codes.setflags(write=False)
     return MaterializedScenario(
         scenario=scenario,
         matrix=matrix,
         partition=partition,
-        n_bar=n_bar,
-        drawn_alpha=drawn_alpha,
+        alpha=drawn if scenario.alpha is None else scenario.alpha,
+        class_codes=class_codes,
+        class_labels=class_labels,
+        summary={"rows": matrix.rows, "cols": matrix.cols, **dict(zip(GROUP_KEYS, counts))},
+        gap_interval=gap_interval,
     )
-
-
-def _resolve_alpha(mat: MaterializedScenario) -> float:
-    alpha = mat.scenario.alpha if mat.scenario.alpha is not None else mat.drawn_alpha
-    if alpha is None:  # a valid document then gives an alpha_sweep
-        raise ValueError("run requires an alpha; this scenario gives only an alpha_sweep")
-    return alpha
-
-
-def _user_classes(mat: MaterializedScenario) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Each user's class as a code into the returned labels."""
-    if mat.partition is not None:
-        codes = np.ones(mat.matrix.rows, dtype=np.intp)
-        codes[mat.partition.majority_users] = 0
-        return codes, ("majority", "minority")
-    majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
-    return np.select([majority & minority, majority], [0, 1], 2), ("both", "majority", "minority")
 
 
 def _report_items(outcome) -> np.ndarray:
@@ -344,16 +350,12 @@ def _run_side(
     model = fit_learner(revealed, alpha)
     outcome = recommend(model.truncated, k_items=mat.scenario.top_k, derandomize=True)
     welfare = social_welfare(mat.matrix, outcome, R_tilde=revealed)
-    if mat.partition is not None:
-        interval = singular_value_gap(mat.matrix, mat.partition)
-    else:
-        interval = popularity_gap_interval(mat.matrix, mat.n_bar)
     side = {
         "alpha": float(alpha),
         "spectrum": [float(s) for s in model.spectrum.singular_values],
         "chosen_rank": model.chosen_rank,
         "tvr": tvr(model.spectrum, model.chosen_rank),
-        "gap_interval": _interval_json(interval),
+        "gap_interval": _interval_json(mat.gap_interval()),
         "social_welfare": welfare.social_welfare,
         "u_ben": welfare.u_ben,
         "u_en": welfare.u_en,
@@ -363,7 +365,7 @@ def _run_side(
 
 def _resolve_strategy(
     mat: MaterializedScenario, alpha: float
-) -> tuple[CollectiveStrategy, FinderInputs, float, str]:
+) -> tuple[CollectiveStrategy, FinderInputs, str]:
     """The strategy on the matrix.  Scenario.from_dict has judged the spec, so
     the refusals here need the matrix: no picky item, a target outside the
     minority items, a collective outside the majority, or a finder's 0."""
@@ -416,7 +418,7 @@ def _resolve_strategy(
         eta = float(eta_spec)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
-    return strategy, inputs, eta, source
+    return strategy, inputs, source
 
 
 def run(mat: MaterializedScenario) -> dict:
@@ -425,27 +427,29 @@ def run(mat: MaterializedScenario) -> dict:
     The report's ``per_user`` is a :class:`rankgap.reports.PerUserTable`;
     its ``rows()`` gives one dict per user."""
     scenario = mat.scenario
-    alpha = _resolve_alpha(mat)
+    alpha = mat.alpha
+    if alpha is None:  # a valid document then gives an alpha_sweep
+        raise ValueError("run requires an alpha; this scenario gives only an alpha_sweep")
     truthful_side, truthful_outcome, truthful_welfare = _run_side(
         mat, mat.matrix, alpha
     )
     collective_side = None
     collective_items = collective_welfares = None
     if scenario.strategy_spec is not None:
-        strategy, inputs, eta, source = _resolve_strategy(mat, alpha)
+        strategy, inputs, source = _resolve_strategy(mat, alpha)
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         collective_side, collective_outcome, collective_welfare = _run_side(
             mat, revealed, alpha
         )
         s_min = singular_values_of(mat.partition.minority_block(mat.matrix.entries))
         sigma1_min = float(s_min[0]) if s_min.size else 0.0
-        sufficiency = check_sufficient_conditions(inputs, sigma1_min, eta)
+        sufficiency = check_sufficient_conditions(inputs, sigma1_min, strategy.eta)
         window = sufficient_gap(mat.matrix, mat.partition, strategy)
         margin = None
-        if margin_numerator(inputs, eta) > 0:
+        if margin_numerator(inputs, strategy.eta) > 0:
             margin = robustness_margin(
                 inputs,
-                eta,
+                strategy.eta,
                 l1_norm=matrix_l1_norm(mat.matrix),
                 l2_norm=float(singular_values_of(mat.matrix.entries)[0]),
                 n=mat.matrix.cols,
@@ -453,7 +457,7 @@ def run(mat: MaterializedScenario) -> dict:
         collective_side.update(
             {
                 "gap_interval": _interval_json(window),
-                "eta": eta,
+                "eta": strategy.eta,
                 "eta_source": source,
                 "target_item": strategy.target_item,
                 "collective_size": len(strategy.collective),
@@ -470,10 +474,9 @@ def run(mat: MaterializedScenario) -> dict:
         collective_items = _report_items(collective_outcome)
         collective_welfares = collective_welfare.per_user_welfare
 
-    class_codes, class_labels = _user_classes(mat)
     per_user = reports.PerUserTable(
-        class_codes=class_codes,
-        class_labels=class_labels,
+        class_codes=mat.class_codes,
+        class_labels=mat.class_labels,
         truthful_items=_report_items(truthful_outcome),
         truthful_welfare=truthful_welfare.per_user_welfare,
         collective_items=collective_items,
@@ -482,32 +485,12 @@ def run(mat: MaterializedScenario) -> dict:
     report = {
         "kind": "run",
         "scenario": scenario.to_dict(),
-        "matrix": _matrix_summary(mat),
+        "matrix": dict(mat.summary),
         "truthful": truthful_side,
         "collective": collective_side,
         "per_user": per_user,
     }
     return report
-
-
-def _matrix_summary(mat: MaterializedScenario) -> dict:
-    summary = {"rows": mat.matrix.rows, "cols": mat.matrix.cols}
-    if mat.partition is not None:
-        summary.update(
-            majority_users=len(mat.partition.majority_users),
-            minority_users=len(mat.partition.minority_users),
-            majority_items=len(mat.partition.majority_items),
-            minority_items=len(mat.partition.minority_items),
-        )
-    else:
-        classes = PopularitySplit(mat.matrix, mat.n_bar).classes
-        summary.update(
-            majority_users=len(classes.majority),
-            minority_users=len(classes.minority),
-            majority_items=mat.n_bar,
-            minority_items=mat.matrix.cols - mat.n_bar,
-        )
-    return summary
 
 
 def _sweep_grid(spec: dict) -> list[float]:
@@ -564,13 +547,15 @@ def sweep(mat: MaterializedScenario) -> dict:
     return {
         "kind": "sweep",
         "scenario": scenario.to_dict(),
-        "matrix": _matrix_summary(mat),
+        "matrix": dict(mat.summary),
         "runs": runs,
     }
 
 
 def mc_demo(seed: int, per_user: int, trials: int) -> dict:
     """Ranks of the bundled completion fixtures plus the exploration Monte Carlo."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative for mc-demo's Monte Carlo, got {seed}")
     true4 = fixtures.mc_4x4_true()
     completed4 = fixtures.mc_4x4_completed()
     observed6, split6 = fixtures.mc_6x6_observed()
@@ -873,7 +858,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgap import cli
+from rankgap import cli, generators
 from rankgap.cli import PRESETS, Scenario, generate_scenario, main, run, sweep
 from rankgap.collective import apply_uprating
 from rankgap.learner import choose_rank
@@ -150,7 +150,8 @@ def test_generated_scenarios_are_seed_deterministic():
     first = generate_scenario(doc)
     second = generate_scenario(doc)
     assert np.array_equal(first.matrix.entries, second.matrix.entries)
-    assert first.drawn_alpha == second.drawn_alpha
+    drawn = generators.random_block_scenario(np.random.default_rng(42)).alpha
+    assert first.alpha == second.alpha == drawn
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +255,45 @@ def test_multigroup_per_user_rows(multigroup_report):
     }
 
 
+def reference_draw(mat):
+    """The instance a drawing family drew from the document's seed, drawn
+    again here rather than read off the scene; None for the other families."""
+    family = mat.scenario.matrix_spec["family"]
+    rng = np.random.default_rng(mat.scenario.seed)
+    if family == "gap_class":
+        return generators.gap_class_instance(rng)
+    if family == "block_random":
+        return generators.random_block_scenario(rng)
+    return None
+
+
+def reference_matrix_summary(mat) -> dict:
+    """The report's matrix block as run() and sweep() built it before the
+    scene held it: from the partition, or from a popularity split of its own."""
+    summary = {"rows": mat.matrix.rows, "cols": mat.matrix.cols}
+    if mat.partition is not None:
+        summary.update(
+            majority_users=len(mat.partition.majority_users),
+            minority_users=len(mat.partition.minority_users),
+            majority_items=len(mat.partition.majority_items),
+            minority_items=len(mat.partition.minority_items),
+        )
+    else:
+        n_bar = reference_draw(mat).n_bar
+        classes = PopularitySplit(mat.matrix, n_bar).classes
+        summary.update(
+            majority_users=len(classes.majority),
+            minority_users=len(classes.minority),
+            majority_items=n_bar,
+            minority_items=mat.matrix.cols - n_bar,
+        )
+    return summary
+
+
 def reference_per_user(mat) -> list[dict]:
     """The per-user rows as run() built them before the columnar table: the
     same fits, then one dict per user."""
-    alpha = cli._resolve_alpha(mat)
+    alpha = mat.scenario.alpha if mat.scenario.alpha is not None else reference_draw(mat).alpha
     _, truthful, truthful_welfare = cli._run_side(mat, mat.matrix, alpha)
 
     def items(outcome):
@@ -267,7 +303,7 @@ def reference_per_user(mat) -> list[dict]:
     users = mat.matrix.rows
     collective_items = collective_welfares = [None] * users
     if mat.scenario.strategy_spec is not None:
-        strategy, _, _, _ = cli._resolve_strategy(mat, alpha)
+        strategy, _, _ = cli._resolve_strategy(mat, alpha)
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         _, collective, collective_welfare = cli._run_side(mat, revealed, alpha)
         collective_items = items(collective)
@@ -276,7 +312,7 @@ def reference_per_user(mat) -> list[dict]:
         labels = np.full(users, "minority")
         labels[mat.partition.majority_users] = "majority"
     else:
-        majority, minority = PopularitySplit(mat.matrix, mat.n_bar).class_masks
+        majority, minority = PopularitySplit(mat.matrix, reference_draw(mat).n_bar).class_masks
         labels = np.select([majority & minority, majority], ["both", "majority"], "minority")
     return [
         {
@@ -308,12 +344,29 @@ def reference_per_user(mat) -> list[dict]:
 )
 def test_run_table_rows_match_the_per_user_dicts(doc):
     mat = generate_scenario(doc)
-    rows = run(mat)["per_user"].rows()
+    report = run(mat)
+    assert report["matrix"] == reference_matrix_summary(mat)
+    rows = report["per_user"].rows()
     expected = reference_per_user(mat)
     assert rows == expected
     types = [[type(v) for v in row.values()] for row in rows]
     assert types == [[type(v) for v in row.values()] for row in expected]
     assert [list(row) for row in rows] == [list(row) for row in expected]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_run_and_sweep_build_no_popularity_split_of_their_own(seed):
+    """A gap_class scene holds the one split its run and sweep read."""
+    doc = {"name": "gc", "seed": seed, "matrix": {"family": "gap_class"}, "alpha_sweep": SWEEP}
+    mat = generate_scenario(doc)
+    init = PopularitySplit.__post_init__
+    with mock.patch.object(PopularitySplit, "__post_init__", autospec=True, side_effect=init) as built:
+        run(mat)
+        sweep(mat)
+        assert built.call_count == 0
+        # The count sees a build: two in gap_class_instance's self-check, one for the scene.
+        generate_scenario(doc)
+        assert built.call_count == 3
 
 
 def test_multigroup_report_bytes_are_reproducible(multigroup_report):
@@ -371,6 +424,17 @@ def test_report_bytes_are_pinned(tmp_path, capsys, fmt):
 def test_multigroup_report_validates_against_the_schema(multigroup_report):
     report, _, _ = multigroup_report
     jsonschema.validate(report, report_schema())
+
+
+@pytest.mark.parametrize("key", cli.GROUP_KEYS)
+def test_the_schema_requires_each_nonnegative_group_count(multigroup_report, key):
+    report = json.loads(multigroup_report[1])
+    report["matrix"][key] = -1
+    with pytest.raises(jsonschema.ValidationError, match="minimum"):
+        jsonschema.validate(report, report_schema())
+    del report["matrix"][key]
+    with pytest.raises(jsonschema.ValidationError, match=f"'{key}' is a required property"):
+        jsonschema.validate(report, report_schema())
 
 
 def test_multigroup_csv_projection(tmp_path):
@@ -608,7 +672,7 @@ def reference_sweep(mat) -> dict:
     return {
         "kind": "sweep",
         "scenario": mat.scenario.to_dict(),
-        "matrix": cli._matrix_summary(mat),
+        "matrix": reference_matrix_summary(mat),
         "runs": runs,
     }
 
@@ -696,7 +760,8 @@ def test_block_random_uses_its_drawn_tolerance(tmp_path):
     assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "br.report.json").read_text())
     mat = generate_scenario(doc)
-    assert report["truthful"]["alpha"] == pytest.approx(mat.drawn_alpha, rel=1e-11)
+    drawn = generators.random_block_scenario(np.random.default_rng(42)).alpha
+    assert report["truthful"]["alpha"] == pytest.approx(drawn, rel=1e-11)
     assert report["truthful"]["chosen_rank"] == mat.partition.n_bar
     assert report["collective"] is None
 
@@ -710,6 +775,45 @@ def test_seed_override_redraws_the_instance(tmp_path):
     assert main(["run", "--config", config, "--seed", "43", "--out", str(tmp_path)]) == 0
     second = json.loads((tmp_path / "br.report.json").read_text())["truthful"]["alpha"]
     assert first != second
+
+
+@pytest.mark.parametrize("family", cli.DRAWING_FAMILIES)
+def test_a_drawing_family_refuses_a_negative_seed(tmp_path, capsys, family):
+    message = f"seed must be nonnegative for the drawing family '{family}', got -1"
+    doc = {"name": "neg", "seed": -1, "matrix": {"family": family}, "alpha_sweep": SWEEP}
+    assert_refused_by_every_command(tmp_path, doc, message)
+    config = write_config(tmp_path, dict(doc, seed=1))
+    for command in SCENARIO_COMMANDS:
+        assert main([command, "--config", config, "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", ["paired", "indicator", "csv"])
+def test_a_family_that_draws_nothing_runs_at_a_negative_seed(tmp_path, family):
+    doc = dict(PRESETS["paired" if family == "paired" else "multigroup"], name="neg")
+    if family == "csv":
+        assert main(["generate", "--preset", "multigroup", "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "multigroup.ratings.csv")
+        doc["matrix"] = {"family": "csv", "path": path, "m_bar": 400, "n_bar": 4}
+    config = write_config(tmp_path, dict(doc, seed=-1, alpha_sweep=SWEEP))
+    for command in SCENARIO_COMMANDS:
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "neg.report.json").read_text())
+    assert report["scenario"]["seed"] == -1
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_group_too_large_to_allocate_is_one_error_line(tmp_path, capsys, command):
+    # 10**14 users lie past a 47-bit address space, so the matrix allocation
+    # fails at once, before any memory is touched.
+    doc = dict(PRESETS["paired"], matrix={"family": "paired", "m_maj": 10**14, "m_minor": 1})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_gap_class_runs_truthfully(tmp_path):
@@ -1299,6 +1403,14 @@ def test_mc_demo_report(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (tmp_path / "mc_demo.json").read_bytes() == raw
+
+
+def test_mc_demo_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["mc-demo", "--seed", "-1", "--trials", "10", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative for mc-demo's Monte Carlo, got -1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_mc_demo_rejects_zero_trials(capsys):

@@ -34,6 +34,7 @@ from rankgap.matrix import (
     tie_tolerance,
 )
 from rankgap import matrix
+from rankgap.cli import PRESETS, generate_scenario
 from rankgap.completion import PartialMatrix
 from rankgap.generators import general_strategy_instance
 from rankgap.popgap import GeneralStrategy, classify_users
@@ -460,6 +461,7 @@ def test_partition_keeps_an_array_already_in_its_form():
         lambda: GeneralStrategy(np.array([0.5, 1.0])),
         lambda: general_strategy_instance(np.random.default_rng(9)),
         lambda: classify_users(RatingsMatrix(np.eye(2)), 1),
+        lambda: generate_scenario(PRESETS["paired"]),
     ],
     ids=[
         "RatingsMatrix",
@@ -469,6 +471,7 @@ def test_partition_keeps_an_array_already_in_its_form():
         "GeneralStrategy",
         "StrategyInstance",
         "UserClasses",
+        "MaterializedScenario",
     ],
 )
 def test_array_holding_dataclasses_compare_by_identity(make):
