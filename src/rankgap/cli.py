@@ -34,7 +34,6 @@ from .collective import (
     apply_uprating,
     check_sufficient_conditions,
     find_eta,
-    margin_numerator,
     robustness_margin,
     sufficient_gap,
 )
@@ -45,6 +44,7 @@ from .matrix import (
     OpenInterval,
     RatingsMatrix,
     SpectralSummary,
+    _block_sigmas,
     _numeric_rank,
     block_partition,
     find_picky_items,
@@ -55,7 +55,6 @@ from .matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from .popgap import PopularitySplit, _gap_interval
 
 OUT_DIR_ENV = "RANKGAP_OUT_DIR"
 
@@ -286,14 +285,14 @@ def generate_scenario(doc: dict) -> MaterializedScenario:
     family = spec["family"]
     if family == "gap_class":
         inst = generators.gap_class_instance(np.random.default_rng(scenario.seed))
-        matrix, partition, drawn = inst.matrix, None, inst.alpha
-        split = PopularitySplit(matrix, inst.n_bar)
+        split, partition, drawn = inst.split, None, inst.alpha
+        matrix, n_bar = split.matrix, split.n_bar
         majority, minority = split.class_masks
         class_codes = np.select([majority & minority, majority], [0, 1], 2)
         class_labels = ("both", "majority", "minority")
-        classes, n_bar = split.classes, inst.n_bar
+        classes = split.classes
         counts = (len(classes.majority), len(classes.minority), n_bar, matrix.cols - n_bar)
-        gap_interval = functools.partial(_gap_interval, split)
+        gap_interval = lambda: split.window
     else:
         if family == "paired":
             matrix, partition = generators.paired_indicator(
@@ -365,10 +364,11 @@ def _run_side(
 
 def _resolve_strategy(
     mat: MaterializedScenario, alpha: float
-) -> tuple[CollectiveStrategy, FinderInputs, str]:
-    """The strategy on the matrix.  Scenario.from_dict has judged the spec, so
-    the refusals here need the matrix: no picky item, a target outside the
-    minority items, a collective outside the majority, or a finder's 0."""
+) -> tuple[CollectiveStrategy, FinderInputs, float, str]:
+    """The strategy on the matrix, its finder inputs, sigma1_min and the eta
+    source.  Scenario.from_dict has judged the spec, so the refusals here need
+    the matrix: no picky item, a target outside the minority items, a
+    collective outside the majority, or a finder's 0."""
     spec = mat.scenario.strategy_spec
     matrix, partition = mat.matrix, mat.partition
 
@@ -392,9 +392,7 @@ def _resolve_strategy(
     # Checked before aggregate_value indexes the matrix with the collective.
     _require_majority(collective, partition)
 
-    maj_block = partition.majority_block(matrix.entries)
-    k_maj = numeric_rank_of(maj_block)
-    sigma_kmaj = float(singular_values_of(maj_block)[k_maj - 1])
+    sigma_kmaj, sigma1_min = _block_sigmas(matrix, partition)
     inputs = FinderInputs(
         sigma_kmaj=sigma_kmaj,
         alpha=alpha,
@@ -418,7 +416,7 @@ def _resolve_strategy(
         eta = float(eta_spec)
         source = "given"
     strategy = CollectiveStrategy(target_item=target, collective=collective, eta=eta)
-    return strategy, inputs, source
+    return strategy, inputs, sigma1_min, source
 
 
 def run(mat: MaterializedScenario) -> dict:
@@ -436,17 +434,15 @@ def run(mat: MaterializedScenario) -> dict:
     collective_side = None
     collective_items = collective_welfares = None
     if scenario.strategy_spec is not None:
-        strategy, inputs, source = _resolve_strategy(mat, alpha)
+        strategy, inputs, sigma1_min, source = _resolve_strategy(mat, alpha)
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         collective_side, collective_outcome, collective_welfare = _run_side(
             mat, revealed, alpha
         )
-        s_min = singular_values_of(mat.partition.minority_block(mat.matrix.entries))
-        sigma1_min = float(s_min[0]) if s_min.size else 0.0
         sufficiency = check_sufficient_conditions(inputs, sigma1_min, strategy.eta)
         window = sufficient_gap(mat.matrix, mat.partition, strategy)
         margin = None
-        if margin_numerator(inputs, strategy.eta) > 0:
+        if sufficiency.margins["alpha_in_new_gap"] > 0:
             margin = robustness_margin(
                 inputs,
                 strategy.eta,

@@ -18,9 +18,8 @@ from .matrix import (
     GroupPartition,
     OpenInterval,
     RatingsMatrix,
+    _block_sigmas,
     _index_array,
-    numeric_rank_of,
-    singular_values_of,
 )
 
 
@@ -188,23 +187,28 @@ def sufficient_gap(
     """
     p.validate_for(R_star)
     s.validate_for(p)
-    maj_block = p.majority_block(R_star.entries)
-    s_maj = singular_values_of(maj_block)
-    k_maj = numeric_rank_of(maj_block)
-    if k_maj == 0:
-        raise ValueError("majority block has numeric rank 0")
-    sigma_kmaj = float(s_maj[k_maj - 1])
-    s_min = singular_values_of(p.minority_block(R_star.entries))
-    sigma1_min = float(s_min[0]) if s_min.size else 0.0
+    sigma_kmaj, sigma1_min = _block_sigmas(R_star, p)
     col_sq = _column_sq(R_star, s.target_item)
     coll_rows = R_star.entries[s.collective]
     av = float(coll_rows[:, p.majority_items].sum(axis=0).max())
-    radicand = (
-        min(_power("sigma_kmaj", sigma_kmaj), _power("eta", s.eta) * len(s.collective) + col_sq)
-        - s.eta * math.sqrt(p.n_bar) * av
+    radicand = _gap_radicand(sigma_kmaj, s.eta, len(s.collective), col_sq, p.n_bar, av)
+    return _gap_window(sigma1_min, radicand)
+
+
+def _gap_radicand(
+    sigma_kmaj: float, eta: float, coll_size: int, col_sq: float, n_bar: int, av: float
+) -> float:
+    """min(sigma_kmaj^2, eta^2 |coll| + col_sq) - eta sqrt(n_bar) AV: the gap
+    condition holds when alpha^2 lies below it."""
+    return (
+        min(_power("sigma_kmaj", sigma_kmaj), _power("eta", eta) * coll_size + col_sq)
+        - eta * math.sqrt(n_bar) * av
     )
-    upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
-    return OpenInterval(sigma1_min, upper)
+
+
+def _gap_window(sigma1_min: float, radicand: float) -> OpenInterval:
+    """(sigma1_min, sqrt(radicand)); a negative radicand gives a NaN upper end."""
+    return OpenInterval(sigma1_min, math.sqrt(radicand) if radicand >= 0 else float("nan"))
 
 
 def check_sufficient_conditions(
@@ -219,10 +223,7 @@ def check_sufficient_conditions(
       alpha_above_minority: alpha > sigma1_min
     """
     alpha_sq = _power("alpha", z.alpha)
-    min_term = min(
-        _power("sigma_kmaj", z.sigma_kmaj), _power("eta", eta) * z.coll_size + z.picky_col_sq
-    )
-    radicand = min_term - eta * math.sqrt(z.n_bar) * z.av
+    radicand = _gap_radicand(z.sigma_kmaj, eta, z.coll_size, z.picky_col_sq, z.n_bar, z.av)
     conditions = {
         "eta_below_kappa": 0.0 < eta < z.kappa,
         "alpha_in_new_gap": alpha_sq < radicand,
@@ -233,12 +234,11 @@ def check_sufficient_conditions(
         "alpha_in_new_gap": radicand - alpha_sq,
         "alpha_above_minority": z.alpha - sigma1_min,
     }
-    upper = math.sqrt(radicand) if radicand >= 0 else float("nan")
     return SufficiencyReport(
         conditions=conditions,
         margins=margins,
         verdict=all(conditions.values()),
-        gap_interval=OpenInterval(sigma1_min, upper),
+        gap_interval=_gap_window(sigma1_min, radicand),
     )
 
 
@@ -290,7 +290,8 @@ def grid_feasible_eta(
     The grid is scanned in one array pass that evaluates the three
     conditions of check_sufficient_conditions elementwise, with the same
     expressions and the same strict comparisons; it calls neither that
-    function nor find_eta, so it stays independent of the code it checks.
+    function, nor find_eta, nor the radicand and window helpers they share,
+    so it stays independent of the code it checks.
     Memory grows with steps (a few float arrays of steps - 1 entries).
     """
     if not isinstance(steps, (int, np.integer)):
@@ -326,11 +327,8 @@ def grid_feasible_eta(
 
 def margin_numerator(z: FinderInputs, eta: float) -> float:
     """Slack of the gap condition at eta: positive iff eta passes it."""
-    return (
-        min(_power("sigma_kmaj", z.sigma_kmaj), _power("eta", eta) * z.coll_size + z.picky_col_sq)
-        - eta * math.sqrt(z.n_bar) * z.av
-        - _power("alpha", z.alpha)
-    )
+    radicand = _gap_radicand(z.sigma_kmaj, eta, z.coll_size, z.picky_col_sq, z.n_bar, z.av)
+    return radicand - _power("alpha", z.alpha)
 
 
 def lipschitz_bound(l1_norm: float, l2_norm: float, n: int, eta: float) -> float:

@@ -22,12 +22,7 @@ from .matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from .popgap import (
-    GeneralStrategy,
-    check_general_sufficiency,
-    class_membership,
-    popularity_gap_interval,
-)
+from .popgap import GeneralStrategy, PopularitySplit, _membership, check_general_sufficiency
 
 __all__ = [
     "BlockScenario",
@@ -69,11 +64,21 @@ class BlockScenario:
 
 @dataclass(frozen=True)
 class GapInstance:
-    """Popularity-split matrix inside the gap class, tolerance inside its window."""
+    """Popularity-split matrix inside the gap class, tolerance inside its window.
 
-    matrix: RatingsMatrix
-    n_bar: int
+    ``split`` is the one the builder's self-check judged; ``matrix`` and
+    ``n_bar`` are read from it."""
+
+    split: PopularitySplit
     alpha: float
+
+    @property
+    def matrix(self) -> RatingsMatrix:
+        return self.split.matrix
+
+    @property
+    def n_bar(self) -> int:
+        return self.split.n_bar
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +213,14 @@ def gap_class_instance(rng: np.random.Generator) -> GapInstance:
         u = n_bar * g + j
         a[u, n_bar + j] = NICHE_TOP
         a[u, int(rng.integers(0, n_bar))] = NICHE_POPULAR
-    matrix = RatingsMatrix(a, nonnegative=True)
+    split = PopularitySplit(RatingsMatrix(a, nonnegative=True), n_bar)
 
-    report = class_membership(matrix, n_bar)
+    report = _membership(split)
     if not (report.in_class and report.classes_exclusive and report.has_minority):
         raise RuntimeError("self-check failed: drawn instance left the class")
-    window = popularity_gap_interval(matrix, n_bar)
+    window = split.window
     alpha = window.lower + float(rng.uniform(0.2, 0.8)) * (window.upper - window.lower)
-    return GapInstance(matrix=matrix, n_bar=n_bar, alpha=alpha)
+    return GapInstance(split=split, alpha=alpha)
 
 
 def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:

@@ -346,15 +346,20 @@ def singular_value_gap(R: RatingsMatrix, p: GroupPartition) -> OpenInterval:
     when p is not valid for R or the majority block carries no mass.
     """
     p.validate_for(R)
+    sigma_kmaj, sigma1_min = _block_sigmas(R, p)
+    return OpenInterval(sigma1_min, sigma_kmaj)
+
+
+def _block_sigmas(R: RatingsMatrix, p: GroupPartition) -> tuple[float, float]:
+    """(sigma_kmaj, sigma1_min) for an unvalidated p: the majority block's
+    smallest kept singular value, the minority block's largest (0 if empty)."""
     maj = p.majority_block(R.entries)
     s_maj = singular_values_of(maj)
     k_maj = numeric_rank_of(maj)
     if k_maj == 0:
         raise PartitionError("majority block has numeric rank 0")
     s_min = singular_values_of(p.minority_block(R.entries))
-    lower = float(s_min[0]) if s_min.size else 0.0
-    upper = float(s_maj[k_maj - 1])
-    return OpenInterval(lower, upper)
+    return float(s_maj[k_maj - 1]), float(s_min[0]) if s_min.size else 0.0
 
 
 def reorder_to_blocks(

@@ -58,6 +58,8 @@ __all__ = [
     "no_larger_nbar_check",
 ]
 
+_GAP_UNDEFINED = "popular block has numeric rank below n_bar; gap undefined"
+
 
 @dataclass(frozen=True)
 class PopularitySplit:
@@ -97,6 +99,12 @@ class PopularitySplit:
         return float(self.unpopular_block.sum(axis=0).min())
 
     @cached_property
+    def _tail_kappa(self) -> float:
+        """Largest column sum among columns strictly past the target column."""
+        tail = self.matrix.entries[:, self.n_bar + 1 :]
+        return float(tail.sum(axis=0).max()) if tail.shape[1] else 0.0
+
+    @cached_property
     def _popular_spectrum(self) -> np.ndarray:
         """The popular block's singular values, one SVD for both readers below."""
         return singular_values_of(self.popular_block)
@@ -110,6 +118,23 @@ class PopularitySplit:
         """The n_bar-th singular value of the popular block (0 when absent)."""
         s = self._popular_spectrum
         return float(s[self.n_bar - 1]) if self.n_bar <= s.size else 0.0
+
+    @cached_property
+    def delta_gap(self) -> float | None:
+        """Gap scalar 2^(5/2) * kappa * n^(3/2) / sigma_popular^2 driving every
+        class check; None when the popular block's rank is below n_bar."""
+        if self.popular_rank < self.n_bar:
+            return None
+        return 2.0**2.5 * self.kappa * self.matrix.cols**1.5 / self.sigma_popular**2
+
+    @cached_property
+    def window(self) -> OpenInterval:
+        """Tolerance window (sqrt((n-nbar) kappa), 2^(5/4) n^(3/4) sqrt(kappa)): any
+        tolerance inside it selects rank exactly ``n_bar`` for an in-class matrix."""
+        n = self.matrix.cols
+        return OpenInterval(
+            math.sqrt((n - self.n_bar) * self.kappa), 2.0**1.25 * n**0.75 * math.sqrt(self.kappa)
+        )
 
     @cached_property
     def _row_max(self) -> np.ndarray:
@@ -198,16 +223,12 @@ def classify_users(matrix: RatingsMatrix, n_bar: int) -> UserClasses:
 
 
 def ratings_gap(matrix: RatingsMatrix, n_bar: int) -> float:
-    """Gap scalar 2^(5/2) * kappa * n^(3/2) / sigma^2 driving every class check.
-
-    ``sigma`` is the n_bar-th singular value of the popular block; a popular
-    block with numeric rank below n_bar leaves the gap undefined.
-    """
-    split = PopularitySplit(matrix, n_bar)
-    if split.popular_rank < split.n_bar:
-        raise ValueError("popular block has numeric rank below n_bar; gap undefined")
-    n = matrix.cols
-    return 2.0**2.5 * split.kappa * n**1.5 / split.sigma_popular**2
+    """The split's :attr:`PopularitySplit.delta_gap`; raises ValueError where
+    it is undefined."""
+    gap = PopularitySplit(matrix, n_bar).delta_gap
+    if gap is None:
+        raise ValueError(_GAP_UNDEFINED)
+    return gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +274,10 @@ def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport
 def _membership(split: PopularitySplit) -> ClassMembershipReport:
     classes = split.classes
     majority_users, minority_users = classes.majority, classes.minority
-    n = split.matrix.cols
-    kappa = split.kappa
-    sigma = split.sigma_popular
-
-    if split.popular_rank < split.n_bar:
-        delta = None
-        reason: str | None = "popular block has numeric rank below n_bar; gap undefined"
+    delta = split.delta_gap
+    if delta is None:
         majority_margins, minority_margins = np.empty(0), np.empty(0)
     else:
-        delta = 2.0**2.5 * kappa * n**1.5 / sigma**2
-        reason = None
         top, off = split._row_max[majority_users], split._off_top_max[majority_users]
         majority_margins = (top - delta) - off
         minority_margins = split.popular_block[minority_users].max(axis=1) - delta
@@ -273,9 +287,9 @@ def _membership(split: PopularitySplit) -> ClassMembershipReport:
         array.flags.writeable = False
     return ClassMembershipReport(
         n_bar=split.n_bar,
-        kappa=kappa,
+        kappa=split.kappa,
         kappa_lower=split.kappa_lower,
-        sigma_popular=sigma,
+        sigma_popular=split.sigma_popular,
         delta_gap=delta,
         majority_users=majority_users,
         minority_users=minority_users,
@@ -284,10 +298,10 @@ def _membership(split: PopularitySplit) -> ClassMembershipReport:
         majority_gap_ok=majority_ok,
         minority_support_ok=minority_ok,
         in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
-        popularity_inequality=2.0**1.25 * n**0.75 * math.sqrt(kappa) < sigma,
+        popularity_inequality=split.window.upper < split.sigma_popular,
         classes_exclusive=classes.exclusive,
         has_minority=classes.has_minority,
-        reason=reason,
+        reason=_GAP_UNDEFINED if delta is None else None,
     )
 
 
@@ -313,34 +327,17 @@ def singular_bounds_check(matrix: RatingsMatrix, n_bar: int) -> SingularBounds:
     """sigma_nbar(R) >= 2^(5/4) n^(3/4) sqrt(kappa) and sigma_{nbar+1}(R) <= sqrt((n-nbar) kappa)."""
     split = PopularitySplit(matrix, n_bar)
     summary = spectral(matrix)
-    n = matrix.cols
     return SingularBounds(
         sigma_nbar=summary.sigma(split.n_bar),
         sigma_next=summary.sigma(split.n_bar + 1),
-        lower_bound=2.0**1.25 * n**0.75 * math.sqrt(split.kappa),
-        upper_bound=math.sqrt((n - split.n_bar) * split.kappa),
+        lower_bound=split.window.upper,
+        upper_bound=split.window.lower,
     )
 
 
 def popularity_gap_interval(matrix: RatingsMatrix, n_bar: int) -> OpenInterval:
-    """Tolerance window (sqrt((n-nbar) kappa), 2^(5/4) n^(3/4) sqrt(kappa)).
-
-    Any truncation tolerance inside the window selects rank exactly ``n_bar``
-    for an in-class matrix.  ``kappa`` = 0 collapses the window to the empty
-    interval (0, 0).
-    """
-    return _gap_interval(PopularitySplit(matrix, n_bar))
-
-
-def _gap_interval(split: PopularitySplit) -> OpenInterval:
-    kappa = split.kappa
-    if kappa == 0.0:
-        return OpenInterval(0.0, 0.0)
-    n = split.matrix.cols
-    return OpenInterval(
-        math.sqrt((n - split.n_bar) * kappa),
-        2.0**1.25 * n**0.75 * math.sqrt(kappa),
-    )
+    """The split's tolerance :attr:`PopularitySplit.window`."""
+    return PopularitySplit(matrix, n_bar).window
 
 
 def projection_gap_check(matrix: RatingsMatrix, n_bar: int) -> float:
@@ -506,16 +503,12 @@ def collective_ratings_gap(
     estimate = _sigma_hat(split, r_tilde)
     if estimate == 0.0:
         raise ValueError("singular value estimate is zero; gap unbounded")
-    n = matrix.cols
-    return 2.0**2.5 * n**1.5 * _tail_kappa(split) / estimate**2
+    return _collective_gap(split, estimate)
 
 
-def _tail_kappa(split: PopularitySplit) -> float:
-    """Largest column sum among columns strictly past the target column."""
-    tail = split.matrix.entries[:, split.n_bar + 1 :]
-    if tail.shape[1] == 0:
-        return 0.0
-    return float(tail.sum(axis=0).max())
+def _collective_gap(split: PopularitySplit, estimate: float) -> float:
+    """2^(5/2) * n^(3/2) * tail kappa / estimate^2, for a positive estimate."""
+    return 2.0**2.5 * split.matrix.cols**1.5 * split._tail_kappa / estimate**2
 
 
 @dataclass(frozen=True)
@@ -566,13 +559,13 @@ def check_general_sufficiency(
         "has_minority": membership.has_minority,
         "switch_nonempty": bool(switching.any()),
         "target_sufficiently_liked": window.has_positive_point,
-        "alpha_in_gap": _gap_interval(split).contains(alpha),
+        "alpha_in_gap": split.window.contains(alpha),
     }
 
     n = matrix.cols
     nb = split.n_bar
     entries = matrix.entries
-    tail = _tail_kappa(split)
+    tail = split._tail_kappa
     tail_bound = math.sqrt((n - nb - 1) * tail)
 
     margins: dict[str, float] = {}
@@ -588,7 +581,7 @@ def check_general_sufficiency(
 
     gap: float | None = None
     if estimate is not None and estimate > 0.0:
-        gap = 2.0**2.5 * n**1.5 * tail / estimate**2
+        gap = _collective_gap(split, estimate)
 
     conditions: dict[str, bool | None] = {
         "alpha_below_sigma_hat": estimate is not None and alpha < estimate,

@@ -25,6 +25,11 @@ def multi_scene():
     return multigroup_example()
 
 
+def float_bits(*values: float) -> list[str]:
+    """Each value's exact bits (float.hex): -0.0 and 0.0 differ, NaNs agree."""
+    return [float(v).hex() for v in values]
+
+
 def build_gap_case(group: int = 200, attach=(0, 1)) -> tuple[RatingsMatrix, int]:
     """Deterministic popularity-split instance inside the gap class.
 

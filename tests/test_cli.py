@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgap import cli, generators
+from rankgap import cli, generators, matrix
 from rankgap.cli import PRESETS, Scenario, generate_scenario, main, run, sweep
 from rankgap.collective import apply_uprating
 from rankgap.learner import choose_rank
@@ -303,7 +304,7 @@ def reference_per_user(mat) -> list[dict]:
     users = mat.matrix.rows
     collective_items = collective_welfares = [None] * users
     if mat.scenario.strategy_spec is not None:
-        strategy, _, _ = cli._resolve_strategy(mat, alpha)
+        strategy = cli._resolve_strategy(mat, alpha)[0]
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         _, collective, collective_welfare = cli._run_side(mat, revealed, alpha)
         collective_items = items(collective)
@@ -364,9 +365,44 @@ def test_run_and_sweep_build_no_popularity_split_of_their_own(seed):
         run(mat)
         sweep(mat)
         assert built.call_count == 0
-        # The count sees a build: two in gap_class_instance's self-check, one for the scene.
+        # The count sees a build: gap_class_instance's self-check builds the scene's split.
         generate_scenario(doc)
-        assert built.call_count == 3
+        assert built.call_count == 1
+
+
+@contextlib.contextmanager
+def counting(module, name):
+    """Count calls of ``module.name`` wherever a rankgap module binds it, so
+    calls inside its own module are counted too; yields the list of calls."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for key, mod in list(sys.modules.items()):
+            if key.partition(".")[0] == "rankgap" and getattr(mod, name, None) is original:
+                stack.enter_context(mock.patch.object(mod, name, counted))
+        yield calls
+
+
+def test_collective_run_validates_five_times_and_makes_seventeen_svds():
+    """The multigroup preset's collective run: 5 partition validations and
+    17 SVDs (2 spectral, 15 singular_values_of), as perfbench pins per op."""
+    mat = generate_scenario(PRESETS["multigroup"])
+    validate = matrix.GroupPartition.validate_for
+    with (
+        mock.patch.object(
+            matrix.GroupPartition, "validate_for", autospec=True, side_effect=validate
+        ) as validated,
+        counting(matrix, "spectral") as spectral_calls,
+        counting(matrix, "singular_values_of") as value_calls,
+    ):
+        report = run(mat)
+    assert report["collective"] is not None
+    assert validated.call_count == 5
+    assert (len(spectral_calls), len(value_calls)) == (2, 15)
 
 
 def test_multigroup_report_bytes_are_reproducible(multigroup_report):

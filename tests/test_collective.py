@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import float_bits
 from rankgap.collective import (
     CollectiveStrategy,
     FinderInputs,
@@ -34,6 +35,7 @@ from rankgap.matrix import (
     RatingsMatrix,
     block_partition,
     numeric_rank_of,
+    singular_value_gap,
     singular_values_of,
 )
 
@@ -308,6 +310,49 @@ def test_sufficient_gap_negative_radicand_is_empty(multi_scene):
     assert g.is_empty
 
 
+@given(seed=seeds, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_gap_agrees_bitwise_with_the_finder_inputs_path(seed, data):
+    """run's two windows, sufficient_gap on the matrix and the checked finder
+    inputs' gap_interval, are the same bits; so are singular_value_gap's ends
+    and the block sigmas the finder inputs take."""
+    scene = random_block_scenario(np.random.default_rng(seed))
+    R, p = scene.matrix, scene.partition
+    maj = p.majority_block(R.entries)
+    sigma_kmaj = float(singular_values_of(maj)[numeric_rank_of(maj) - 1])
+    sigma1_min = float(singular_values_of(p.minority_block(R.entries))[0])
+    gap = singular_value_gap(R, p)
+    assert float_bits(gap.lower, gap.upper) == float_bits(sigma1_min, sigma_kmaj)
+
+    majority = p.majority_users.tolist()
+    users = data.draw(st.lists(st.sampled_from(majority), min_size=1, max_size=len(majority)))
+    target = data.draw(st.sampled_from(p.minority_items.tolist()))
+    strategy = CollectiveStrategy(target, users, data.draw(st.floats(1e-3, 50.0)))
+    inputs = FinderInputs(
+        sigma_kmaj=sigma_kmaj,
+        alpha=scene.alpha,
+        n_bar=p.n_bar,
+        picky_col_sq=float((R.entries[:, target] ** 2).sum()),
+        av=aggregate_value(R, strategy.collective, p.n_bar),
+        kappa=1.0,
+        coll_size=len(strategy.collective),
+    )
+    window = sufficient_gap(R, p, strategy)
+    checked = check_sufficient_conditions(inputs, sigma1_min, strategy.eta).gap_interval
+    assert float_bits(window.lower, window.upper) == float_bits(checked.lower, checked.upper)
+
+
+@given(seeds, st.floats(0.0, 1.5))
+@settings(max_examples=300, deadline=None)
+def test_margin_numerator_is_the_checked_gap_margin_bitwise(seed, eta_scale):
+    """robustness_margin's gate (margin_numerator) and run's gate (the
+    report's alpha_in_new_gap margin) are the same bits, so they agree in sign."""
+    z = random_finder_inputs(np.random.default_rng(seed))
+    for eta in (find_eta(z), z.kappa * eta_scale):
+        margin = check_sufficient_conditions(z, 0.0, eta).margins["alpha_in_new_gap"]
+        assert float_bits(margin_numerator(z, eta)) == float_bits(margin)
+
+
 # ---------------------------------------------------------------------------
 # Sufficient conditions
 # ---------------------------------------------------------------------------
@@ -439,6 +484,17 @@ def test_grid_oracle_steps_must_be_an_integer():
         assert grid_feasible_eta(z, 2.0, steps=steps) is None
 
 
+# What grid_feasible_eta checks: the finder, the two checks, and the radicand
+# and window helpers they share.
+CHECKED_CODE = (
+    "find_eta",
+    "margin_numerator",
+    "check_sufficient_conditions",
+    "_gap_radicand",
+    "_gap_window",
+)
+
+
 def oracle_dependencies(source: str) -> list[str]:
     """Names of checked code the source calls, plus any loop it contains."""
     found = []
@@ -446,7 +502,7 @@ def oracle_dependencies(source: str) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("find_eta", "margin_numerator", "check_sufficient_conditions"):
+            if name in CHECKED_CODE:
                 found.append(name)
         elif isinstance(node, (ast.For, ast.While, ast.comprehension)):
             found.append(type(node).__name__)
@@ -462,6 +518,8 @@ def test_oracle_dependency_guard_flags_each_form():
         "find_eta(z)": ["find_eta"],
         "collective.margin_numerator(z, eta)": ["margin_numerator"],
         "check_sufficient_conditions(z, s, e).verdict": ["check_sufficient_conditions"],
+        "alpha**2 < _gap_radicand(s, e, c, q, n, av)": ["_gap_radicand"],
+        "collective._gap_window(s, r).upper": ["_gap_window"],
         "for j in range(steps): pass": ["For"],
         "while True: break": ["While"],
         "any(e > 0 for e in grid)": ["comprehension"],

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_gap_case
+from conftest import build_gap_case, float_bits
+from rankgap.generators import gap_class_instance, general_strategy_instance
 from rankgap.learner import fit_learner, recommend, social_welfare
 from rankgap.matrix import RatingsMatrix, singular_values_of
 from rankgap.popgap import (
@@ -452,6 +453,25 @@ def test_tolerance_window_nonempty_across_sizes():
         R = RatingsMatrix(np.ones((1, n)))
         for n_bar in range(1, n):
             assert not popularity_gap_interval(R, n_bar).is_empty
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_windows_and_gap_scalars_agree_bitwise(seed):
+    """Each public reader of the window and of the two gap scalars returns
+    the same bits as the others."""
+    inst = gap_class_instance(np.random.default_rng(seed))
+    R, n_bar = inst.matrix, inst.n_bar
+    bounds = singular_bounds_check(R, n_bar)
+    window = popularity_gap_interval(R, n_bar)
+    assert float_bits(bounds.lower_bound, bounds.upper_bound) == float_bits(
+        window.upper, window.lower
+    )
+    assert float_bits(ratings_gap(R, n_bar)) == float_bits(class_membership(R, n_bar).delta_gap)
+
+    strategy = general_strategy_instance(np.random.default_rng(seed))
+    R, n_bar, column = strategy.matrix, strategy.n_bar, strategy.strategy.replacement_column
+    report = check_general_sufficiency(R, n_bar, column, strategy.alpha)
+    assert float_bits(collective_ratings_gap(R, n_bar, column)) == float_bits(report.ratings_gap)
 
 
 def test_rank_selection_inside_the_window(gap_case):
