@@ -200,21 +200,22 @@ def main():
     from rankgap.matrix import RatingsMatrix
 
     m1 = RatingsMatrix(build_gap_instance(4, 200, (0, 1)), nonnegative=True)
-    rep = pg.class_membership(m1, 4)
+    split1 = pg.PopularitySplit(m1, 4)
+    rep = split1.membership
     d_ours, k_ours, s_ours = delta_oracle(build_gap_instance(4, 200, (0, 1)), 4)
     assert rep.in_class and rep.classes_exclusive and rep.has_minority
     assert abs(rep.delta_gap - d_ours) < 1e-15, (rep.delta_gap, d_ours)
     assert rep.kappa == k_ours
-    bounds = pg.singular_bounds_check(m1, 4)
+    bounds = split1.singular_bounds
     assert bounds.lower_ok and bounds.upper_ok
-    dist_mod = pg.projection_gap_check(m1, 4)
-    iv = pg.popularity_gap_interval(m1, 4)
+    dist_mod = split1.projection_gap
+    iv = split1.window
     assert not iv.is_empty
     print(f"module: delta={rep.delta_gap!r} interval=({iv.lower!r}, {iv.upper!r}) "
           f"proj={dist_mod!r}")
 
-    m2 = RatingsMatrix(a, nonnegative=True)
-    report = pg.check_general_sufficiency(m2, 4, r_tilde, alpha)
+    split2 = pg.PopularitySplit(RatingsMatrix(a, nonnegative=True), 4)
+    report = split2.general_sufficiency(r_tilde, alpha)
     print(f"module preconditions: {report.preconditions}")
     print(f"module conditions: {report.conditions}")
     print(f"module sigma_hat={report.sigma_hat!r} gap={report.ratings_gap!r} "
@@ -223,14 +224,14 @@ def main():
     assert abs(report.sigma_hat - sig_hat) < 1e-12
     assert abs(report.ratings_gap - gap) < 1e-12
     assert report.alpha_above_tail
-    win = pg.delta_interval(m2, 4)
+    win = split2.delta_window
     assert (win.lower, win.upper) == (d_lower, d_upper) and win.has_positive_point
-    assert pg.switch_users(m2, 4).tolist() == sorted(switch)
-    larger = pg.no_larger_nbar_check(m1, 4)
+    assert split2.switch_users.tolist() == sorted(switch)
+    larger = split1.larger_splits
     print(f"no-larger-split: premise={larger.premise_holds} "
           f"confirmed={larger.confirmed} checked={larger.checked}")
     strat = pg.GeneralStrategy(r_tilde)
-    assert strat.is_realistic(m2, 4)
+    assert strat.is_realistic(split2)
     print("cross-check OK")
 
 

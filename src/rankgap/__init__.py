@@ -57,17 +57,9 @@ from .popgap import (
     UserClasses,
     check_general_sufficiency,
     class_membership,
-    classify_users,
-    collective_ratings_gap,
-    delta_interval,
     no_larger_nbar_check,
-    popular_prefs,
-    popularity_gap_interval,
     projection_gap_check,
-    ratings_gap,
-    sigma_hat,
     singular_bounds_check,
-    switch_users,
 )
 from .generators import (
     gap_class_instance,

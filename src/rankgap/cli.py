@@ -398,7 +398,7 @@ def _resolve_strategy(
         alpha=alpha,
         n_bar=partition.n_bar,
         picky_col_sq=_column_sq(matrix, target),
-        av=aggregate_value(matrix, collective, partition.n_bar),
+        av=aggregate_value(matrix, collective, partition),
         kappa=kappa_k(matrix, partition, 1),
         coll_size=len(collective),
     )

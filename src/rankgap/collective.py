@@ -17,6 +17,7 @@ import numpy as np
 from .matrix import (
     GroupPartition,
     OpenInterval,
+    PartitionError,
     RatingsMatrix,
     _block_sigmas,
     _index_array,
@@ -160,16 +161,14 @@ def apply_uprating(
     return RatingsMatrix(out)
 
 
-def aggregate_value(R: RatingsMatrix, coll, n_bar: int) -> float:
-    """Largest popular-column rating mass held by the collective ``coll``
-    (an index array, or any iterable of user indices).
-
-    Assumes block order: the popular items are the first n_bar columns.
-    """
+def aggregate_value(R: RatingsMatrix, coll, p: GroupPartition) -> float:
+    """Largest majority-item rating mass held by the collective ``coll`` (an
+    index array, or any iterable of user indices) under the partition ``p``,
+    which must cover R."""
     coll = _collective_index(coll)
-    if not 1 <= n_bar <= R.cols:
-        raise ValueError(f"n_bar must be in [1, {R.cols}], got {n_bar}")
-    return float(R.entries[coll, :n_bar].sum(axis=0).max())
+    if not p.covers(*R.shape):
+        raise PartitionError(f"partition does not cover a {R.rows}x{R.cols} matrix")
+    return float(R.entries[coll][:, p.majority_items].sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +188,7 @@ def sufficient_gap(
     s.validate_for(p)
     sigma_kmaj, sigma1_min = _block_sigmas(R_star, p)
     col_sq = _column_sq(R_star, s.target_item)
-    coll_rows = R_star.entries[s.collective]
-    av = float(coll_rows[:, p.majority_items].sum(axis=0).max())
+    av = aggregate_value(R_star, s.collective, p)
     radicand = _gap_radicand(sigma_kmaj, s.eta, len(s.collective), col_sq, p.n_bar, av)
     return _gap_window(sigma1_min, radicand)
 

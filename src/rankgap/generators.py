@@ -22,7 +22,7 @@ from .matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from .popgap import GeneralStrategy, PopularitySplit, _membership, check_general_sufficiency
+from .popgap import GeneralStrategy, PopularitySplit
 
 __all__ = [
     "BlockScenario",
@@ -83,14 +83,24 @@ class GapInstance:
 
 @dataclass(frozen=True, eq=False)
 class StrategyInstance:
-    """Gap-class matrix plus a replacement strategy passing every sufficiency check."""
+    """Gap-class matrix plus a replacement strategy passing every sufficiency check.
 
-    matrix: RatingsMatrix
-    n_bar: int
+    ``split`` is the one the builder's self-check judged; ``matrix`` and
+    ``n_bar`` are read from it."""
+
+    split: PopularitySplit
     alpha: float
     strategy: GeneralStrategy
     collective: np.ndarray
     uprating: float
+
+    @property
+    def matrix(self) -> RatingsMatrix:
+        return self.split.matrix
+
+    @property
+    def n_bar(self) -> int:
+        return self.split.n_bar
 
 
 def indicator_scenario(
@@ -215,7 +225,7 @@ def gap_class_instance(rng: np.random.Generator) -> GapInstance:
         a[u, int(rng.integers(0, n_bar))] = NICHE_POPULAR
     split = PopularitySplit(RatingsMatrix(a, nonnegative=True), n_bar)
 
-    report = _membership(split)
+    report = split.membership
     if not (report.in_class and report.classes_exclusive and report.has_minority):
         raise RuntimeError("self-check failed: drawn instance left the class")
     window = split.window
@@ -244,7 +254,7 @@ def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:
     a[u_switch, int(rng.integers(0, n_bar))] = SWITCH_POPULAR
     a[u_residual, n_bar + 1] = RESIDUAL_TOP
     a[u_residual, int(rng.integers(0, n_bar))] = RESIDUAL_POPULAR
-    matrix = RatingsMatrix(a, nonnegative=True)
+    split = PopularitySplit(RatingsMatrix(a, nonnegative=True), n_bar)
 
     collective = np.concatenate(
         [rng.choice(np.arange(j * g, (j + 1) * g), size=q, replace=False) for j in range(n_bar)]
@@ -253,12 +263,10 @@ def general_strategy_instance(rng: np.random.Generator) -> StrategyInstance:
     r_tilde[collective] = COLLECTIVE_RATING
     alpha = float(rng.uniform(1.2, 4.5))
 
-    report = check_general_sufficiency(matrix, n_bar, r_tilde, alpha)
-    if not report.verdict:
+    if not split.general_sufficiency(r_tilde, alpha).verdict:
         raise RuntimeError("self-check failed: strategy instance misses a condition")
     return StrategyInstance(
-        matrix=matrix,
-        n_bar=n_bar,
+        split=split,
         alpha=alpha,
         strategy=GeneralStrategy(r_tilde),
         collective=_collective_index(collective),

@@ -8,10 +8,11 @@ of the popular column block.  All inequalities in this module are strict and
 evaluated in plain double precision; reports carry margins so near-boundary
 instances are visible instead of silently flipping.
 
-State derived from one (matrix, n_bar) pair -- top-item mask, user classes,
-switch set, popular spectrum -- is computed once per :class:`PopularitySplit`.
-Per-user checks are masked numpy reductions of the same expressions a per-row
-scan with :func:`top_items` evaluates.
+A :class:`PopularitySplit` is the model: every check is one of its members,
+and state derived from one (matrix, n_bar) pair -- top-item mask, user
+classes, switch set, popular spectrum, the full spectrum -- is computed once
+per split.  Per-user checks are masked numpy reductions of the same
+expressions a per-row scan with :func:`top_items` evaluates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .matrix import (
     OpenInterval,
     RatingsMatrix,
+    SpectralSummary,
     _index_array,
     _mask_indices,
     _numeric_rank,
@@ -42,18 +44,10 @@ __all__ = [
     "GeneralStrategy",
     "GeneralSufficiencyReport",
     "LargerSplitCheck",
-    "popular_prefs",
-    "classify_users",
     "top_items",
-    "ratings_gap",
     "class_membership",
     "singular_bounds_check",
-    "popularity_gap_interval",
     "projection_gap_check",
-    "switch_users",
-    "delta_interval",
-    "sigma_hat",
-    "collective_ratings_gap",
     "check_general_sufficiency",
     "no_larger_nbar_check",
 ]
@@ -88,6 +82,12 @@ class PopularitySplit:
     def unpopular_block(self) -> np.ndarray:
         return self.matrix.entries[:, self.n_bar :]
 
+    def popular_prefs(self) -> RatingsMatrix:
+        """Copy of the matrix with every unpopular column zeroed, shape preserved."""
+        out = np.array(self.matrix.entries, dtype=float)
+        out[:, self.n_bar :] = 0.0
+        return RatingsMatrix(out, nonnegative=True)
+
     @cached_property
     def kappa(self) -> float:
         """Largest column sum among unpopular items."""
@@ -118,6 +118,11 @@ class PopularitySplit:
         """The n_bar-th singular value of the popular block (0 when absent)."""
         s = self._popular_spectrum
         return float(s[self.n_bar - 1]) if self.n_bar <= s.size else 0.0
+
+    @cached_property
+    def spectrum(self) -> SpectralSummary:
+        """The whole matrix's decomposition, shared by the bounds and the projector."""
+        return spectral(self.matrix)
 
     @cached_property
     def delta_gap(self) -> float | None:
@@ -159,9 +164,15 @@ class PopularitySplit:
 
     @cached_property
     def classes(self) -> UserClasses:
-        """Majority and minority users, as :func:`classify_users` returns them."""
+        """Majority users top out on a popular column, minority on an unpopular one."""
         majority, minority, _ = self._masks
         return UserClasses(_mask_indices(majority), _mask_indices(minority))
+
+    @cached_property
+    def switch_users(self) -> np.ndarray:
+        """Minority users whose row maximum is attained on the first unpopular
+        column, as a sorted, read-only np.intp array."""
+        return _mask_indices(self._masks[2])
 
     @cached_property
     def _off_top_max(self) -> np.ndarray:
@@ -171,13 +182,212 @@ class PopularitySplit:
         off[self._top_mask.all(axis=1)] = np.inf
         return off
 
+    @cached_property
+    def membership(self) -> ClassMembershipReport:
+        """The popularity-gap class conditions, evaluated with strict inequalities."""
+        classes = self.classes
+        majority_users, minority_users = classes.majority, classes.minority
+        delta = self.delta_gap
+        if delta is None:
+            majority_margins, minority_margins = np.empty(0), np.empty(0)
+        else:
+            top, off = self._row_max[majority_users], self._off_top_max[majority_users]
+            majority_margins = (top - delta) - off
+            minority_margins = self.popular_block[minority_users].max(axis=1) - delta
+        majority_ok = majority_margins > 0.0
+        minority_ok = minority_margins > 0.0
+        for array in (majority_margins, minority_margins, majority_ok, minority_ok):
+            array.flags.writeable = False
+        return ClassMembershipReport(
+            n_bar=self.n_bar,
+            kappa=self.kappa,
+            kappa_lower=self.kappa_lower,
+            sigma_popular=self.sigma_popular,
+            delta_gap=delta,
+            majority_users=majority_users,
+            minority_users=minority_users,
+            majority_margins=majority_margins,
+            minority_margins=minority_margins,
+            majority_gap_ok=majority_ok,
+            minority_support_ok=minority_ok,
+            in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
+            popularity_inequality=self.window.upper < self.sigma_popular,
+            classes_exclusive=classes.exclusive,
+            has_minority=classes.has_minority,
+            reason=_GAP_UNDEFINED if delta is None else None,
+        )
 
-def popular_prefs(matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
-    """Copy of ``matrix`` with every unpopular column zeroed, shape preserved."""
-    split = PopularitySplit(matrix, n_bar)
-    out = np.array(matrix.entries, dtype=float)
-    out[:, split.n_bar :] = 0.0
-    return RatingsMatrix(out, nonnegative=True)
+    @cached_property
+    def singular_bounds(self) -> SingularBounds:
+        """sigma_nbar(R) >= 2^(5/4) n^(3/4) sqrt(kappa) and
+        sigma_{nbar+1}(R) <= sqrt((n-nbar) kappa)."""
+        return SingularBounds(
+            sigma_nbar=self.spectrum.sigma(self.n_bar),
+            sigma_next=self.spectrum.sigma(self.n_bar + 1),
+            lower_bound=self.window.upper,
+            upper_bound=self.window.lower,
+        )
+
+    @cached_property
+    def projection_gap(self) -> float:
+        """Frobenius distance from the rank-n_bar projector to the popular-axis projector.
+
+        The projector is built from the top n_bar right singular directions of
+        the matrix; the reference is the diagonal 0/1 matrix selecting the
+        popular columns.  Callers compare the distance against
+        ``delta_gap / (2 sqrt(n))``.
+        """
+        summary = self.spectrum
+        if summary.numeric_rank < self.n_bar:
+            raise ValueError("matrix numeric rank is below n_bar; projector ill-defined")
+        vt = summary.right_t[: self.n_bar]
+        projector = vt.T @ vt
+        n = self.matrix.cols
+        reference = np.zeros((n, n))
+        reference[np.arange(self.n_bar), np.arange(self.n_bar)] = 1.0
+        return float(np.linalg.norm(projector - reference, "fro"))
+
+    @cached_property
+    def delta_window(self) -> DeltaWindow:
+        """Feasible slack window for the worthwhile-target requirement.
+
+        Sums range over true ratings: non-switching minority users compare
+        their best and worst ratings among the popular columns plus the
+        target, while switching users compare the target rating against their
+        best popular one.  An empty switch set yields an upper endpoint of 0,
+        so no positive point.
+        """
+        entries = self.matrix.entries
+        nb = self.n_bar
+        _, minority, sw = self._masks
+        head = entries[minority & ~sw, : nb + 1]
+        lower = max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
+        gain = entries[sw, nb].sum() - entries[sw, :nb].max(axis=1).sum()
+        return DeltaWindow(lower=lower, upper=float(gain))
+
+    def _sigma_hat_radicand(self, column: np.ndarray) -> float:
+        energy = float(column @ column)
+        cross = float(np.linalg.norm(column @ self.popular_block))
+        return min(energy, self.sigma_popular**2) - cross
+
+    def sigma_hat(self, r_tilde: np.ndarray) -> float:
+        """Closed-form lower estimate of the post-replacement (n_bar+1)-th singular value.
+
+        sqrt(min(r~.r~, sigma_popular^2) - ||r~^T A||_2) with A the popular
+        block.  The estimate never exceeds the true value; a negative radicand
+        means the replacement is too correlated with the popular block to
+        certify anything.
+        """
+        column = _validate_replacement(self.matrix, r_tilde)
+        radicand = self._sigma_hat_radicand(column)
+        if radicand < 0.0:
+            raise ValueError(f"estimate radicand is negative ({radicand}); no certificate")
+        return math.sqrt(radicand)
+
+    def collective_ratings_gap(self, r_tilde: np.ndarray) -> float:
+        """Gap scalar for the replaced matrix, priced from the original one:
+        2^(5/2) * n^(3/2) * tail kappa / sigma_hat^2, with the largest column
+        sum among the columns past the target as the tail kappa."""
+        estimate = self.sigma_hat(r_tilde)
+        if estimate == 0.0:
+            raise ValueError("singular value estimate is zero; gap unbounded")
+        return 2.0**2.5 * self.matrix.cols**1.5 * self._tail_kappa / estimate**2
+
+    def general_sufficiency(self, r_tilde: np.ndarray, alpha: float) -> GeneralSufficiencyReport:
+        """Judge one replacement strategy; passing verdicts certify a welfare gain.
+
+        Raises on malformed inputs (a negative alpha, then the column's shape,
+        range, or a changed minority entry); failed standing assumptions are
+        reported, never silently ignored.
+        """
+        alpha = float(alpha)
+        if alpha < 0.0:
+            raise ValueError("alpha must be nonnegative")
+        column = GeneralStrategy(r_tilde).validate_for(self)
+
+        membership = self.membership
+        majority, minority, switching = self._masks
+        preconditions = {
+            "in_class": membership.in_class,
+            "classes_exclusive": membership.classes_exclusive,
+            "has_minority": membership.has_minority,
+            "switch_nonempty": bool(switching.any()),
+            "target_sufficiently_liked": self.delta_window.has_positive_point,
+            "alpha_in_gap": self.window.contains(alpha),
+        }
+
+        n = self.matrix.cols
+        nb = self.n_bar
+        entries = self.matrix.entries
+        tail_bound = math.sqrt((n - nb - 1) * self._tail_kappa)
+
+        margins: dict[str, float] = {}
+        radicand = self._sigma_hat_radicand(column)
+        margins["sigma_hat_radicand"] = radicand
+        estimate = math.sqrt(radicand) if radicand >= 0.0 else None
+        margins["alpha_below_sigma_hat"] = (
+            estimate - alpha if estimate is not None else -math.inf
+        )
+
+        gap: float | None = None
+        if estimate is not None and estimate > 0.0:
+            gap = self.collective_ratings_gap(column)
+
+        conditions: dict[str, bool | None] = {
+            "alpha_below_sigma_hat": estimate is not None and alpha < estimate,
+            "uprating_below_majority_top": None,
+            "majority_gap_preserved": None,
+            "switch_users_promoted": None,
+            "residual_minority_supported": None,
+        }
+
+        if gap is not None:
+            residual = minority & ~switching
+            top, off = self._row_max, self._off_top_max
+            for name, values in (
+                ("uprating_below_majority_top", (top[majority] - gap) - column[majority]),
+                ("majority_gap_preserved", (top[majority] - gap) - off[majority]),
+                ("switch_users_promoted", (entries[switching, nb] - gap) - off[switching]),
+                ("residual_minority_supported", entries[residual, : nb + 1].max(axis=1) - gap),
+            ):
+                margin = float(np.min(values, initial=math.inf))
+                conditions[name] = margin > 0.0
+                margins[name] = margin
+
+        margins["alpha_above_tail"] = alpha - tail_bound
+        alpha_above_tail = alpha > tail_bound
+
+        verdict = all(preconditions.values()) and all(
+            value is True for value in conditions.values()
+        )
+        return GeneralSufficiencyReport(
+            preconditions=preconditions,
+            conditions=conditions,
+            margins=margins,
+            sigma_hat=estimate,
+            ratings_gap=gap,
+            alpha_above_tail=alpha_above_tail,
+            verdict=verdict,
+        )
+
+    @cached_property
+    def larger_splits(self) -> LargerSplitCheck:
+        """Whether any larger popular-column count keeps the matrix in class."""
+        n = self.matrix.cols
+        floor = (n - self.n_bar) * self.kappa / (2.0**2.5 * n**1.5)
+        premise = self.membership.in_class and self.kappa_lower > floor
+        if not premise:
+            return LargerSplitCheck(premise_holds=False, confirmed=None)
+
+        checked: dict[int, bool] = {}
+        for wider in range(self.n_bar + 1, n):
+            checked[wider] = PopularitySplit(self.matrix, wider).membership.in_class
+        checked[n] = False
+        return LargerSplitCheck(
+            premise_holds=True,
+            confirmed=not any(checked.values()),
+            checked=checked,
+        )
 
 
 def top_items(row: np.ndarray) -> np.ndarray:
@@ -217,23 +427,9 @@ class UserClasses:
         return bool(self.minority.size)
 
 
-def classify_users(matrix: RatingsMatrix, n_bar: int) -> UserClasses:
-    """Majority users top out on a popular column, minority on an unpopular one."""
-    return PopularitySplit(matrix, n_bar).classes
-
-
-def ratings_gap(matrix: RatingsMatrix, n_bar: int) -> float:
-    """The split's :attr:`PopularitySplit.delta_gap`; raises ValueError where
-    it is undefined."""
-    gap = PopularitySplit(matrix, n_bar).delta_gap
-    if gap is None:
-        raise ValueError(_GAP_UNDEFINED)
-    return gap
-
-
 @dataclass(frozen=True, eq=False)
 class ClassMembershipReport:
-    """Outcome of the popularity-gap class checks for one (matrix, n_bar) pair.
+    """Outcome of the popularity-gap class checks for one split.
 
     Per-user results are read-only arrays.  ``majority_users`` and
     ``minority_users`` are the split's :class:`UserClasses` arrays.
@@ -266,45 +462,6 @@ class ClassMembershipReport:
     reason: str | None = None
 
 
-def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport:
-    """Evaluate the popularity-gap class conditions with strict inequalities."""
-    return _membership(PopularitySplit(matrix, n_bar))
-
-
-def _membership(split: PopularitySplit) -> ClassMembershipReport:
-    classes = split.classes
-    majority_users, minority_users = classes.majority, classes.minority
-    delta = split.delta_gap
-    if delta is None:
-        majority_margins, minority_margins = np.empty(0), np.empty(0)
-    else:
-        top, off = split._row_max[majority_users], split._off_top_max[majority_users]
-        majority_margins = (top - delta) - off
-        minority_margins = split.popular_block[minority_users].max(axis=1) - delta
-    majority_ok = majority_margins > 0.0
-    minority_ok = minority_margins > 0.0
-    for array in (majority_margins, minority_margins, majority_ok, minority_ok):
-        array.flags.writeable = False
-    return ClassMembershipReport(
-        n_bar=split.n_bar,
-        kappa=split.kappa,
-        kappa_lower=split.kappa_lower,
-        sigma_popular=split.sigma_popular,
-        delta_gap=delta,
-        majority_users=majority_users,
-        minority_users=minority_users,
-        majority_margins=majority_margins,
-        minority_margins=minority_margins,
-        majority_gap_ok=majority_ok,
-        minority_support_ok=minority_ok,
-        in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
-        popularity_inequality=split.window.upper < split.sigma_popular,
-        classes_exclusive=classes.exclusive,
-        has_minority=classes.has_minority,
-        reason=_GAP_UNDEFINED if delta is None else None,
-    )
-
-
 @dataclass(frozen=True)
 class SingularBounds:
     """Spectrum-level consequences of class membership (non-strict bounds)."""
@@ -321,48 +478,6 @@ class SingularBounds:
     @property
     def upper_ok(self) -> bool:
         return self.sigma_next <= self.upper_bound
-
-
-def singular_bounds_check(matrix: RatingsMatrix, n_bar: int) -> SingularBounds:
-    """sigma_nbar(R) >= 2^(5/4) n^(3/4) sqrt(kappa) and sigma_{nbar+1}(R) <= sqrt((n-nbar) kappa)."""
-    split = PopularitySplit(matrix, n_bar)
-    summary = spectral(matrix)
-    return SingularBounds(
-        sigma_nbar=summary.sigma(split.n_bar),
-        sigma_next=summary.sigma(split.n_bar + 1),
-        lower_bound=split.window.upper,
-        upper_bound=split.window.lower,
-    )
-
-
-def popularity_gap_interval(matrix: RatingsMatrix, n_bar: int) -> OpenInterval:
-    """The split's tolerance :attr:`PopularitySplit.window`."""
-    return PopularitySplit(matrix, n_bar).window
-
-
-def projection_gap_check(matrix: RatingsMatrix, n_bar: int) -> float:
-    """Frobenius distance from the rank-n_bar projector to the popular-axis projector.
-
-    The projector is built from the top n_bar right singular directions of the
-    matrix; the reference is the diagonal 0/1 matrix selecting the popular
-    columns.  Callers compare the distance against ratings_gap / (2 sqrt(n)).
-    """
-    split = PopularitySplit(matrix, n_bar)
-    summary = spectral(matrix)
-    if summary.numeric_rank < split.n_bar:
-        raise ValueError("matrix numeric rank is below n_bar; projector ill-defined")
-    vt = summary.right_t[: split.n_bar]
-    projector = vt.T @ vt
-    n = matrix.cols
-    reference = np.zeros((n, n))
-    reference[np.arange(split.n_bar), np.arange(split.n_bar)] = 1.0
-    return float(np.linalg.norm(projector - reference, "fro"))
-
-
-def switch_users(matrix: RatingsMatrix, n_bar: int) -> np.ndarray:
-    """Minority users whose row maximum is attained on the first unpopular
-    column, as a sorted, read-only np.intp array."""
-    return _mask_indices(PopularitySplit(matrix, n_bar)._masks[2])
 
 
 @dataclass(frozen=True)
@@ -387,27 +502,6 @@ class DeltaWindow:
     def witness(self) -> float:
         """A positive point inside the window; meaningful only when one exists."""
         return 0.5 * (self.lower + self.upper)
-
-
-def delta_interval(matrix: RatingsMatrix, n_bar: int) -> DeltaWindow:
-    """Feasible slack window for the worthwhile-target requirement.
-
-    Sums range over true ratings: non-switching minority users compare their
-    best and worst ratings among the popular columns plus the target, while
-    switching users compare the target rating against their best popular one.
-    An empty switch set yields an upper endpoint of 0, so no positive point.
-    """
-    return _delta_window(PopularitySplit(matrix, n_bar))
-
-
-def _delta_window(split: PopularitySplit) -> DeltaWindow:
-    entries = split.matrix.entries
-    nb = split.n_bar
-    _, minority, sw = split._masks
-    head = entries[minority & ~sw, : nb + 1]
-    lower = max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
-    gain = entries[sw, nb].sum() - entries[sw, :nb].max(axis=1).sum()
-    return DeltaWindow(lower=lower, upper=float(gain))
 
 
 def _validate_replacement(matrix: RatingsMatrix, column: np.ndarray) -> np.ndarray:
@@ -439,11 +533,8 @@ class GeneralStrategy:
         column.setflags(write=False)
         object.__setattr__(self, "replacement_column", column)
 
-    def validate_for(self, matrix: RatingsMatrix, n_bar: int) -> None:
-        self._column_for(PopularitySplit(matrix, n_bar))
-
-    def _column_for(self, split: PopularitySplit) -> np.ndarray:
-        """The validated replacement column for ``split``."""
+    def validate_for(self, split: PopularitySplit) -> np.ndarray:
+        """The replacement column, checked against ``split``."""
         column = _validate_replacement(split.matrix, self.replacement_column)
         current = split.matrix.entries[:, split.n_bar]
         changed = np.flatnonzero(split._masks[1] & (column != current))
@@ -454,61 +545,15 @@ class GeneralStrategy:
             )
         return column
 
-    def is_realistic(self, matrix: RatingsMatrix, n_bar: int) -> bool:
+    def is_realistic(self, split: PopularitySplit) -> bool:
         """True when no entry drops below its true value."""
-        split = PopularitySplit(matrix, n_bar)
-        column = _validate_replacement(matrix, self.replacement_column)
-        return bool((column >= matrix.entries[:, split.n_bar]).all())
+        column = _validate_replacement(split.matrix, self.replacement_column)
+        return bool((column >= split.matrix.entries[:, split.n_bar]).all())
 
-    def apply(self, matrix: RatingsMatrix, n_bar: int) -> RatingsMatrix:
-        split = PopularitySplit(matrix, n_bar)
-        out = np.array(matrix.entries, dtype=float)
-        out[:, split.n_bar] = self._column_for(split)
+    def apply(self, split: PopularitySplit) -> RatingsMatrix:
+        out = np.array(split.matrix.entries, dtype=float)
+        out[:, split.n_bar] = self.validate_for(split)
         return RatingsMatrix(out, nonnegative=True)
-
-
-def sigma_hat(matrix: RatingsMatrix, n_bar: int, r_tilde: np.ndarray) -> float:
-    """Closed-form lower estimate of the post-replacement (n_bar+1)-th singular value.
-
-    sqrt(min(r~.r~, sigma_popular^2) - ||r~^T A||_2) with A the popular block.
-    The estimate never exceeds the true value; a negative radicand means the
-    replacement is too correlated with the popular block to certify anything.
-    """
-    return _sigma_hat(PopularitySplit(matrix, n_bar), r_tilde)
-
-
-def _sigma_hat(split: PopularitySplit, r_tilde: np.ndarray) -> float:
-    column = _validate_replacement(split.matrix, r_tilde)
-    radicand = _sigma_hat_radicand(split, column)
-    if radicand < 0.0:
-        raise ValueError(f"estimate radicand is negative ({radicand}); no certificate")
-    return math.sqrt(radicand)
-
-
-def _sigma_hat_radicand(split: PopularitySplit, column: np.ndarray) -> float:
-    energy = float(column @ column)
-    cross = float(np.linalg.norm(column @ split.popular_block))
-    return min(energy, split.sigma_popular**2) - cross
-
-
-def collective_ratings_gap(
-    matrix: RatingsMatrix, n_bar: int, r_tilde: np.ndarray
-) -> float:
-    """Gap scalar for the replaced matrix, priced from the original one.
-
-    Uses the sigma_hat estimate in place of the true singular value and the
-    largest column sum among the columns past the target.
-    """
-    split = PopularitySplit(matrix, n_bar)
-    estimate = _sigma_hat(split, r_tilde)
-    if estimate == 0.0:
-        raise ValueError("singular value estimate is zero; gap unbounded")
-    return _collective_gap(split, estimate)
-
-
-def _collective_gap(split: PopularitySplit, estimate: float) -> float:
-    """2^(5/2) * n^(3/2) * tail kappa / estimate^2, for a positive estimate."""
-    return 2.0**2.5 * split.matrix.cols**1.5 * split._tail_kappa / estimate**2
 
 
 @dataclass(frozen=True)
@@ -533,94 +578,6 @@ class GeneralSufficiencyReport:
     verdict: bool
 
 
-def check_general_sufficiency(
-    matrix: RatingsMatrix,
-    n_bar: int,
-    r_tilde: np.ndarray,
-    alpha: float,
-) -> GeneralSufficiencyReport:
-    """Judge one replacement strategy; passing verdicts certify a welfare gain.
-
-    Raises on malformed inputs (shape, range, or a changed minority entry);
-    failed standing assumptions are reported, never silently ignored.
-    """
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    split = PopularitySplit(matrix, n_bar)
-    column = GeneralStrategy(r_tilde)._column_for(split)
-
-    membership = _membership(split)
-    majority, minority, switching = split._masks
-    window = _delta_window(split)
-    preconditions = {
-        "in_class": membership.in_class,
-        "classes_exclusive": membership.classes_exclusive,
-        "has_minority": membership.has_minority,
-        "switch_nonempty": bool(switching.any()),
-        "target_sufficiently_liked": window.has_positive_point,
-        "alpha_in_gap": split.window.contains(alpha),
-    }
-
-    n = matrix.cols
-    nb = split.n_bar
-    entries = matrix.entries
-    tail = split._tail_kappa
-    tail_bound = math.sqrt((n - nb - 1) * tail)
-
-    margins: dict[str, float] = {}
-    radicand = _sigma_hat_radicand(split, column)
-    margins["sigma_hat_radicand"] = radicand
-    if radicand >= 0.0:
-        estimate: float | None = math.sqrt(radicand)
-    else:
-        estimate = None
-    margins["alpha_below_sigma_hat"] = (
-        estimate - alpha if estimate is not None else -math.inf
-    )
-
-    gap: float | None = None
-    if estimate is not None and estimate > 0.0:
-        gap = _collective_gap(split, estimate)
-
-    conditions: dict[str, bool | None] = {
-        "alpha_below_sigma_hat": estimate is not None and alpha < estimate,
-        "uprating_below_majority_top": None,
-        "majority_gap_preserved": None,
-        "switch_users_promoted": None,
-        "residual_minority_supported": None,
-    }
-
-    if gap is not None:
-        residual = minority & ~switching
-        top, off = split._row_max, split._off_top_max
-        for name, values in (
-            ("uprating_below_majority_top", (top[majority] - gap) - column[majority]),
-            ("majority_gap_preserved", (top[majority] - gap) - off[majority]),
-            ("switch_users_promoted", (entries[switching, nb] - gap) - off[switching]),
-            ("residual_minority_supported", entries[residual, : nb + 1].max(axis=1) - gap),
-        ):
-            margin = float(np.min(values, initial=math.inf))
-            conditions[name] = margin > 0.0
-            margins[name] = margin
-
-    margins["alpha_above_tail"] = alpha - tail_bound
-    alpha_above_tail = alpha > tail_bound
-
-    verdict = all(preconditions.values()) and all(
-        value is True for value in conditions.values()
-    )
-    return GeneralSufficiencyReport(
-        preconditions=preconditions,
-        conditions=conditions,
-        margins=margins,
-        sigma_hat=estimate,
-        ratings_gap=gap,
-        alpha_above_tail=alpha_above_tail,
-        verdict=verdict,
-    )
-
-
 @dataclass(frozen=True)
 class LargerSplitCheck:
     """Whether every split larger than the given one falls out of the class.
@@ -636,21 +593,27 @@ class LargerSplitCheck:
     checked: dict[int, bool] = field(default_factory=dict)
 
 
-def no_larger_nbar_check(matrix: RatingsMatrix, n_bar: int) -> LargerSplitCheck:
-    """Verify that no larger popular-column count keeps the matrix in class."""
-    split = PopularitySplit(matrix, n_bar)
-    n = matrix.cols
-    floor = (n - split.n_bar) * split.kappa / (2.0**2.5 * n**1.5)
-    premise = _membership(split).in_class and split.kappa_lower > floor
-    if not premise:
-        return LargerSplitCheck(premise_holds=False, confirmed=None)
+# (matrix, n_bar) entry points kept only because the benchmark's certify round
+# calls them by name; each is one split member.
 
-    checked: dict[int, bool] = {}
-    for wider in range(split.n_bar + 1, n):
-        checked[wider] = _membership(PopularitySplit(matrix, wider)).in_class
-    checked[n] = False
-    return LargerSplitCheck(
-        premise_holds=True,
-        confirmed=not any(checked.values()),
-        checked=checked,
-    )
+
+def class_membership(matrix: RatingsMatrix, n_bar: int) -> ClassMembershipReport:
+    return PopularitySplit(matrix, n_bar).membership
+
+
+def singular_bounds_check(matrix: RatingsMatrix, n_bar: int) -> SingularBounds:
+    return PopularitySplit(matrix, n_bar).singular_bounds
+
+
+def projection_gap_check(matrix: RatingsMatrix, n_bar: int) -> float:
+    return PopularitySplit(matrix, n_bar).projection_gap
+
+
+def check_general_sufficiency(
+    matrix: RatingsMatrix, n_bar: int, r_tilde: np.ndarray, alpha: float
+) -> GeneralSufficiencyReport:
+    return PopularitySplit(matrix, n_bar).general_sufficiency(r_tilde, alpha)
+
+
+def no_larger_nbar_check(matrix: RatingsMatrix, n_bar: int) -> LargerSplitCheck:
+    return PopularitySplit(matrix, n_bar).larger_splits

@@ -38,13 +38,7 @@ from rankgap.generators import (
 )
 from rankgap.learner import fit_learner, kappa_k, recommend, social_welfare
 from rankgap.matrix import numeric_rank_of, singular_values_of
-from rankgap.popgap import (
-    classify_users,
-    projection_gap_check,
-    ratings_gap,
-    singular_bounds_check,
-    top_items,
-)
+from rankgap.popgap import top_items
 
 SWEEP_SEED = 20260816
 MC_SEED = 7
@@ -123,7 +117,7 @@ def test_a03_collective_run_end_to_end(multi_scene):
     R, partition = multi_scene
     alpha = 2.1
     collective = stratified_collective(R, partition, 0.25)
-    assert aggregate_value(R, collective, partition.n_bar) == 25.0
+    assert aggregate_value(R, collective, partition) == 25.0
     eta = find_eta(MULTIGROUP_INPUTS)
     strategy = CollectiveStrategy(target_item=4, collective=collective, eta=eta)
     revealed = apply_uprating(R, partition, strategy)
@@ -264,16 +258,17 @@ def test_a09_popularity_class_property_sweep():
     rng = np.random.default_rng(SWEEP_SEED)
     for _ in range(50):
         inst = gap_class_instance(rng)
-        R, n_bar = inst.matrix, inst.n_bar
+        split = inst.split
+        R, n_bar = split.matrix, split.n_bar
 
-        bounds = singular_bounds_check(R, n_bar)
+        bounds = split.singular_bounds
         assert bounds.lower_ok and bounds.upper_ok
 
-        distance = projection_gap_check(R, n_bar)
-        assert distance <= ratings_gap(R, n_bar) / (2 * math.sqrt(R.cols))
+        distance = split.projection_gap
+        assert distance <= split.delta_gap / (2 * math.sqrt(R.cols))
 
         outcome = recommend(fit_learner(R, inst.alpha).truncated, derandomize=True)
-        classes = classify_users(R, n_bar)
+        classes = split.classes
         popular = set(range(n_bar))
         for u in range(R.rows):
             tie = set(np.flatnonzero(outcome.tie[u]).tolist())
@@ -285,7 +280,7 @@ def test_a09_popularity_class_property_sweep():
     ratios = []
     for _ in range(10):
         inst = general_strategy_instance(rng)
-        revealed = inst.strategy.apply(inst.matrix, inst.n_bar)
+        revealed = inst.strategy.apply(inst.split)
         before = fit_learner(inst.matrix, inst.alpha)
         after = fit_learner(revealed, inst.alpha)
         assert after.chosen_rank == inst.n_bar + 1

@@ -31,7 +31,9 @@ from rankgap.collective import (
 from rankgap.generators import random_block_scenario, random_finder_inputs, stratified_collective
 from rankgap.learner import fit_learner, recommend, social_welfare, utility_en
 from rankgap.matrix import (
+    GroupPartition,
     OpenInterval,
+    PartitionError,
     RatingsMatrix,
     block_partition,
     numeric_rank_of,
@@ -170,26 +172,41 @@ def test_uprating_requires_valid_strategy(multi_scene):
 # ---------------------------------------------------------------------------
 
 def test_aggregate_value_of_singleton_is_their_top_popular_rating(multi_scene):
-    R, _ = multi_scene
-    assert aggregate_value(R, {0}, 4) == 1.0
+    R, p = multi_scene
+    assert aggregate_value(R, {0}, p) == 1.0
 
 
 def test_aggregate_value_of_stratified_collective(multi_scene, multi_strategy):
-    R, _ = multi_scene
-    assert aggregate_value(R, multi_strategy.collective, 4) == 25.0
+    R, p = multi_scene
+    assert aggregate_value(R, multi_strategy.collective, p) == 25.0
 
 
 def test_aggregate_value_zero_for_minority_rows(multi_scene):
-    R, _ = multi_scene
-    assert aggregate_value(R, {404}, 4) == 0.0
+    R, p = multi_scene
+    assert aggregate_value(R, {404}, p) == 0.0
 
 
 def test_aggregate_value_validation(multi_scene):
-    R, _ = multi_scene
+    R, p = multi_scene
     with pytest.raises(ValueError, match="nonempty"):
-        aggregate_value(R, set(), 4)
-    with pytest.raises(ValueError, match="n_bar"):
-        aggregate_value(R, {0}, 7)
+        aggregate_value(R, set(), p)
+    with pytest.raises(PartitionError, match="does not cover a 405x6 matrix"):
+        aggregate_value(R, {0}, block_partition(400, 4, 405, 7))
+
+
+def test_aggregate_value_reads_the_partitions_majority_items():
+    # The majority items are columns 1 and 3: users 0-2 rate item 1, users
+    # 3-5 item 3, users 6-8 items 0 and 2.  Summing the first n_bar columns
+    # instead gave max(0, 1) = 1.
+    a = np.zeros((9, 4))
+    a[0:3, 1] = 1.0
+    a[3:6, 3] = 1.0
+    a[6:9, 0] = [0.5, 0.2, 0.1]
+    a[6:9, 2] = [0.1, 0.3, 0.2]
+    R = RatingsMatrix(a)
+    p = GroupPartition(range(6), range(6, 9), [1, 3], [0, 2])
+    p.validate_for(R)
+    assert aggregate_value(R, [0, 3, 4, 5], p) == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +289,9 @@ def test_collective_paths_match_the_set_based_code(seed, data):
     gap = _outcome(sufficient_gap, R, p, strategy)
     assert gap == _outcome(reference_sufficient_gap, R, p, target, coll, eta)
     if coll <= set(p.majority_users.tolist()):
-        for n_bar in range(1, R.cols + 1):
-            expected = reference_aggregate_value(R, coll, n_bar)
-            assert aggregate_value(R, form(users), n_bar) == expected
-            assert aggregate_value(R, strategy.collective, n_bar) == expected
+        expected = reference_aggregate_value(R, coll, p.n_bar)
+        assert aggregate_value(R, form(users), p) == expected
+        assert aggregate_value(R, strategy.collective, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +329,46 @@ def test_sufficient_gap_negative_radicand_is_empty(multi_scene):
 @given(seed=seeds, data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_block_gap_agrees_bitwise_with_the_finder_inputs_path(seed, data):
-    """run's two windows, sufficient_gap on the matrix and the checked finder
-    inputs' gap_interval, are the same bits; so are singular_value_gap's ends
-    and the block sigmas the finder inputs take."""
+    """run's two windows agree, in block order and with users and items shuffled."""
     scene = random_block_scenario(np.random.default_rng(seed))
     R, p = scene.matrix, scene.partition
+    majority = p.majority_users.tolist()
+    users = data.draw(st.lists(st.sampled_from(majority), min_size=1, max_size=len(majority)))
+    target = data.draw(st.sampled_from(p.minority_items.tolist()))
+    strategy = CollectiveStrategy(target, users, data.draw(st.floats(1e-3, 50.0)))
+    assert_block_gap_agrees(R, p, scene.alpha, strategy)
+
+    # The same scene permuted: the majority items leave the first n_bar columns.
+    rows = np.array(data.draw(st.permutations(range(R.rows))))
+    cols = np.array(data.draw(st.permutations(range(R.cols))))
+    row_of, col_of = np.argsort(rows), np.argsort(cols)
+    permuted = GroupPartition(
+        row_of[p.majority_users],
+        row_of[p.minority_users],
+        col_of[p.majority_items],
+        col_of[p.minority_items],
+    )
+    moved = CollectiveStrategy(int(col_of[target]), row_of[strategy.collective], strategy.eta)
+    assert_block_gap_agrees(
+        RatingsMatrix(R.entries[np.ix_(rows, cols)]), permuted, scene.alpha, moved
+    )
+
+
+def assert_block_gap_agrees(R, p, alpha, strategy) -> None:
+    """sufficient_gap on the matrix and the checked finder inputs'
+    gap_interval are the same bits; so are singular_value_gap's ends and the
+    block sigmas the finder inputs take."""
     maj = p.majority_block(R.entries)
     sigma_kmaj = float(singular_values_of(maj)[numeric_rank_of(maj) - 1])
     sigma1_min = float(singular_values_of(p.minority_block(R.entries))[0])
     gap = singular_value_gap(R, p)
     assert float_bits(gap.lower, gap.upper) == float_bits(sigma1_min, sigma_kmaj)
-
-    majority = p.majority_users.tolist()
-    users = data.draw(st.lists(st.sampled_from(majority), min_size=1, max_size=len(majority)))
-    target = data.draw(st.sampled_from(p.minority_items.tolist()))
-    strategy = CollectiveStrategy(target, users, data.draw(st.floats(1e-3, 50.0)))
     inputs = FinderInputs(
         sigma_kmaj=sigma_kmaj,
-        alpha=scene.alpha,
+        alpha=alpha,
         n_bar=p.n_bar,
-        picky_col_sq=float((R.entries[:, target] ** 2).sum()),
-        av=aggregate_value(R, strategy.collective, p.n_bar),
+        picky_col_sq=float((R.entries[:, strategy.target_item] ** 2).sum()),
+        av=aggregate_value(R, strategy.collective, p),
         kappa=1.0,
         coll_size=len(strategy.collective),
     )

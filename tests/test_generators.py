@@ -37,7 +37,6 @@ from rankgap.matrix import (
     singular_value_gap,
     singular_values_of,
 )
-from rankgap.popgap import class_membership, popularity_gap_interval
 
 SWEEP_SEED = 20260816
 PARTITION_FIELDS = ("majority_users", "minority_users", "majority_items", "minority_items")
@@ -408,9 +407,9 @@ def test_gap_class_sweep_stays_in_class():
     rng = np.random.default_rng(SWEEP_SEED)
     for _ in range(50):
         inst = gap_class_instance(rng)
-        report = class_membership(inst.matrix, inst.n_bar)
+        report = inst.split.membership
         assert report.in_class and report.classes_exclusive and report.has_minority
-        window = popularity_gap_interval(inst.matrix, inst.n_bar)
+        window = inst.split.window
         assert window.lower < inst.alpha < window.upper
 
 
@@ -431,7 +430,7 @@ def test_strategy_instance_sweep_passes_all_checks():
         inst = general_strategy_instance(rng)
         group = (inst.matrix.rows - 2) // 4
         assert len(inst.collective) == 4 * round(0.4 * group)
-        assert inst.strategy.is_realistic(inst.matrix, inst.n_bar)
+        assert inst.strategy.is_realistic(inst.split)
         column = inst.strategy.replacement_column
         truthful = inst.matrix.entries[:, inst.n_bar]
         changed = {int(u) for u in np.flatnonzero(column != truthful)}

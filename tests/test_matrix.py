@@ -37,7 +37,7 @@ from rankgap import matrix
 from rankgap.cli import PRESETS, generate_scenario
 from rankgap.completion import PartialMatrix
 from rankgap.generators import general_strategy_instance
-from rankgap.popgap import GeneralStrategy, classify_users
+from rankgap.popgap import GeneralStrategy, PopularitySplit
 from rankgap.matrix import _load_ratings_csv_lines, _parse_plain_csv
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -460,7 +460,7 @@ def test_partition_keeps_an_array_already_in_its_form():
         lambda: PartialMatrix(np.eye(2), np.eye(2, dtype=bool)),
         lambda: GeneralStrategy(np.array([0.5, 1.0])),
         lambda: general_strategy_instance(np.random.default_rng(9)),
-        lambda: classify_users(RatingsMatrix(np.eye(2)), 1),
+        lambda: PopularitySplit(RatingsMatrix(np.eye(2)), 1).classes,
         lambda: generate_scenario(PRESETS["paired"]),
     ],
     ids=[

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,25 +16,8 @@ from conftest import build_gap_case, float_bits
 from rankgap.generators import gap_class_instance, general_strategy_instance
 from rankgap.learner import fit_learner, recommend, social_welfare
 from rankgap.matrix import RatingsMatrix, singular_values_of
-from rankgap.popgap import (
-    GeneralStrategy,
-    PopularitySplit,
-    UserClasses,
-    check_general_sufficiency,
-    class_membership,
-    classify_users,
-    collective_ratings_gap,
-    delta_interval,
-    no_larger_nbar_check,
-    popular_prefs,
-    popularity_gap_interval,
-    projection_gap_check,
-    ratings_gap,
-    sigma_hat,
-    singular_bounds_check,
-    switch_users,
-    top_items,
-)
+from rankgap import matrix, popgap
+from rankgap.popgap import GeneralStrategy, PopularitySplit, UserClasses, top_items
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -89,12 +73,12 @@ def test_split_column_statistics():
 
 def test_popular_prefs_zeroes_the_tail():
     a = np.array([[0.2, 0.9, 0.1], [0.8, 0.1, 0.3]])
-    out = popular_prefs(RatingsMatrix(a), 2)
+    out = PopularitySplit(RatingsMatrix(a), 2).popular_prefs()
     assert np.array_equal(out.entries[:, :2], a[:, :2])
     assert np.all(out.entries[:, 2] == 0.0)
 
     zeros = RatingsMatrix(np.zeros((3, 3)))
-    assert np.array_equal(popular_prefs(zeros, 2).entries, zeros.entries)
+    assert np.array_equal(PopularitySplit(zeros, 2).popular_prefs().entries, zeros.entries)
 
 
 @given(seeds)
@@ -104,7 +88,7 @@ def test_popular_prefs_spectrum_is_the_block_spectrum(seed):
     m, n = int(rng.integers(2, 7)), int(rng.integers(3, 6))
     n_bar = int(rng.integers(1, n))
     R = RatingsMatrix(rng.uniform(0.0, 1.0, size=(m, n)))
-    s_full = singular_values_of(popular_prefs(R, n_bar).entries)
+    s_full = singular_values_of(PopularitySplit(R, n_bar).popular_prefs().entries)
     s_block = singular_values_of(R.entries[:, :n_bar])
     assert np.allclose(s_full[: s_block.size], s_block, atol=1e-9)
     assert np.all(s_full[s_block.size :] <= 1e-9)
@@ -116,7 +100,7 @@ def test_popular_prefs_spectrum_is_the_block_spectrum(seed):
 
 def test_unique_top_items_classify_cleanly():
     a = np.array([[1.0, 0.0, 0.2], [0.1, 0.2, 0.9]])
-    classes = classify_users(RatingsMatrix(a), 2)
+    classes = PopularitySplit(RatingsMatrix(a), 2).classes
     assert classes.majority.tolist() == [0]
     assert classes.minority.tolist() == [1]
     assert classes.exclusive and classes.has_minority
@@ -124,7 +108,7 @@ def test_unique_top_items_classify_cleanly():
 
 def test_straddling_tie_lands_in_both_classes():
     a = np.array([[0.5, 0.2, 0.5], [1.0, 0.0, 0.0]])
-    classes = classify_users(RatingsMatrix(a), 2)
+    classes = PopularitySplit(RatingsMatrix(a), 2).classes
     assert 0 in classes.majority and 0 in classes.minority
     assert classes.dual.tolist() == [0]
     assert not classes.exclusive
@@ -170,8 +154,8 @@ def test_classification_matches_argmax_scan(seed):
     switching = [u for u in minority if n_bar in tops[u]]
     residual = [u for u in minority if u not in switching]
 
-    classes = classify_users(R, n_bar)
-    switch = switch_users(R, n_bar)
+    split = PopularitySplit(R, n_bar)
+    classes, switch = split.classes, split.switch_users
     # Ascending like the scan, so each array is sorted and distinct.
     assert classes.majority.tolist() == majority
     assert classes.minority.tolist() == minority
@@ -183,13 +167,13 @@ def test_classification_matches_argmax_scan(seed):
         assert array.dtype == np.intp and not array.flags.writeable
 
     head = a[residual, : n_bar + 1]
-    window = delta_interval(R, n_bar)
+    window = split.delta_window
     assert window.lower == max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
     assert window.upper == float(
         a[switching, n_bar].sum() - a[switching, :n_bar].max(axis=1).sum()
     )
 
-    report = class_membership(R, n_bar)
+    report = split.membership
     delta = report.delta_gap
     if delta is None:
         assert report.majority_margins.size == report.minority_margins.size == 0
@@ -209,7 +193,7 @@ def test_classification_matches_argmax_scan(seed):
     outside = np.setdiff1d(np.arange(m), minority)
     r_tilde[outside] = rng.choice(TIE_GRID, size=outside.size)
     alpha = float(rng.choice((0.0, 0.5, 1.0, 2.0)))
-    verdict = check_general_sufficiency(R, n_bar, r_tilde, alpha)
+    verdict = split.general_sufficiency(r_tilde, alpha)
     assert verdict.preconditions["in_class"] == report.in_class
     assert verdict.preconditions["switch_nonempty"] == bool(switching)
     gap = verdict.ratings_gap
@@ -235,18 +219,19 @@ def test_classification_matches_argmax_scan(seed):
 
 def test_worked_gap_value():
     # kappa = 1, n = 6, sigma_popular = 10: 2^2.5 * 6^1.5 / 100
-    assert ratings_gap(worked_example(), 4) == 0.8313843876330611
+    assert PopularitySplit(worked_example(), 4).delta_gap == 0.8313843876330611
 
 
 def test_gap_requires_full_popular_rank():
     a = np.zeros((3, 3))
     a[:, 0] = [1.0, 1.0, 1.0]
-    with pytest.raises(ValueError, match="rank below n_bar"):
-        ratings_gap(RatingsMatrix(a), 2)
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    assert split.delta_gap is None
+    assert "rank below n_bar" in split.membership.reason
 
 
 def test_membership_fails_without_minority_popular_support():
-    report = class_membership(worked_example(), 4)
+    report = PopularitySplit(worked_example(), 4).membership
     assert report.delta_gap == 0.8313843876330611
     assert report.kappa == 1.0
     assert all(by_user(report.majority_users, report.majority_gap_ok).values())
@@ -256,7 +241,7 @@ def test_membership_fails_without_minority_popular_support():
 
 
 def test_membership_holds_once_support_clears_the_gap():
-    report = class_membership(worked_example(support=0.9), 4)
+    report = PopularitySplit(worked_example(support=0.9), 4).membership
     assert report.in_class
     margins = by_user(report.minority_users, report.minority_margins)
     assert margins[400] == pytest.approx(0.9 - 0.8313843876330611)
@@ -269,7 +254,7 @@ def test_membership_with_zero_kappa_reduces_to_strictness():
     a[1, 1] = 0.7
     a[2, 0] = 0.4
     a[2, 1] = 0.4
-    report = class_membership(RatingsMatrix(a), 2)
+    report = PopularitySplit(RatingsMatrix(a), 2).membership
     assert report.kappa == 0.0
     assert report.delta_gap == 0.0
     assert report.in_class  # every top gap strictly positive
@@ -278,7 +263,7 @@ def test_membership_with_zero_kappa_reduces_to_strictness():
 
 def test_membership_flags_flat_rows():
     a = np.full((1, 3), 0.5)
-    report = class_membership(RatingsMatrix(a), 1)
+    report = PopularitySplit(RatingsMatrix(a), 1).membership
     assert by_user(report.majority_users, report.majority_gap_ok) == {0: False}
     assert by_user(report.majority_users, report.majority_margins)[0] == -math.inf
     assert not report.in_class
@@ -288,7 +273,7 @@ def test_membership_flags_flat_rows():
 def test_membership_reports_rank_deficiency():
     a = np.zeros((3, 3))
     a[:, 0] = 1.0
-    report = class_membership(RatingsMatrix(a), 2)
+    report = PopularitySplit(RatingsMatrix(a), 2).membership
     assert report.delta_gap is None
     assert not report.in_class
     assert "rank below n_bar" in report.reason
@@ -296,7 +281,7 @@ def test_membership_reports_rank_deficiency():
 
 def test_gap_case_is_in_class(gap_case):
     R, n_bar = gap_case
-    report = class_membership(R, n_bar)
+    report = PopularitySplit(R, n_bar).membership
     assert report.in_class
     assert report.kappa == pytest.approx(0.3)
     assert report.delta_gap == 0.12470765814495914
@@ -354,7 +339,8 @@ def tie_heavy_matrix(rng) -> tuple[RatingsMatrix, int]:
 def test_membership_arrays_match_the_per_user_dicts(seed):
     rng = np.random.default_rng(seed)
     R, n_bar = tie_heavy_matrix(rng)
-    report = class_membership(R, n_bar)
+    split = PopularitySplit(R, n_bar)
+    report = split.membership
     ref = _ref_membership(R, n_bar)
 
     for name in ("majority", "minority"):
@@ -375,27 +361,25 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
     assert report.in_class is ref["in_class"]
     assert report.classes_exclusive is ref["classes_exclusive"]
     assert report.has_minority is ref["has_minority"]
-    classes = classify_users(R, n_bar)
     for name in ("majority", "minority"):
-        assert getattr(classes, name).tolist() == sorted(ref["classes"][name])
+        assert getattr(split.classes, name).tolist() == sorted(ref["classes"][name])
     # Reports hold arrays, so they compare by identity instead of raising.
-    assert report == report and report != class_membership(R, n_bar)
+    assert report == report and report != PopularitySplit(R, n_bar).membership
 
     # Callers read the same flags.
     column = R.entries[:, n_bar].copy()
-    verdict = check_general_sufficiency(R, n_bar, column, 1.0)
+    verdict = split.general_sufficiency(column, 1.0)
     for key in ("in_class", "classes_exclusive", "has_minority"):
         assert verdict.preconditions[key] is ref[key]
-    split = PopularitySplit(R, n_bar)
     floor = (R.cols - n_bar) * split.kappa / (2.0**2.5 * R.cols**1.5)
-    larger = no_larger_nbar_check(R, n_bar)
+    larger = split.larger_splits
     assert larger.premise_holds is (ref["in_class"] and split.kappa_lower > floor)
     for wider, in_class in larger.checked.items():
         assert in_class is (wider < R.cols and _ref_membership(R, wider)["in_class"])
 
 
 def test_gap_shrinks_as_the_popular_spectrum_grows():
-    deltas = [ratings_gap(build_gap_case(group=g)[0], 4) for g in (100, 200, 400)]
+    deltas = [PopularitySplit(build_gap_case(group=g)[0], 4).delta_gap for g in (100, 200, 400)]
     assert deltas[0] > deltas[1] > deltas[2]
 
 
@@ -405,7 +389,7 @@ def test_gap_shrinks_as_the_popular_spectrum_grows():
 
 def test_singular_bounds_on_the_gap_case(gap_case):
     R, n_bar = gap_case
-    b = singular_bounds_check(R, n_bar)
+    b = PopularitySplit(R, n_bar).singular_bounds
     assert b.lower_bound == 4.99414974034538
     assert b.upper_bound == 0.7745966692414834
     assert b.sigma_nbar == pytest.approx(math.sqrt(200.0), abs=1e-9)
@@ -417,7 +401,7 @@ def test_lower_bound_degenerates_with_zero_kappa():
     a = np.zeros((2, 3))
     a[0, 0] = 1.0
     a[1, 1] = 1.0
-    b = singular_bounds_check(RatingsMatrix(a), 2)
+    b = PopularitySplit(RatingsMatrix(a), 2).singular_bounds
     assert b.lower_bound == 0.0
     assert b.lower_ok
 
@@ -427,13 +411,13 @@ def test_upper_bound_holds_even_out_of_class():
     a = np.zeros((10, 3))
     a[:, :2] = rng.uniform(0.0, 1.0, size=(10, 2))
     a[:, 2] = 1.0  # heavy unpopular column: kappa = 10
-    b = singular_bounds_check(RatingsMatrix(a), 2)
+    b = PopularitySplit(RatingsMatrix(a), 2).singular_bounds
     assert b.upper_bound == pytest.approx(math.sqrt(10.0))
     assert b.upper_ok
 
 
 def test_tolerance_window_arithmetic():
-    g = popularity_gap_interval(worked_example(), 4)
+    g = PopularitySplit(worked_example(), 4).window
     assert g.lower == 1.4142135623730951
     assert g.upper == 9.11802822781911
     assert not g.is_empty
@@ -443,7 +427,7 @@ def test_tolerance_window_collapses_at_zero_kappa():
     a = np.zeros((2, 3))
     a[0, 0] = 1.0
     a[1, 1] = 1.0
-    g = popularity_gap_interval(RatingsMatrix(a), 2)
+    g = PopularitySplit(RatingsMatrix(a), 2).window
     assert (g.lower, g.upper) == (0.0, 0.0)
     assert g.is_empty
 
@@ -452,31 +436,89 @@ def test_tolerance_window_nonempty_across_sizes():
     for n in range(2, 101):
         R = RatingsMatrix(np.ones((1, n)))
         for n_bar in range(1, n):
-            assert not popularity_gap_interval(R, n_bar).is_empty
+            assert not PopularitySplit(R, n_bar).window.is_empty
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_windows_and_gap_scalars_agree_bitwise(seed):
-    """Each public reader of the window and of the two gap scalars returns
-    the same bits as the others."""
-    inst = gap_class_instance(np.random.default_rng(seed))
-    R, n_bar = inst.matrix, inst.n_bar
-    bounds = singular_bounds_check(R, n_bar)
-    window = popularity_gap_interval(R, n_bar)
+    """Each reader of the window and of the two gap scalars returns the same
+    bits as the others."""
+    split = gap_class_instance(np.random.default_rng(seed)).split
+    bounds, window = split.singular_bounds, split.window
     assert float_bits(bounds.lower_bound, bounds.upper_bound) == float_bits(
         window.upper, window.lower
     )
-    assert float_bits(ratings_gap(R, n_bar)) == float_bits(class_membership(R, n_bar).delta_gap)
+    assert float_bits(split.delta_gap) == float_bits(split.membership.delta_gap)
 
-    strategy = general_strategy_instance(np.random.default_rng(seed))
-    R, n_bar, column = strategy.matrix, strategy.n_bar, strategy.strategy.replacement_column
-    report = check_general_sufficiency(R, n_bar, column, strategy.alpha)
-    assert float_bits(collective_ratings_gap(R, n_bar, column)) == float_bits(report.ratings_gap)
+    inst = general_strategy_instance(np.random.default_rng(seed))
+    column = inst.strategy.replacement_column
+    report = inst.split.general_sufficiency(column, inst.alpha)
+    assert float_bits(inst.split.collective_ratings_gap(column)) == float_bits(report.ratings_gap)
+
+
+def bits(value) -> object:
+    """A check's result as comparable bits: arrays and floats by their bytes,
+    dataclasses and dicts field by field."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return float_bits(value)
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: bits(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
+
+
+SHIMS = {
+    "class_membership": lambda split: split.membership,
+    "singular_bounds_check": lambda split: split.singular_bounds,
+    "projection_gap_check": lambda split: split.projection_gap,
+    "no_larger_nbar_check": lambda split: split.larger_splits,
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_each_shim_is_its_split_member_bitwise(seed):
+    """The (matrix, n_bar) functions the benchmark calls return their split
+    member's result, field for field."""
+    gap = gap_class_instance(np.random.default_rng(seed))
+    inst = general_strategy_instance(np.random.default_rng(seed))
+    strategy_column = inst.strategy.replacement_column
+    for split, columns in ((gap.split, ()), (inst.split, (strategy_column,))):
+        R, n_bar = split.matrix, split.n_bar
+        for name, member in SHIMS.items():
+            assert bits(getattr(popgap, name)(R, n_bar)) == bits(member(split)), name
+        for column in (R.entries[:, n_bar], *columns):
+            for alpha in (inst.alpha, gap.alpha):
+                assert bits(popgap.check_general_sufficiency(R, n_bar, column, alpha)) == bits(
+                    split.general_sufficiency(column, alpha)
+                )
+
+
+def test_bounds_and_projector_share_one_decomposition(gap_case):
+    split = PopularitySplit(*gap_case)
+    with mock.patch.object(popgap, "spectral", side_effect=matrix.spectral) as decomposed:
+        split.singular_bounds
+        split.projection_gap
+    assert decomposed.call_count == 1
+
+
+def test_split_refusals_come_before_the_alpha_refusal(strategy_case):
+    """A bad n_bar is refused by the split before a negative alpha is, and a
+    negative alpha before a malformed column; each keeps its text."""
+    R = strategy_case["matrix"]
+    with pytest.raises(ValueError, match=r"n_bar must satisfy 0 < n_bar < 6, got 6"):
+        popgap.check_general_sufficiency(R, 6, strategy_case["r_tilde"], -1.0)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        popgap.check_general_sufficiency(R, 4, np.zeros(3), -1.0)
+    with pytest.raises(ValueError, match="replacement column must have shape"):
+        popgap.check_general_sufficiency(R, 4, np.zeros(3), 1.0)
 
 
 def test_rank_selection_inside_the_window(gap_case):
     R, n_bar = gap_case
-    window = popularity_gap_interval(R, n_bar)
+    window = PopularitySplit(R, n_bar).window
     assert window.contains(GAP_ALPHA)
     assert fit_learner(R, GAP_ALPHA).chosen_rank == n_bar
 
@@ -487,23 +529,24 @@ def test_rank_selection_inside_the_window(gap_case):
 
 def test_projection_distance_zero_without_unpopular_ratings(gap_case):
     R, n_bar = gap_case
-    stripped = popular_prefs(R, n_bar)
-    assert projection_gap_check(stripped, n_bar) <= 1e-9
+    stripped = PopularitySplit(R, n_bar).popular_prefs()
+    assert PopularitySplit(stripped, n_bar).projection_gap <= 1e-9
 
 
 def test_projection_distance_within_the_gap_bound(gap_case):
     R, n_bar = gap_case
-    dist = projection_gap_check(R, n_bar)
+    split = PopularitySplit(R, n_bar)
+    dist = split.projection_gap
     assert dist == pytest.approx(0.0007501029809132931, abs=1e-12)
-    assert dist <= ratings_gap(R, n_bar) / (2 * math.sqrt(R.cols))
+    assert dist <= split.delta_gap / (2 * math.sqrt(R.cols))
 
 
 def test_projection_distance_ignores_user_order(gap_case):
     R, n_bar = gap_case
     rng = np.random.default_rng(1)
     shuffled = RatingsMatrix(R.entries[rng.permutation(R.rows)])
-    assert projection_gap_check(shuffled, n_bar) == pytest.approx(
-        projection_gap_check(R, n_bar), abs=1e-12
+    assert PopularitySplit(shuffled, n_bar).projection_gap == pytest.approx(
+        PopularitySplit(R, n_bar).projection_gap, abs=1e-12
     )
 
 
@@ -511,7 +554,7 @@ def test_projection_requires_enough_rank():
     a = np.zeros((3, 3))
     a[:, 0] = 1.0
     with pytest.raises(ValueError, match="rank"):
-        projection_gap_check(RatingsMatrix(a), 2)
+        PopularitySplit(RatingsMatrix(a), 2).projection_gap
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +564,26 @@ def test_projection_requires_enough_rank():
 def test_switch_users_of_the_gap_case(gap_case):
     R, n_bar = gap_case
     # user 800 tops the target column; user 801 tops the later niche column
-    assert switch_users(R, n_bar).tolist() == [800]
+    assert PopularitySplit(R, n_bar).switch_users.tolist() == [800]
 
 
 def test_switch_users_empty_when_nobody_tops_the_target():
     a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.0, 0.5]])
-    assert switch_users(RatingsMatrix(a), 1).tolist() == []
+    assert PopularitySplit(RatingsMatrix(a), 1).switch_users.tolist() == []
 
 
 def test_switch_users_three_way():
     a = np.zeros((7, 3))
     a[:4, 0] = 1.0
     a[4:, 1] = 0.4
-    classes = classify_users(RatingsMatrix(a), 1)
-    assert switch_users(RatingsMatrix(a), 1).tolist() == [4, 5, 6]
-    assert set(switch_users(RatingsMatrix(a), 1).tolist()) <= set(classes.minority.tolist())
+    split = PopularitySplit(RatingsMatrix(a), 1)
+    assert split.switch_users.tolist() == [4, 5, 6]
+    assert set(split.switch_users.tolist()) <= set(split.classes.minority.tolist())
 
 
 def test_slack_window_of_the_strategy_case(strategy_case):
     R = strategy_case["matrix"]
-    w = delta_interval(R, 4)
+    w = PopularitySplit(R, 4).delta_window
     assert w.lower == pytest.approx(0.16)
     assert w.upper == pytest.approx(0.2)
     assert w.has_positive_point
@@ -550,9 +593,10 @@ def test_slack_window_of_the_strategy_case(strategy_case):
 def test_slack_window_matches_a_brute_force_scan(strategy_case):
     R = strategy_case["matrix"]
     entries = R.entries
-    switching = switch_users(R, 4).tolist()
-    residual = sorted(set(classify_users(R, 4).minority.tolist()) - set(switching))
-    w = delta_interval(R, 4)
+    split = PopularitySplit(R, 4)
+    switching = split.switch_users.tolist()
+    residual = sorted(set(split.classes.minority.tolist()) - set(switching))
+    w = split.delta_window
     for delta in np.linspace(0.0, 0.4, 401):
         if delta <= 0:
             continue
@@ -564,7 +608,7 @@ def test_slack_window_matches_a_brute_force_scan(strategy_case):
 
 def test_slack_window_closes_when_the_gain_vanishes():
     a = np.array([[1.0, 0.0], [0.3, 0.3]])
-    w = delta_interval(RatingsMatrix(a), 1)
+    w = PopularitySplit(RatingsMatrix(a), 1).delta_window
     assert w.upper == pytest.approx(0.0)
     assert not w.has_positive_point
 
@@ -578,24 +622,25 @@ def test_strategy_must_keep_minority_entries(strategy_case):
     r_tilde = strategy_case["r_tilde"].copy()
     r_tilde[strategy_case["u_switch"]] = 0.9
     with pytest.raises(ValueError, match="must keep rating"):
-        GeneralStrategy(r_tilde).validate_for(R, 4)
+        GeneralStrategy(r_tilde).validate_for(PopularitySplit(R, 4))
 
 
 def test_strategy_shape_and_range_checks(strategy_case):
     R = strategy_case["matrix"]
     with pytest.raises(ValueError, match="shape"):
-        GeneralStrategy(np.zeros(3)).validate_for(R, 4)
+        GeneralStrategy(np.zeros(3)).validate_for(PopularitySplit(R, 4))
     bad = strategy_case["r_tilde"].copy()
     bad[0] = 1.5
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        GeneralStrategy(bad).validate_for(R, 4)
+        GeneralStrategy(bad).validate_for(PopularitySplit(R, 4))
 
 
 def test_strategy_apply_and_realism(strategy_case):
     R = strategy_case["matrix"]
+    split = PopularitySplit(R, 4)
     strat = GeneralStrategy(strategy_case["r_tilde"])
-    assert strat.is_realistic(R, 4)
-    out = strat.apply(R, 4)
+    assert strat.is_realistic(split)
+    out = strat.apply(split)
     assert np.array_equal(out.entries[:, 4], strategy_case["r_tilde"])
     other = np.delete(np.arange(R.cols), 4)
     assert np.array_equal(out.entries[:, other], R.entries[:, other])
@@ -605,16 +650,16 @@ def test_realism_validates_the_column(strategy_case):
     R = strategy_case["matrix"]
     for column in (np.array([1.0]), np.ones(R.rows + 1)):
         with pytest.raises(ValueError, match="shape"):
-            GeneralStrategy(column).is_realistic(R, 4)
+            GeneralStrategy(column).is_realistic(PopularitySplit(R, 4))
 
 
 def test_dropping_a_majority_entry_is_not_realistic():
     a = np.array([[1.0, 0.0, 0.4], [0.0, 1.0, 0.0], [0.0, 0.2, 0.6]])
-    R = RatingsMatrix(a)
-    r_tilde = np.array([0.1, 0.0, 0.6])
-    strat = GeneralStrategy(r_tilde)
-    strat.validate_for(R, 2)  # minority entry kept, so it is valid
-    assert not strat.is_realistic(R, 2)
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    strat = GeneralStrategy(np.array([0.1, 0.0, 0.6]))
+    # The minority entry is kept, so it is valid.
+    assert strat.validate_for(split).tolist() == [0.1, 0.0, 0.6]
+    assert not strat.is_realistic(split)
 
 
 def test_sigma_hat_orthogonal_case():
@@ -624,7 +669,7 @@ def test_sigma_hat_orthogonal_case():
     a[4, 2] = 0.6
     r_tilde = np.array([0.0, 0.0, 0.0, 0.0, 0.6])
     # orthogonal to the popular block and below sigma_popular = sqrt(2)
-    assert sigma_hat(RatingsMatrix(a), 2, r_tilde) == pytest.approx(0.6)
+    assert PopularitySplit(RatingsMatrix(a), 2).sigma_hat(r_tilde) == pytest.approx(0.6)
 
 
 def test_sigma_hat_clamps_at_the_popular_floor():
@@ -634,21 +679,21 @@ def test_sigma_hat_clamps_at_the_popular_floor():
     a[8:, 2] = 1.0
     r_tilde = np.zeros(13)
     r_tilde[8:] = 1.0  # energy 5 exceeds sigma_popular^2 = 4
-    assert sigma_hat(RatingsMatrix(a), 2, r_tilde) == 2.0
+    assert PopularitySplit(RatingsMatrix(a), 2).sigma_hat(r_tilde) == 2.0
 
 
 def test_sigma_hat_rejects_negative_radicand():
     a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     wide = np.hstack([a, np.zeros((3, 1))])
     with pytest.raises(ValueError, match="radicand"):
-        sigma_hat(RatingsMatrix(wide), 2, np.array([1.0, 1.0, 0.0]))
+        PopularitySplit(RatingsMatrix(wide), 2).sigma_hat(np.array([1.0, 1.0, 0.0]))
 
 
 def test_sigma_hat_of_the_strategy_case(strategy_case):
-    R = strategy_case["matrix"]
-    est = sigma_hat(R, 4, strategy_case["r_tilde"])
+    split = PopularitySplit(strategy_case["matrix"], 4)
+    est = split.sigma_hat(strategy_case["r_tilde"])
     assert est == 10.957873817207327
-    gap = collective_ratings_gap(R, 4, strategy_case["r_tilde"])
+    gap = split.collective_ratings_gap(strategy_case["r_tilde"])
     assert gap == 0.13847751777957998
 
 
@@ -664,18 +709,18 @@ def test_sigma_hat_never_exceeds_the_true_singular_value(seed):
     a[4 * g, 0] = 0.1
     a[4 * g + 1, 5] = 0.2
     a[4 * g + 1, 1] = 0.16
-    R = RatingsMatrix(a)
+    split = PopularitySplit(RatingsMatrix(a), 4)
     r_tilde = a[:, 4].copy()
     q = int(rng.integers(1, g))
     value = float(rng.uniform(0.2, 0.95))
     for j in range(4):
         r_tilde[j * g : j * g + q] = value
     try:
-        estimate = sigma_hat(R, 4, r_tilde)
+        estimate = split.sigma_hat(r_tilde)
     except ValueError:
         return
-    replaced = GeneralStrategy(r_tilde).apply(R, 4)
-    truth = singular_values_of(popular_prefs(replaced, 5).entries)[4]
+    replaced = GeneralStrategy(r_tilde).apply(split)
+    truth = singular_values_of(PopularitySplit(replaced, 5).popular_prefs().entries)[4]
     assert estimate <= truth + 1e-9
 
 
@@ -685,7 +730,7 @@ def test_collective_gap_requires_a_nonzero_estimate():
     a[1, 1] = 1.0
     a[2, 2] = 0.5
     with pytest.raises(ValueError, match="zero"):
-        collective_ratings_gap(RatingsMatrix(a), 2, np.zeros(3))
+        PopularitySplit(RatingsMatrix(a), 2).collective_ratings_gap(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +739,8 @@ def test_collective_gap_requires_a_nonzero_estimate():
 
 def test_general_sufficiency_passes_on_the_strategy_case(strategy_case):
     R = strategy_case["matrix"]
-    report = check_general_sufficiency(R, 4, strategy_case["r_tilde"], strategy_case["alpha"])
+    split = PopularitySplit(R, 4)
+    report = split.general_sufficiency(strategy_case["r_tilde"], strategy_case["alpha"])
     assert report.verdict is True
     assert all(report.preconditions.values())
     assert all(v is True for v in report.conditions.values())
@@ -715,7 +761,7 @@ def test_general_sufficiency_passes_on_the_strategy_case(strategy_case):
 def test_unchanged_column_cannot_be_certified(strategy_case):
     R = strategy_case["matrix"]
     truthful_column = R.entries[:, 4].copy()
-    report = check_general_sufficiency(R, 4, truthful_column, strategy_case["alpha"])
+    report = PopularitySplit(R, 4).general_sufficiency(truthful_column, strategy_case["alpha"])
     assert report.sigma_hat == pytest.approx(math.sqrt(0.06))
     assert report.conditions["alpha_below_sigma_hat"] is False
     assert report.verdict is False
@@ -725,7 +771,7 @@ def test_one_greedy_member_breaks_exactly_one_condition(strategy_case):
     R = strategy_case["matrix"]
     r_tilde = strategy_case["r_tilde"].copy()
     r_tilde[0] = 0.95  # too close to that user's top rating of 1
-    report = check_general_sufficiency(R, 4, r_tilde, strategy_case["alpha"])
+    report = PopularitySplit(R, 4).general_sufficiency(r_tilde, strategy_case["alpha"])
     assert report.conditions["uprating_below_majority_top"] is False
     failed = [k for k, v in report.conditions.items() if v is not True]
     assert failed == ["uprating_below_majority_top"]
@@ -734,7 +780,7 @@ def test_one_greedy_member_breaks_exactly_one_condition(strategy_case):
 
 def test_alpha_outside_the_window_is_reported(strategy_case):
     R = strategy_case["matrix"]
-    report = check_general_sufficiency(R, 4, strategy_case["r_tilde"], 0.5)
+    report = PopularitySplit(R, 4).general_sufficiency(strategy_case["r_tilde"], 0.5)
     assert report.preconditions["alpha_in_gap"] is False
     assert report.verdict is False
 
@@ -742,20 +788,20 @@ def test_alpha_outside_the_window_is_reported(strategy_case):
 def test_evaluator_rejects_malformed_inputs(strategy_case):
     R = strategy_case["matrix"]
     with pytest.raises(ValueError, match="alpha"):
-        check_general_sufficiency(R, 4, strategy_case["r_tilde"], -1.0)
+        PopularitySplit(R, 4).general_sufficiency(strategy_case["r_tilde"], -1.0)
     with pytest.raises(ValueError, match="must keep rating"):
         bad = strategy_case["r_tilde"].copy()
         bad[strategy_case["u_residual"]] = 0.4
-        check_general_sufficiency(R, 4, bad, 2.0)
+        PopularitySplit(R, 4).general_sufficiency(bad, 2.0)
 
 
 def test_passing_verdict_certifies_a_welfare_gain(strategy_case):
     R = strategy_case["matrix"]
     alpha = strategy_case["alpha"]
-    report = check_general_sufficiency(R, 4, strategy_case["r_tilde"], alpha)
-    assert report.verdict
+    split = PopularitySplit(R, 4)
+    assert split.general_sufficiency(strategy_case["r_tilde"], alpha).verdict
 
-    revealed = GeneralStrategy(strategy_case["r_tilde"]).apply(R, 4)
+    revealed = GeneralStrategy(strategy_case["r_tilde"]).apply(split)
     before_model = fit_learner(R, alpha)
     after_model = fit_learner(revealed, alpha)
     assert before_model.chosen_rank == 4
@@ -784,7 +830,7 @@ def test_truthful_recommendation_sets_on_the_gap_case(gap_case):
     R, n_bar = gap_case
     model = fit_learner(R, GAP_ALPHA)
     outcome = recommend(model.truncated, derandomize=True)
-    classes = classify_users(R, n_bar)
+    classes = PopularitySplit(R, n_bar).classes
     popular = set(range(n_bar))
     for u in range(R.rows):
         tie = set(np.flatnonzero(outcome.tie[u]).tolist())
@@ -798,7 +844,7 @@ def test_truthful_welfare_hits_the_ceiling_exactly(gap_case):
     R, n_bar = gap_case
     outcome = recommend(fit_learner(R, GAP_ALPHA).truncated, derandomize=True)
     sw = social_welfare(R, outcome).social_welfare
-    classes = classify_users(R, n_bar)
+    classes = PopularitySplit(R, n_bar).classes
     maj = sorted(classes.majority)
     minority = sorted(classes.minority)
     r_lower = max(float(R.entries[u, :n_bar].max()) for u in minority)
@@ -816,18 +862,18 @@ def test_truthful_welfare_hits_the_ceiling_exactly(gap_case):
 
 def test_no_larger_split_confirmed_on_the_gap_case(gap_case):
     R, n_bar = gap_case
-    check = no_larger_nbar_check(R, n_bar)
+    check = PopularitySplit(R, n_bar).larger_splits
     assert check.premise_holds
     assert check.confirmed is True
     assert check.checked == {5: False, 6: False}
     # the 5-column split fails because its gap scalar explodes
-    assert ratings_gap(R, 5) == pytest.approx(277.2147707278957)
+    assert PopularitySplit(R, 5).delta_gap == pytest.approx(277.2147707278957)
 
 
 def test_no_larger_split_premise_can_fail(gap_case):
     R, n_bar = gap_case
     widened = RatingsMatrix(np.hstack([R.entries, np.zeros((R.rows, 1))]))
-    check = no_larger_nbar_check(widened, n_bar)
+    check = PopularitySplit(widened, n_bar).larger_splits
     assert not check.premise_holds  # the zero column floors kappa_lower at 0
     assert check.confirmed is None
     assert check.checked == {}
