@@ -99,6 +99,8 @@ NESTED_KEYS = {
         "users": ("list of integers",),
     },
 }
+# The one key each collective selector kind reads beside its kind.
+SELECTOR_KEYS = {"stratified": "fraction", "explicit": "users"}
 # The most points an alpha_sweep grid may span; a larger one is refused before
 # it is built, since no sweep could fit that many points.
 MAX_SWEEP_POINTS = 100_000
@@ -203,10 +205,14 @@ class Scenario:
             if family == "gap_class":
                 raise ValueError("collective uprating runs require a block-model scenario")
             selector = strategy.get("selector", {})
-            if selector.get("kind") == "explicit":
+            kind = selector.get("kind", "stratified")
+            if kind == "explicit":
                 if "users" not in selector:
                     raise ValueError("an explicit collective selector requires users")
                 _collective_index(selector["users"])  # refuses [] and indices np.intp cannot hold
+            unread = set(selector) - {"kind", SELECTOR_KEYS[kind]}
+            if unread:
+                raise ValueError(f"selector kind {kind!r} does not read {sorted(unread)}")
             if strategy.get("eta", "auto") != "auto":
                 _power("strategy.eta", float(strategy["eta"]))  # refuses a square that overflows
         alpha = doc.get("alpha")

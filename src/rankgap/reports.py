@@ -12,13 +12,11 @@ projection.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -197,87 +195,25 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
 
 
-class _FloatTexts(dict):
-    """Text of each distinct float in one emission, priced once with round_sig.
-
-    ``self[x]`` raises for NaN and inf just as round_sig does.  Zeros are never
-    stored under their own key, since 0.0 == -0.0 would share one entry.
-    """
-
-    def __init__(self, spec: str):
-        super().__init__()
-        self.spec = spec
-
-    def __missing__(self, x):
-        if x == 0.0:
-            key = ("zero", math.copysign(1.0, x))
-            if key not in self:
-                self[key] = format(round_sig(x), self.spec)
-            return self[key]
-        text = self[x] = format(round_sig(x), self.spec)
-        return text
-
-
-def _texts(values, exact: dict, other) -> list[str]:
-    """Text of each value: ``exact[type(v)]`` for the types it lists, else ``other(v)``."""
-    return [exact[type(v)](v) if type(v) in exact else other(v) for v in values]
-
-
 # Indentation of the per-user table inside the canonical report: rows sit at
-# depth 2, their keys at depth 3 and the entries of an item list at depth 4.
+# depth 2, so a row's own encoding is indented by two levels.
 _ROW_PAD = "\n    "
-_KEY_PAD = "\n      "
-_ITEM_PAD = "\n        "
 _PER_USER_SLOT = '\n  "per_user": []'
-_ROW_KEYS = tuple(sorted(PER_USER_COLUMNS))
-# "user" sorts last, so a row is its body, then the user id, then _ROW_END.
-_ROW_BODY_KEYS = _ROW_KEYS[:-1]
-_ROW_HEAD = (
-    "{"
-    + "".join(_KEY_PAD + encode_basestring_ascii(k) + ": %s," for k in _ROW_BODY_KEYS)
-    + _KEY_PAD
-    + '"user": '
-)
 _ROW_END = _ROW_PAD + "}"
 
 
-def _json_texts():
-    """Prices a list of table values as JSON text at key depth; a table value
-    of no other type is the None of a truthful-only run's collective column."""
-    floats = _FloatTexts("")
-    return functools.partial(
-        _texts,
-        exact={float: floats.__getitem__, int: int.__repr__, str: encode_basestring_ascii},
-        other=lambda value: "null",
-    )
-
-
-def _json_picks(k: int) -> str:
-    """The JSON text of a list of k ints at key depth, as a template of k %d slots."""
-    return "[" + _ITEM_PAD + ("," + _ITEM_PAD).join(["%d"] * k) + _KEY_PAD + "]"
-
-
-def _body_texts(table: PerUserTable, rows, texts, picks) -> dict[str, list[str]]:
-    """Text of each column but ``user`` of ``table`` at ``rows``, by column.
-
-    ``texts`` prices a list of values; each user's picks in an m x k item
-    column fill the template ``picks(k)`` instead of going one by one."""
-    out = {}
-    for column, values in zip(PER_USER_COLUMNS[1:], table._columns(rows)):
-        if values and type(values[0]) is list:
-            template = picks(len(values[0]))
-            out[column] = list(map(template.__mod__, map(tuple, values)))
-        else:
-            out[column] = texts(values)
-    return out
-
-
 def _table_json(table: PerUserTable) -> str:
-    """``table.rows()`` as the canonical report writes it under ``per_user``,
-    each distinct row body rendered once."""
+    """``table.rows()`` as the canonical report writes it under ``per_user``.
+
+    Each distinct row body is encoded once by ``_dumps``, as the row of user 0.
+    "user" sorts last among PER_USER_COLUMNS, so that text cut at its last
+    ``"user": `` is the head every row with that body shares."""
     first, body = table._distinct()
-    texts = _body_texts(table, first, _json_texts(), _json_picks)
-    heads = list(map(_ROW_HEAD.__mod__, zip(*(texts[k] for k in _ROW_BODY_KEYS))))
+    heads = []
+    for values in zip(*table._columns(first)):
+        text = _dumps(_canon(dict(zip(PER_USER_COLUMNS, (0, *values)))))
+        text = text.replace("\n", _ROW_PAD)
+        heads.append(text[: text.rindex('"user": ') + len('"user": ')])
     rows = (_ROW_END + "," + _ROW_PAD).join(
         [heads[b] + str(u) for u, b in enumerate(body.tolist())]
     )
@@ -288,8 +224,8 @@ def canonical_json_bytes(report: dict) -> bytes:
     """``json.dumps(_canon(report), sort_keys=True, indent=2, ensure_ascii=True)``
     plus a newline, as UTF-8; those bytes are the contract.  A nonempty
     :class:`PerUserTable` under ``per_user`` is written from its columns to the
-    same bytes, each distinct row body once, instead of by the stdlib's
-    pure-Python indent encoder; per-user rows held as dicts take the encoder."""
+    same bytes, the encoder writing each distinct row body once rather than
+    every row; per-user rows held as dicts take the encoder whole."""
     table = report.get("per_user") if isinstance(report, dict) else None
     if not (isinstance(table, PerUserTable) and len(table)):
         return (_dumps(_canon(report)) + "\n").encode("utf-8")
@@ -299,31 +235,17 @@ def canonical_json_bytes(report: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _cell(value, floats: _FloatTexts) -> str:
+def _cell(value) -> str:
+    """The CSV text of one table value."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return floats[value]
+        return format(round_sig(value), _SIG_SPEC)
     if isinstance(value, (list, tuple)):
         return "|".join(str(int(v)) for v in value)
     return str(value)
-
-
-def _csv_texts():
-    """Prices a list of table values as CSV cells."""
-    floats = _FloatTexts(_SIG_SPEC)
-    return functools.partial(
-        _texts,
-        exact={float: floats.__getitem__, int: int.__repr__, str: str},
-        other=functools.partial(_cell, floats=floats),
-    )
-
-
-def _csv_picks(k: int) -> str:
-    """``_cell``'s text of a list of k ints, as a template of k %d slots."""
-    return "|".join(["%d"] * k)
 
 
 def _csv_table(report: dict, key: str, columns: tuple) -> bytes:
@@ -331,8 +253,7 @@ def _csv_table(report: dict, key: str, columns: tuple) -> bytes:
     rows = report.get(key)
     if rows is None:
         raise ValueError(f"report has no {key} table to emit as CSV")
-    texts = _csv_texts()
-    cells = [texts([row.get(col) for row in rows]) for col in columns]
+    cells = [[_cell(row.get(col)) for row in rows] for col in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -348,7 +269,7 @@ def _table_csv(table: PerUserTable) -> bytes:
     # The csv writer hands each row to write() whole, line end included.
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(PER_USER_COLUMNS)
-    writer.writerows(zip(*_body_texts(table, first, _csv_texts(), _csv_picks).values()))
+    writer.writerows(zip(*([_cell(v) for v in values] for values in table._columns(first))))
     header, bodies = lines[0], lines[1:]
     rows = "".join([f"{u},{bodies[b]}" for u, b in enumerate(body.tolist())])
     return (header + rows).encode("utf-8")

@@ -921,6 +921,30 @@ def test_an_explicit_user_np_intp_cannot_hold_is_one_error_line(tmp_path, capsys
     assert captured.err == f"error: collective index {users[-1]} is out of range\n"
 
 
+@pytest.mark.parametrize(
+    "selector, message",
+    [
+        # No kind is the stratified kind, which reads a fraction, not users.
+        ({"users": [0, 1, 100, 200]}, "selector kind 'stratified' does not read ['users']"),
+        (
+            {"kind": "stratified", "users": [0, 1, 100, 200]},
+            "selector kind 'stratified' does not read ['users']",
+        ),
+        (
+            {"kind": "explicit", "users": [0, 1, 100, 200], "fraction": 0.25},
+            "selector kind 'explicit' does not read ['fraction']",
+        ),
+    ],
+)
+def test_a_selector_key_its_kind_does_not_read_is_refused(tmp_path, selector, message):
+    doc = json.loads(json.dumps(PRESETS["multigroup"]))
+    doc["strategy"]["selector"] = selector
+    assert_refused_by_every_command(tmp_path, doc, message)
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(doc)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_repeated_explicit_users_write_the_same_report(tmp_path, capsys, fmt):
     outputs = []
@@ -976,6 +1000,31 @@ def test_collective_run_without_minority_users(tmp_path):
     jsonschema.validate(report, report_schema())
     assert report["matrix"]["minority_users"] == 0
     assert report["collective"]["gap_interval"][0] == 0.0
+
+
+def test_a_rank_0_majority_block_is_refused_by_run_and_sweep(tmp_path, capsys):
+    assert main(["generate", "--preset", "paired", "--out", str(tmp_path)]) == 0
+    doc = {
+        "name": "rank0",
+        "seed": 0,
+        "matrix": {
+            "family": "csv",
+            "path": str(tmp_path / "paired.ratings.csv"),
+            "m_bar": 0,
+            "n_bar": 0,
+        },
+        "alpha": 1.5,
+        "alpha_sweep": {"start": 0.5, "stop": 2.0, "step": 0.5},
+    }
+    config = write_config(tmp_path, doc)
+    capsys.readouterr()
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: majority block has numeric rank 0\n"
+        assert not out.exists()
 
 
 def test_given_eta_outside_the_gap_window_reports_the_failed_condition(tmp_path):

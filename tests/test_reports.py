@@ -480,6 +480,20 @@ def test_row_renderer_keeps_signed_zeros_apart():
     csv_rows = [dict(r, truthful_welfare=r["w"]) for r in rows]
     lines = per_user_csv_bytes({"per_user": csv_rows}).decode().splitlines()
     assert [line.split(",")[3] for line in lines[1:]] == ["0", "-0", "0", "-0"]
+    # A table's distinct bodies are told apart bit for bit, so its zeros stay apart too.
+    zeros = [0.0, -0.0, 0.0, -0.0]
+    items = np.zeros(4, int)
+    table = PerUserTable(items, ("a",), items, zeros, items + 1, zeros[::-1])
+    report, as_rows = {"per_user": table}, {"per_user": table.rows()}
+    assert canonical_json_bytes(report) == reference_json_bytes(as_rows)
+    assert per_user_csv_bytes(report) == reference_csv_bytes(as_rows)
+    signs = [
+        [math.copysign(1.0, row[f"{side}_welfare"]) for side in ("truthful", "collective")]
+        for row in json.loads(canonical_json_bytes(report))["per_user"]
+    ]
+    assert signs == [[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]
+    lines = per_user_csv_bytes(report).decode().splitlines()
+    assert [line.split(",")[3::2] for line in lines[1:]] == [["0", "-0"], ["-0", "0"]] * 2
 
 
 def test_a_report_without_a_per_user_list_is_dumped_whole():
