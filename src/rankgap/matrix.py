@@ -233,16 +233,18 @@ class SpectralSummary:
     """Full singular value decomposition with a numeric-rank cutoff.
 
     Factors are retained so truncations reuse the same decomposition instead
-    of recomputing it.
+    of recomputing it.  The numeric rank is derived from the singular values,
+    so the two never disagree.
     """
 
     singular_values: np.ndarray
-    numeric_rank: int
     left: np.ndarray = field(repr=False)
     right_t: np.ndarray = field(repr=False)
+    numeric_rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "singular_values", _as_readonly(self.singular_values))
+        object.__setattr__(self, "numeric_rank", _numeric_rank(self.singular_values))
         object.__setattr__(self, "left", _as_readonly(self.left))
         object.__setattr__(self, "right_t", _as_readonly(self.right_t))
 
@@ -268,7 +270,7 @@ def spectral(R: RatingsMatrix) -> SpectralSummary:
     err = _frobenius_norm(recon - a)
     if err > RECONSTRUCTION_RTOL * max(1.0, scale):
         raise ArithmeticError(f"decomposition reconstruction error {err:.3e} exceeds tolerance")
-    return SpectralSummary(singular_values=s, numeric_rank=_numeric_rank(s), left=u, right_t=vt)
+    return SpectralSummary(singular_values=s, left=u, right_t=vt)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:

@@ -1,12 +1,15 @@
 """End-to-end command line checks: presets, configs, reports, exit codes."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -14,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankgap import cli, generators, matrix
-from rankgap.cli import PRESETS, Scenario, generate_scenario, main, run, sweep
+from rankgap import cli, generators, matrix, scenario
+from rankgap.cli import main, run, sweep
 from rankgap.collective import apply_uprating
 from rankgap.learner import choose_rank
 from rankgap.matrix import (
@@ -27,6 +30,7 @@ from rankgap.matrix import (
 )
 from rankgap.popgap import PopularitySplit
 from rankgap.reports import canonical_json_bytes, report_schema, round_sig
+from rankgap.scenario import PRESETS, Scenario, generate_scenario
 
 FINDER_ARGS = [
     "--sigma-kmaj", "10.0",
@@ -153,6 +157,37 @@ def test_generated_scenarios_are_seed_deterministic():
     assert np.array_equal(first.matrix.entries, second.matrix.entries)
     drawn = generators.random_block_scenario(np.random.default_rng(42)).alpha
     assert first.alpha == second.alpha == drawn
+
+
+def test_each_scene_answers_for_its_own_model():
+    """A gap_class scene holds the generator's split and its window; a block
+    scene holds a partition and prices the singular-value gap on it."""
+    draw, drawn = generators.gap_class_instance, []
+
+    def drawing(rng):
+        drawn.append(draw(rng))
+        return drawn[-1]
+
+    with mock.patch.object(generators, "gap_class_instance", drawing):
+        mat = generate_scenario({"name": "gc", "seed": 3, "matrix": {"family": "gap_class"}})
+    assert mat.partition is None and mat.split is drawn[0].split
+    assert mat.gap_interval() is mat.split.window
+
+    mat = generate_scenario(PRESETS["multigroup"])
+    assert mat.split is None
+    gap, expected = mat.gap_interval(), matrix.singular_value_gap(mat.matrix, mat.partition)
+    assert (gap.lower.hex(), gap.upper.hex()) == (expected.lower.hex(), expected.upper.hex())
+
+
+def test_importing_the_package_loads_no_submodule():
+    """The package root holds only __version__: each name is imported from its module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import rankgap; "
+        "print(sorted(name for name in sys.modules if name.startswith('rankgap.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +339,7 @@ def reference_per_user(mat) -> list[dict]:
     users = mat.matrix.rows
     collective_items = collective_welfares = [None] * users
     if mat.scenario.strategy_spec is not None:
-        strategy = cli._resolve_strategy(mat, alpha)[0]
+        strategy = mat.resolve_strategy(alpha)[0]
         revealed = apply_uprating(mat.matrix, mat.partition, strategy)
         _, collective, collective_welfare = cli._run_side(mat, revealed, alpha)
         collective_items = items(collective)
@@ -462,7 +497,7 @@ def test_multigroup_report_validates_against_the_schema(multigroup_report):
     jsonschema.validate(report, report_schema())
 
 
-@pytest.mark.parametrize("key", cli.GROUP_KEYS)
+@pytest.mark.parametrize("key", scenario.GROUP_KEYS)
 def test_the_schema_requires_each_nonnegative_group_count(multigroup_report, key):
     report = json.loads(multigroup_report[1])
     report["matrix"][key] = -1
@@ -701,7 +736,7 @@ def test_sweep_csv_matches_the_line_writer(tmp_path, preset, top_k):
 def reference_sweep(mat) -> dict:
     """The sweep report with a fit at every grid point."""
     runs = []
-    for index, alpha in enumerate(cli._sweep_grid(mat.scenario.alpha_sweep)):
+    for index, alpha in enumerate(scenario.sweep_grid(mat.scenario.alpha_sweep)):
         side, _, _ = cli._run_side(mat, mat.matrix, alpha)
         fields = {key: side[key] for key in ("chosen_rank", "tvr", "social_welfare")}
         runs.append({"id": index, "alpha": alpha, **fields})
@@ -775,15 +810,15 @@ def test_a_sweep_grid_past_the_point_cap_is_one_error_line(
     assert captured.out == ""
     assert captured.err == (
         f"error: alpha_sweep grid spans {points} points, more than the cap of "
-        f"{cli.MAX_SWEEP_POINTS}\n"
+        f"{scenario.MAX_SWEEP_POINTS}\n"
     )
     assert not list(tmp_path.glob("*.sweep.*"))
 
 
 def test_a_sweep_grid_at_the_point_cap_is_built():
-    grid = cli._sweep_grid({"start": 0.0, "stop": float(cli.MAX_SWEEP_POINTS), "step": 1.0})
-    assert len(grid) == cli.MAX_SWEEP_POINTS
-    assert grid[-1] == cli.MAX_SWEEP_POINTS - 1.0
+    grid = scenario.sweep_grid({"start": 0.0, "stop": float(scenario.MAX_SWEEP_POINTS), "step": 1.0})
+    assert len(grid) == scenario.MAX_SWEEP_POINTS
+    assert grid[-1] == scenario.MAX_SWEEP_POINTS - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +848,7 @@ def test_seed_override_redraws_the_instance(tmp_path):
     assert first != second
 
 
-@pytest.mark.parametrize("family", cli.DRAWING_FAMILIES)
+@pytest.mark.parametrize("family", scenario.DRAWING_FAMILIES)
 def test_a_drawing_family_refuses_a_negative_seed(tmp_path, capsys, family):
     message = f"seed must be nonnegative for the drawing family '{family}', got -1"
     doc = {"name": "neg", "seed": -1, "matrix": {"family": family}, "alpha_sweep": SWEEP}
@@ -1501,3 +1536,67 @@ def test_mc_demo_refuses_a_negative_seed(tmp_path, capsys):
 def test_mc_demo_rejects_zero_trials(capsys):
     assert main(["mc-demo", "--trials", "0"]) == 1
     assert "error: trials must be at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# module boundaries
+# ---------------------------------------------------------------------------
+
+PACKAGE_DIR = Path(cli.__file__).resolve().parent
+
+
+def package_imports(source: str) -> list[tuple[str, str | None]]:
+    """(module, name) for each name a source imports from rankgap:
+    ``from .m import n`` and ``from rankgap.m import n`` give (m, n), while
+    ``from . import m`` and ``import rankgap.m`` give (m, None)."""
+    pairs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            pairs += [
+                (alias.name.removeprefix("rankgap."), None)
+                for alias in node.names
+                if alias.name.startswith("rankgap.")
+            ]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "rankgap"
+        ):
+            module = (node.module or "").removeprefix("rankgap").lstrip(".")
+            pairs += [(module, a.name) if module else (a.name, None) for a in node.names]
+    return pairs
+
+
+def test_package_import_guard_reads_each_form():
+    assert package_imports("from .cli import run") == [("cli", "run")]
+    assert package_imports("from . import cli, matrix") == [("cli", None), ("matrix", None)]
+    assert package_imports("from rankgap.collective import _power") == [("collective", "_power")]
+    assert package_imports("from rankgap import cli") == [("cli", None)]
+    assert package_imports("import rankgap.cli as c") == [("cli", None)]
+    assert package_imports("import json\nfrom dataclasses import field") == []
+
+
+def test_only_the_command_line_imports_the_cli_module():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 5
+    offenders = [
+        path.name
+        for path in modules
+        if path.name != "cli.py"
+        and any(module == "cli" for module, _ in package_imports(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_cli_imports_no_private_name_but_power():
+    """_power stays: it puts the command line flag's name into overflow errors."""
+    names = package_imports((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    private = sorted({name for _, name in names if name and name.startswith("_")})
+    assert private in ([], ["_power"])
+
+
+@pytest.mark.parametrize("name", ["run", "sweep"])
+def test_run_and_sweep_stay_where_the_benchmark_traces_them(name):
+    assert getattr(cli, name).__module__ == "rankgap.cli" and name in cli.__all__, (
+        f"perfbench's tracer wraps only functions defined in rankgap.cli and listed in its "
+        f"__all__, so cli.{name}.self_s would read 0; move {name} out of cli.py only with "
+        f"the benchmark change of ROADMAP item 11, which renames cli.{name}.*"
+    )

@@ -34,7 +34,7 @@ from rankgap.matrix import (
     tie_tolerance,
 )
 from rankgap import matrix
-from rankgap.cli import PRESETS, generate_scenario
+from rankgap.scenario import PRESETS, generate_scenario
 from rankgap.completion import PartialMatrix
 from rankgap.generators import general_strategy_instance
 from rankgap.popgap import GeneralStrategy, PopularitySplit
