@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import GroupPartition, RatingsMatrix, numeric_rank_of
+from .matrix import GroupPartition, RatingsMatrix, _row_reduce, numeric_rank_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,21 +253,25 @@ def miss_probability_mc(
     hot_items = [items.tolist() for items in np.split(p.minority_items[cols], starts[1:])]
     # A key is sampled iff fewer than per_user keys of its row lie below it.
     # Rank is monotone in the key, ties included, so a row's hot items all
-    # escape the sample iff its smallest hot key does.  The count is an
-    # integer product; uint8 holds every count of a row shorter than 256.
-    ones = np.ones(n, dtype=np.uint8 if n < 256 else np.intp)
+    # escape the sample iff its smallest hot key does.  The count runs column
+    # by column, since the rows are short; uint8 holds every count of a row
+    # shorter than 256.
+    count_dtype = np.uint8 if n < 256 else np.intp
     block = max(1, MC_BLOCK_KEYS // (hot_rows.size * n))
     rng = np.random.default_rng(seed)
     hits = 0
     for done in range(0, trials, block):
         keys = rng.random((min(block, trials - done), hot_rows.size, n))
-        ok = np.ones(keys.shape[0], dtype=bool)
+        smallest = np.empty(keys.shape[:2])
         for r, items in enumerate(hot_items):
-            row = keys[:, r, :]
-            # Column views, so a single hot item costs no copy.
-            smallest = functools.reduce(np.minimum, [row[:, i : i + 1] for i in items])
-            ok &= (row < smallest).view(np.uint8) @ ones >= per_user
-        hits += int(np.count_nonzero(ok))
+            smallest[:, r] = functools.reduce(np.minimum, [keys[:, r, i] for i in items])
+        # One row per (trial, hot row) pair, flattened for the column loop.
+        flat_smallest = smallest.reshape(-1)
+        below = np.zeros(flat_smallest.size, dtype=count_dtype)
+        for column in keys.reshape(-1, n).T:
+            below += column < flat_smallest
+        escaped = below.reshape(smallest.shape) >= per_user
+        hits += int(np.count_nonzero(_row_reduce(np.logical_and, escaped)))
     return hits / trials
 
 

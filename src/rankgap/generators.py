@@ -17,6 +17,7 @@ from .collective import FinderInputs, _collective_index
 from .matrix import (
     GroupPartition,
     RatingsMatrix,
+    _row_reduce,
     block_partition,
     numeric_rank_of,
     singular_value_gap,
@@ -154,7 +155,7 @@ def stratified_collective(
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     users = partition.majority_users
     rows = matrix.entries[users]
-    top = rows == rows.max(axis=1, keepdims=True)
+    top = rows == _row_reduce(np.maximum, rows)[:, None]
     tied = np.flatnonzero(top.sum(axis=1) != 1)
     if tied.size:
         raise ValueError(f"user {users[tied[0]]} has tied top items; stratification ambiguous")

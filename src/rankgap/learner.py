@@ -16,6 +16,7 @@ from .matrix import (
     GroupPartition,
     SpectralSummary,
     _mask_indices,
+    _row_reduce,
     column_abs_sums,
     singular_values_of,
     spectral,
@@ -177,7 +178,8 @@ def recommend(
     tol_pop = tie_tolerance(float(colpop.max(initial=0.0)))
 
     bits = entries.view(np.uint64)
-    starts = np.flatnonzero(np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)]))
+    changed = _row_reduce(np.logical_or, bits[1:] != bits[:-1])
+    starts = np.flatnonzero(np.concatenate([[True], changed]))
     lengths = np.diff(starts, append=m)
     a = entries[starts]
 

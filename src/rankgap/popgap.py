@@ -31,6 +31,7 @@ from .matrix import (
     _index_array,
     _mask_indices,
     _numeric_rank,
+    _row_reduce,
     singular_values_of,
     spectral,
 )
@@ -143,7 +144,13 @@ class PopularitySplit:
 
     @cached_property
     def _row_max(self) -> np.ndarray:
-        return self.matrix.entries.max(axis=1)
+        """Each row's maximum.  A zero one (an all-zero row) is the axis
+        reduction's, whose sign of zero a margin ``top - gap`` carries."""
+        entries = self.matrix.entries
+        top = _row_reduce(np.maximum, entries)
+        zero = np.flatnonzero(top == 0.0)
+        top[zero] = entries[zero].max(axis=1)
+        return top
 
     @cached_property
     def _top_mask(self) -> np.ndarray:
@@ -155,7 +162,11 @@ class PopularitySplit:
         """Majority, minority and switching users: a row maximum on a popular
         column, on an unpopular one, on the first unpopular (target) one."""
         top, nb = self._top_mask, self.n_bar
-        return top[:, :nb].any(axis=1), top[:, nb:].any(axis=1), top[:, nb]
+        return (
+            _row_reduce(np.logical_or, top[:, :nb]),
+            _row_reduce(np.logical_or, top[:, nb:]),
+            top[:, nb],
+        )
 
     @property
     def class_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +189,8 @@ class PopularitySplit:
     def _off_top_max(self) -> np.ndarray:
         """Best rating outside each row's top set; +inf on an all-tied row,
         which has none, so every margin ``(top - gap) - off`` there is -inf."""
-        off = np.where(self._top_mask, -np.inf, self.matrix.entries).max(axis=1)
-        off[self._top_mask.all(axis=1)] = np.inf
+        off = _row_reduce(np.maximum, np.where(self._top_mask, -np.inf, self.matrix.entries))
+        off[_row_reduce(np.logical_and, self._top_mask)] = np.inf
         return off
 
     @cached_property

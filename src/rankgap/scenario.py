@@ -173,7 +173,7 @@ class Scenario:
             missing = set(NESTED_KEYS["alpha_sweep"]) - set(sweep_spec)
             if missing:
                 raise ValueError(f"alpha_sweep is missing {sorted(missing)}")
-            sweep_grid(sweep_spec)  # refuses a grid that no sweep could run
+            _sweep_bounds(sweep_spec)  # refuses a grid that no sweep could run
         _check_keys(matrix_spec, {"family": ("string",), **FAMILY_KEYS[family]}, "matrix.")
         missing = [key for key in FAMILY_KEYS[family] if key not in matrix_spec]
         if missing:
@@ -241,6 +241,21 @@ def _check_keys(obj: dict, types: dict, prefix: str) -> None:
 
 def sweep_grid(spec: dict) -> list[float]:
     """Half-open grid [start, stop) with the given step."""
+    start, end, step = _sweep_bounds(spec)
+    grid = []
+    value = start
+    index = 0
+    while value < end:
+        grid.append(value)
+        index += 1
+        value = start + index * step
+    return grid
+
+
+def _sweep_bounds(spec: dict) -> tuple[float, float, float]:
+    """An alpha_sweep's start, the end its points stay below (stop less a
+    relative 1e-12) and its step, refused as ``sweep_grid`` refuses them,
+    without building the grid."""
     start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
     if step <= 0:
         raise ValueError("alpha_sweep step must be positive")
@@ -253,16 +268,10 @@ def sweep_grid(spec: dict) -> list[float]:
         )
     if start < 0:
         raise ValueError(f"alpha_sweep start must be nonnegative, got {start}")
-    grid = []
-    value = start
-    index = 0
-    while value < stop - 1e-12 * max(1.0, abs(stop)):
-        grid.append(value)
-        index += 1
-        value = start + index * step
-    if not grid:
+    end = stop - 1e-12 * max(1.0, abs(stop))
+    if not start < end:  # the grid loop's first test
         raise ValueError("alpha sweep grid is empty")
-    return grid
+    return start, end, step
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rankgap import cli, generators, matrix, scenario
 from rankgap.cli import main, run, sweep
@@ -471,6 +471,22 @@ REPORT_DIGESTS = {
     "topk2.sweep.json": "9701a2bfd78aa81ca083178d53d004937cccf29e37e5c7db7a95e7be82d53d4d",
     "topk2.sweep.csv": "627c5bb68e0e75f74b389be731f253b33e13f693ece77555cf0948d20cefa0b1",
 }
+# The same for the popularity model's run and sweep (a gap_class draw) and the
+# exploration Monte Carlo's report.
+GAP_CLASS_DOC = {
+    "name": "gc",
+    "seed": 3,
+    "matrix": {"family": "gap_class"},
+    "alpha_sweep": {"start": 0.5, "stop": 5.0, "step": 0.5},
+}
+MC_DEMO_ARGV = ["mc-demo", "--per-user", "3", "--trials", "100000", "--seed", "7"]
+GAP_CLASS_AND_MC_DIGESTS = {
+    "gc.report.json": "d1c6720b87129e9cbd6c695f8fae8b6c02273422ed16a4f95f15810edd227bc9",
+    "gc.report.csv": "6b1fbf7b7b49ea702e9f5183fb85506d763cd06ab1ffb9506e7afe453502ad70",
+    "gc.sweep.json": "7e79df550f5244a298374d35463815a2cc63237664cbcc9ac4ede85c1b053297",
+    "gc.sweep.csv": "bf41e830f2014e8f53e0e87a951aa9054f5509efb0edbb294d0213833c8c6a44",
+    "mc_demo.json": "0ea9cc1e24ece97cfc6b7297f1bf87575950977902ff51d6772cc788471f8da4",
+}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -490,6 +506,21 @@ def test_report_bytes_are_pinned(tmp_path, capsys, fmt):
         for path in sorted((tmp_path / "out").iterdir())
     }
     assert digests == {k: v for k, v in REPORT_DIGESTS.items() if k.endswith(f".{fmt}")}
+
+
+def test_gap_class_and_mc_demo_bytes_are_pinned(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    config = write_config(tmp_path, GAP_CLASS_DOC)
+    for fmt in ("json", "csv"):
+        for command in ("run", "sweep"):
+            assert main([command, "--config", config, "--out", out, "--format", fmt]) == 0
+    assert main([*MC_DEMO_ARGV, "--out", out]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert digests == GAP_CLASS_AND_MC_DIGESTS
 
 
 def test_multigroup_report_validates_against_the_schema(multigroup_report):
@@ -819,6 +850,79 @@ def test_a_sweep_grid_at_the_point_cap_is_built():
     grid = scenario.sweep_grid({"start": 0.0, "stop": float(scenario.MAX_SWEEP_POINTS), "step": 1.0})
     assert len(grid) == scenario.MAX_SWEEP_POINTS
     assert grid[-1] == scenario.MAX_SWEEP_POINTS - 1.0
+
+
+SWEEP_NUMBERS = st.one_of(
+    st.floats(-10.0, 2e5, allow_nan=False),
+    st.integers(-3, 20),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 14.0, 1e300, -1e308, 1e308]),
+)
+
+
+@st.composite
+def sweep_specs(draw):
+    """alpha_sweep blocks around every refusal: steps that leave start in
+    place or span about the point cap, empty and negative grids."""
+    start, stop = draw(SWEEP_NUMBERS), draw(SWEEP_NUMBERS)
+    if draw(st.booleans()):
+        step = draw(SWEEP_NUMBERS)
+    else:
+        points = draw(st.sampled_from([0.5, 1, 2, 99_999, 100_000, 100_001, 1e301]))
+        step = (float(stop) - float(start)) / points
+    assume(math.isfinite(step))  # a document holds finite numbers only
+    return {"start": start, "stop": stop, "step": step}
+
+
+def reference_sweep_grid(spec: dict) -> list[float]:
+    """scenario.sweep_grid as it was when it built the grid before its
+    empty-grid refusal."""
+    start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+    if step <= 0:
+        raise ValueError("alpha_sweep step must be positive")
+    if start + step == start:
+        raise ValueError(f"alpha_sweep step {step!r} does not move the grid off start {start!r}")
+    points = (stop - start) / step
+    if points > scenario.MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"alpha_sweep grid spans {points:.6g} points, more than the cap of "
+            f"{scenario.MAX_SWEEP_POINTS}"
+        )
+    if start < 0:
+        raise ValueError(f"alpha_sweep start must be nonnegative, got {start}")
+    grid = []
+    value = start
+    index = 0
+    while value < stop - 1e-12 * max(1.0, abs(stop)):
+        grid.append(value)
+        index += 1
+        value = start + index * step
+    if not grid:
+        raise ValueError("alpha sweep grid is empty")
+    return grid
+
+
+@given(sweep_specs())
+@example({"start": 0.0, "stop": 14.0, "step": 1e-300})
+@example({"start": 1.0, "stop": 14.0, "step": 1e-300})
+@example({"start": 0.0, "stop": float(scenario.MAX_SWEEP_POINTS), "step": 1.0})
+@example({"start": 0.0, "stop": scenario.MAX_SWEEP_POINTS + 1.0, "step": 1.0})
+@example({"start": 1.0, "stop": 1.0 + 1e-13, "step": 1e-14})
+@settings(max_examples=200, deadline=None)
+def test_documents_refuse_exactly_the_sweep_grids_that_refuse(spec):
+    # The document check decides the grid's refusals without building it.
+    def outcome(build, arg):
+        try:
+            return build(arg)
+        except ValueError as exc:
+            return str(exc)
+
+    expected = outcome(reference_sweep_grid, spec)
+    assert outcome(scenario.sweep_grid, spec) == expected
+    document = outcome(Scenario.from_dict, dict(PRESETS["multigroup"], alpha_sweep=spec))
+    if isinstance(expected, str):
+        assert document == expected
+    else:
+        assert isinstance(document, Scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from rankgap.generators import (
 )
 from rankgap.learner import kappa_k
 from rankgap.matrix import (
+    _FOLD_MAX_COLS,
     GroupPartition,
     OpenInterval,
     PartitionError,
@@ -153,6 +154,27 @@ def reference_collective_list(matrix, partition, fraction):
 def _set_view(p):
     """p's groups as the sets the reference code below was written for."""
     return SimpleNamespace(**{name: set(getattr(p, name).tolist()) for name in PARTITION_FIELDS})
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_tall_stratified_collective_matches_the_per_user_loop(seed, fraction):
+    # Majority blocks from one row to five times the rows the row maximum's
+    # fold needs, widths on both sides of its size rule; zeros of either
+    # sign, and on half the draws one raised top per row.
+    rng = np.random.default_rng(seed)
+    n_bar = int(rng.integers(1, _FOLD_MAX_COLS))
+    m_bar = int(rng.integers(1, 80 * (n_bar + 1)))
+    a = np.zeros((m_bar + 1, n_bar + 1))
+    a[:m_bar, :n_bar] = rng.choice([0.0, -0.0, 0.25, 0.5], size=(m_bar, n_bar))
+    if rng.random() < 0.5:
+        a[np.arange(m_bar), rng.integers(0, n_bar, m_bar)] = 1.0
+    a[m_bar, n_bar] = 1.0
+    R = RatingsMatrix(a)
+    p = GroupPartition(np.arange(m_bar), [m_bar], np.arange(n_bar), [n_bar])
+    assert _outcome(lambda: stratified_collective(R, p, fraction).tolist()) == _outcome(
+        reference_collective_list, R, _set_view(p), fraction
+    )
 
 
 def _ref_block(a, users, items):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankgap import matrix
 from rankgap.generators import random_block_scenario
 from rankgap.learner import (
     choose_rank,
@@ -342,6 +343,30 @@ def test_run_structured_estimates_match_the_per_row_reference(R_hat, seed):
             assert outcome.negative_rows.dtype == np.intp
             for array in (outcome.chosen, outcome.tie, outcome.pop_tie, outcome.negative_rows):
                 assert not array.flags.writeable
+
+
+@st.composite
+def tall_run_structured_estimates(draw):
+    """A run-structured estimate stacked on itself until the run detection
+    folds its rows column by column."""
+    a = draw(run_structured_estimates()).entries
+    # One bool byte per cell of the neighbour mask, one row fewer than the estimate.
+    copies = -(-(matrix._FOLD_MIN_BYTES_PER_COL * a.shape[1] + 1) // a.shape[0])
+    return RatingsMatrix(np.tile(a, (copies, 1)), nonnegative=False)
+
+
+@given(tall_run_structured_estimates(), seeds)
+@settings(max_examples=40, deadline=None)
+def test_tall_run_structured_estimates_match_the_per_row_reference(R_hat, seed):
+    for k, draw_seed, derandomize in ((1, None, True), (R_hat.cols, None, True), (1, seed, False)):
+        outcome = recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+        expected = reference_recommend(R_hat, k, seed=draw_seed, derandomize=derandomize)
+        assert outcome.chosen.tolist() == [rec["chosen"] for rec in expected]
+        assert [items(row) for row in outcome.tie] == [rec["tie"] for rec in expected]
+        assert [items(row) for row in outcome.pop_tie] == [rec["pop_tie"] for rec in expected]
+        assert outcome.negative_rows.tolist() == [
+            u for u in range(R_hat.rows) if R_hat.entries[u].max() < 0.0
+        ]
 
 
 def test_outcome_arrays_are_read_only(paired_scene):

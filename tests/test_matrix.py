@@ -256,9 +256,110 @@ def test_cross_block_checks_raise_as_the_ix_copies_did(case):
     assert outcome(GroupPartition.validate_for) == outcome(reference_validate_for)
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+@st.composite
+def tall_planted_partitions(draw):
+    """planted_partitions at heights where matrix._row_reduce folds short
+    rows column by column, and on some draws a row with no positive rating."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, matrix._FOLD_MAX_COLS + 2))
+    m = draw(st.integers(1, 2 * matrix._FOLD_MIN_BYTES_PER_COL // 8 * n))
+    minority_users, minority_items = rng.random(m) < 0.2, rng.random(n) < 0.3
+    a = rng.choice([0.0, -0.0, 0.5, 2.0, -1.0], size=(m, n))
+    cross = rng.choice([0.0, -0.0], size=(m, n))
+    if draw(st.booleans()):
+        cross[rng.integers(m), rng.integers(n)] = draw(st.sampled_from([1.0, -0.25, 5e-324]))
+    a = np.where(minority_users[:, None] != minority_items, cross, a)
+    if draw(st.booleans()):
+        a[rng.integers(m)] = rng.choice([0.0, -0.0, -1.0], size=n)
+    p = GroupPartition(
+        majority_users=np.flatnonzero(~minority_users),
+        minority_users=np.flatnonzero(minority_users),
+        majority_items=np.flatnonzero(~minority_items),
+        minority_items=np.flatnonzero(minority_items),
+    )
+    return RatingsMatrix(a, nonnegative=False), p
+
+
+@given(tall_planted_partitions())
+@settings(max_examples=200, deadline=None)
+def test_tall_partitions_raise_as_the_axis_reduction_did(case):
+    R, p = case
+
+    def outcome(check):
+        try:
+            check(p, R)
+        except PartitionError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(GroupPartition.validate_for) == outcome(reference_validate_for)
+
+
+ROW_REDUCTIONS = (np.maximum, np.minimum, np.logical_or, np.logical_and)
+
+
+@st.composite
+def row_reduce_operands(draw):
+    """A ufunc and a matrix for matrix._row_reduce: shorter than wide, and on
+    either side of its fold rule in width, in rows per column and in bytes;
+    zeros of both signs and infinities among the floats; C-ordered, a column
+    slice or Fortran-ordered; writeable or read-only."""
+    ufunc = draw(st.sampled_from(ROW_REDUCTIONS))
+    logical = ufunc in (np.logical_or, np.logical_and)
+    itemsize = 1 if logical else 8
+    n = draw(st.integers(1, matrix._FOLD_MAX_COLS + 8))
+    fold_rows = matrix._FOLD_MIN_BYTES_PER_COL * n // itemsize
+    wide_rows = 2 * matrix._FOLD_WIDE_MAX_BYTES // (itemsize * n)
+    m = draw(
+        st.one_of(
+            st.integers(0, n), st.integers(n, 2 * fold_rows), st.integers(fold_rows, wide_rows)
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "slice", "F"]))
+    width = n + 1 if layout == "slice" else n
+    if logical:
+        a = rng.random((m, width)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    else:
+        a = rng.choice([0.0, -0.0, 0.25, 1.0, -1.0, np.inf, -np.inf], size=(m, width))
+    if layout == "slice":
+        a = a[:, 1:]
+    elif layout == "F":
+        a = np.asfortranarray(a)
+    a.flags.writeable = draw(st.booleans())
+    return ufunc, a
+
+
+@given(row_reduce_operands())
+@settings(max_examples=400, deadline=None)
+def test_row_reduce_is_the_axis_reduction_in_a_new_array(case):
+    ufunc, a = case
+    before = a.copy()
+    got = matrix._row_reduce(ufunc, a)
+    expected = ufunc.reduce(a, axis=1)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    # Bit for bit, apart from the sign of a zero where -0.0 and 0.0 tie.
+    nonzero = expected != 0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+    assert not np.shares_memory(got, a)
+    assert np.array_equal(a, before) and got.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (matrix._FOLD_MIN_BYTES_PER_COL // 8, 1), (500, 1)])
+def test_row_reduce_copies_a_single_column(shape):
+    a = np.arange(float(shape[0])).reshape(shape)
+    a.flags.writeable = False
+    got = matrix._row_reduce(np.maximum, a)
+    assert got.tolist() == a[:, 0].tolist() and not np.shares_memory(got, a)
+    got[...] = -1.0
+    assert a[:, 0].tolist() == list(range(shape[0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (200, 3), (400, 5)])
 def test_partition_finds_a_row_without_a_positive_rating_in_any_shape(shape):
-    # Short rows are checked as a fold over the columns, wide ones by row.
+    # Short rows of a tall matrix are checked as a fold over the columns,
+    # other shapes by the axis reduction.
     m, n = shape
     p = GroupPartition(frozenset(range(m)), frozenset(), frozenset(range(n)), frozenset())
     a = np.zeros(shape)

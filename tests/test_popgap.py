@@ -378,6 +378,115 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
         assert in_class is (wider < R.cols and _ref_membership(R, wider)["in_class"])
 
 
+# ---------------------------------------------------------------------------
+# Row reductions against the axis reductions they replaced
+# ---------------------------------------------------------------------------
+
+SIGNED_TIE_GRID = (-0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
+
+
+def signed_tie_matrix(rng) -> tuple[RatingsMatrix, int]:
+    """Grid rows, all-zero rows and, most of the time, popular indicator
+    groups tall enough for matrix._row_reduce to fold; every zero is -0.0 or
+    0.0 at random."""
+    n = int(rng.integers(2, 13))
+    n_bar = int(rng.integers(1, n))
+    rows = [
+        rng.choice(SIGNED_TIE_GRID, size=(int(rng.integers(1, 40)), n)),
+        np.zeros((int(rng.integers(0, 8)), n)),
+    ]
+    if rng.random() < 0.7:
+        rows.append(np.repeat(np.eye(n)[:n_bar], int(rng.integers(1, 120)), axis=0))
+    a = np.concatenate(rows)
+    a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+    return RatingsMatrix(a[rng.permutation(a.shape[0])]), n_bar
+
+
+def axis_reduced_split(R: RatingsMatrix, n_bar: int) -> PopularitySplit:
+    """A split whose row reductions are the axis reductions the column folds
+    replaced, set where the cached members keep their values."""
+    split = PopularitySplit(R, n_bar)
+    a = R.entries
+    row_max = a.max(axis=1)
+    top = a == row_max[:, None]
+    off = np.where(top, -np.inf, a).max(axis=1)
+    off[top.all(axis=1)] = np.inf
+    masks = top[:, :n_bar].any(axis=1), top[:, n_bar:].any(axis=1), top[:, n_bar]
+    split.__dict__.update(_row_max=row_max, _top_mask=top, _masks=masks, _off_top_max=off)
+    return split
+
+
+def assert_sufficiency_bitwise(got, expected) -> None:
+    assert got.preconditions == expected.preconditions
+    assert got.conditions == expected.conditions
+    assert list(got.margins) == list(expected.margins)
+    assert float_bits(*got.margins.values()) == float_bits(*expected.margins.values())
+    for name in ("sigma_hat", "ratings_gap"):
+        value, oracle = getattr(got, name), getattr(expected, name)
+        assert (value is None) == (oracle is None)
+        if value is not None:
+            assert float_bits(value) == float_bits(oracle)
+    assert got.alpha_above_tail is expected.alpha_above_tail
+    assert got.verdict is expected.verdict
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_split_row_reductions_match_the_axis_reductions(seed):
+    rng = np.random.default_rng(seed)
+    R, n_bar = signed_tie_matrix(rng)
+    split, oracle = PopularitySplit(R, n_bar), axis_reduced_split(R, n_bar)
+    assert split._row_max.tobytes() == oracle._row_max.tobytes()
+    for got, expected in zip(split._masks, oracle._masks):
+        assert got.tobytes() == expected.tobytes()
+    # A zero off-top value may carry the other sign (matrix._row_reduce's
+    # contract); every margin below reads it as x - off with x never -0.0.
+    off, expected_off = split._off_top_max, oracle._off_top_max
+    assert np.array_equal(off, expected_off)
+    nonzero = expected_off != 0.0
+    assert off[nonzero].tobytes() == expected_off[nonzero].tobytes()
+
+    got, expected = split.membership, oracle.membership
+    for name in (
+        "majority_users",
+        "minority_users",
+        "majority_margins",
+        "minority_margins",
+        "majority_gap_ok",
+        "minority_support_ok",
+    ):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    assert got.in_class is expected.in_class
+
+    # Only users outside the minority may change their target rating.
+    column = R.entries[:, n_bar].copy()
+    free = ~split.class_masks[1]
+    column[free] = rng.choice(SIGNED_TIE_GRID, size=int(free.sum()))
+    for alpha in (0.0, 0.5, 2.0):
+        assert_sufficiency_bitwise(
+            split.general_sufficiency(column, alpha), oracle.general_sufficiency(column, alpha)
+        )
+
+
+@pytest.mark.parametrize("pattern", range(12))
+def test_an_all_zero_majority_row_keeps_the_axis_reductions_zero_sign(pattern):
+    # Nine columns and 400 rows: the row maximum is a fold.  With a zero
+    # tail the ratings gap is 0.0, so the all-zero row's margin
+    # (top - gap) - 0.0 is the one zero among the majority's and carries
+    # the sign of its row maximum into uprating_below_majority_top.
+    a = np.zeros((400, 9))
+    a[0] = np.random.default_rng(pattern).choice([0.0, -0.0], size=9)
+    a[1:, 0] = 1.0
+    a[200:210, 0] = 0.0
+    a[200:210, 1] = 0.5
+    R = RatingsMatrix(a)
+    split, oracle = PopularitySplit(R, 1), axis_reduced_split(R, 1)
+    column = a[:, 1].copy()
+    got, expected = split.general_sufficiency(column, 0.1), oracle.general_sufficiency(column, 0.1)
+    assert got.ratings_gap == 0.0 and got.margins["uprating_below_majority_top"] == 0.0
+    assert_sufficiency_bitwise(got, expected)
+
+
 def test_gap_shrinks_as_the_popular_spectrum_grows():
     deltas = [PopularitySplit(build_gap_case(group=g)[0], 4).delta_gap for g in (100, 200, 400)]
     assert deltas[0] > deltas[1] > deltas[2]
