@@ -168,7 +168,11 @@ def aggregate_value(R: RatingsMatrix, coll, p: GroupPartition) -> float:
     coll = _collective_index(coll)
     if not p.covers(*R.shape):
         raise PartitionError(f"partition does not cover a {R.rows}x{R.cols} matrix")
-    return float(R.entries[coll][:, p.majority_items].sum(axis=0).max())
+    # Sum the C-ordered rows, then pick the majority columns: each column sum
+    # then adds the collective's rows one by one in index order.  Picking the
+    # columns first leaves a Fortran-ordered block, which numpy sums pairwise
+    # and so to a last bit that differs from 8 rows on.
+    return float(R.entries[coll].sum(axis=0)[p.majority_items].max())
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,20 @@ def test_aggregate_value_reads_the_partitions_majority_items():
     assert aggregate_value(R, [0, 3, 4, 5], p) == 3.0
 
 
+def test_aggregate_value_adds_the_rows_in_index_order():
+    # Seed 252's scene has 8 majority users.  Summing each majority column
+    # pairwise (numpy's order on a Fortran-ordered block) lands one ulp
+    # below the row-by-row sum at 8.950748741383563.
+    scene = random_block_scenario(np.random.default_rng(252))
+    R, p = scene.matrix, scene.partition
+    users = p.majority_users
+    assert users.size == 8
+    column_sums = np.zeros(p.majority_items.size)
+    for u in users:
+        column_sums += R.entries[u, p.majority_items]
+    assert aggregate_value(R, users, p) == float(column_sums.max()) == 8.950748741383565
+
+
 # ---------------------------------------------------------------------------
 # Collective index arrays against the set-based code they replaced
 # ---------------------------------------------------------------------------
