@@ -203,15 +203,15 @@ def main():
     split1 = pg.PopularitySplit(m1, 4)
     rep = split1.membership
     d_ours, k_ours, s_ours = delta_oracle(build_gap_instance(4, 200, (0, 1)), 4)
-    assert rep.in_class and rep.classes_exclusive and rep.has_minority
-    assert abs(rep.delta_gap - d_ours) < 1e-15, (rep.delta_gap, d_ours)
-    assert rep.kappa == k_ours
+    assert rep.in_class and split1.classes_exclusive and split1.has_minority
+    assert abs(split1.delta_gap - d_ours) < 1e-15, (split1.delta_gap, d_ours)
+    assert split1.kappa == k_ours
     bounds = split1.singular_bounds
     assert bounds.lower_ok and bounds.upper_ok
     dist_mod = split1.projection_gap
     iv = split1.window
     assert not iv.is_empty
-    print(f"module: delta={rep.delta_gap!r} interval=({iv.lower!r}, {iv.upper!r}) "
+    print(f"module: delta={split1.delta_gap!r} interval=({iv.lower!r}, {iv.upper!r}) "
           f"proj={dist_mod!r}")
 
     split2 = pg.PopularitySplit(RatingsMatrix(a, nonnegative=True), 4)

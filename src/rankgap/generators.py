@@ -226,8 +226,7 @@ def gap_class_instance(rng: np.random.Generator) -> GapInstance:
         a[u, int(rng.integers(0, n_bar))] = NICHE_POPULAR
     split = PopularitySplit(RatingsMatrix(a, nonnegative=True), n_bar)
 
-    report = split.membership
-    if not (report.in_class and report.classes_exclusive and report.has_minority):
+    if not (split.membership.in_class and split.classes_exclusive and split.has_minority):
         raise RuntimeError("self-check failed: drawn instance left the class")
     window = split.window
     alpha = window.lower + float(rng.uniform(0.2, 0.8)) * (window.upper - window.lower)

@@ -159,11 +159,6 @@ class RatingsMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def with_entries(self, entries: np.ndarray, nonnegative: bool | None = None) -> "RatingsMatrix":
-        """New matrix with the same flag unless overridden."""
-        flag = self.nonnegative if nonnegative is None else nonnegative
-        return RatingsMatrix(entries, nonnegative=flag)
-
 
 @dataclass(frozen=True, eq=False)
 class GroupPartition:
@@ -394,29 +389,6 @@ def _block_sigmas(R: RatingsMatrix, p: GroupPartition) -> tuple[float, float]:
         raise PartitionError("majority block has numeric rank 0")
     s_min = singular_values_of(p.minority_block(R.entries))
     return float(s_maj[k_maj - 1]), float(s_min[0]) if s_min.size else 0.0
-
-
-def reorder_to_blocks(
-    R: RatingsMatrix, p: GroupPartition
-) -> tuple[RatingsMatrix, tuple[int, ...], tuple[int, ...]]:
-    """Permute rows and columns so the majority block sits top-left.
-
-    Returns (reordered, row_perm, col_perm) with
-    ``reordered[i, j] == R[row_perm[i], col_perm[j]]``. Applying the inverse
-    permutations recovers R exactly.
-    """
-    p.validate_for(R)
-    rows = np.concatenate([p.majority_users, p.minority_users])
-    cols = np.concatenate([p.majority_items, p.minority_items])
-    out = R.entries[np.ix_(rows, cols)]
-    return R.with_entries(out), tuple(rows.tolist()), tuple(cols.tolist())
-
-
-def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for new, old in enumerate(perm):
-        inv[old] = new
-    return tuple(inv)
 
 
 def find_picky_items(R: RatingsMatrix, p: GroupPartition) -> list[tuple[int, np.ndarray]]:
@@ -697,8 +669,6 @@ __all__ = [
     "matrix_l1_norm",
     "column_abs_sums",
     "singular_value_gap",
-    "reorder_to_blocks",
-    "invert_permutation",
     "find_picky_items",
     "load_ratings_csv",
     "save_ratings_csv",

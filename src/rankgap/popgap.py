@@ -28,7 +28,6 @@ from .matrix import (
     OpenInterval,
     RatingsMatrix,
     SpectralSummary,
-    _index_array,
     _mask_indices,
     _numeric_rank,
     _row_reduce,
@@ -38,7 +37,6 @@ from .matrix import (
 
 __all__ = [
     "PopularitySplit",
-    "UserClasses",
     "ClassMembershipReport",
     "SingularBounds",
     "DeltaWindow",
@@ -158,32 +156,42 @@ class PopularitySplit:
         return self.matrix.entries == self._row_max[:, None]
 
     @cached_property
-    def _masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Majority, minority and switching users: a row maximum on a popular
-        column, on an unpopular one, on the first unpopular (target) one."""
-        top, nb = self._top_mask, self.n_bar
-        return (
-            _row_reduce(np.logical_or, top[:, :nb]),
-            _row_reduce(np.logical_or, top[:, nb:]),
-            top[:, nb],
-        )
-
-    @property
     def class_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user majority and minority masks: ``classes`` as boolean arrays."""
-        return self._masks[:2]
+        """Per-user majority and minority masks: a row maximum on a popular
+        column, on an unpopular one.  A user whose tied top items straddle the
+        boundary is in both; exclusivity is an assumption to check."""
+        top, nb = self._top_mask, self.n_bar
+        return _row_reduce(np.logical_or, top[:, :nb]), _row_reduce(np.logical_or, top[:, nb:])
 
     @cached_property
-    def classes(self) -> UserClasses:
-        """Majority users top out on a popular column, minority on an unpopular one."""
-        majority, minority, _ = self._masks
-        return UserClasses(_mask_indices(majority), _mask_indices(minority))
+    def majority_users(self) -> np.ndarray:
+        """The majority mask's users, as a sorted, read-only np.intp array."""
+        return _mask_indices(self.class_masks[0])
+
+    @cached_property
+    def minority_users(self) -> np.ndarray:
+        """The minority mask's users, as a sorted, read-only np.intp array."""
+        return _mask_indices(self.class_masks[1])
+
+    @property
+    def classes_exclusive(self) -> bool:
+        majority, minority = self.class_masks
+        return not (majority & minority).any()
+
+    @property
+    def has_minority(self) -> bool:
+        return bool(self.minority_users.size)
+
+    @property
+    def popularity_inequality(self) -> bool:
+        """The selection window's upper end lies below sigma_popular."""
+        return self.window.upper < self.sigma_popular
 
     @cached_property
     def switch_users(self) -> np.ndarray:
         """Minority users whose row maximum is attained on the first unpopular
         column, as a sorted, read-only np.intp array."""
-        return _mask_indices(self._masks[2])
+        return _mask_indices(self._top_mask[:, self.n_bar])
 
     @cached_property
     def _off_top_max(self) -> np.ndarray:
@@ -196,35 +204,23 @@ class PopularitySplit:
     @cached_property
     def membership(self) -> ClassMembershipReport:
         """The popularity-gap class conditions, evaluated with strict inequalities."""
-        classes = self.classes
-        majority_users, minority_users = classes.majority, classes.minority
         delta = self.delta_gap
         if delta is None:
             majority_margins, minority_margins = np.empty(0), np.empty(0)
         else:
-            top, off = self._row_max[majority_users], self._off_top_max[majority_users]
+            majority = self.majority_users
+            top, off = self._row_max[majority], self._off_top_max[majority]
             majority_margins = (top - delta) - off
-            minority_margins = self.popular_block[minority_users].max(axis=1) - delta
-        majority_ok = majority_margins > 0.0
-        minority_ok = minority_margins > 0.0
-        for array in (majority_margins, minority_margins, majority_ok, minority_ok):
+            minority_margins = self.popular_block[self.minority_users].max(axis=1) - delta
+        in_class = delta is not None and bool(
+            (majority_margins > 0.0).all() and (minority_margins > 0.0).all()
+        )
+        for array in (majority_margins, minority_margins):
             array.flags.writeable = False
         return ClassMembershipReport(
-            n_bar=self.n_bar,
-            kappa=self.kappa,
-            kappa_lower=self.kappa_lower,
-            sigma_popular=self.sigma_popular,
-            delta_gap=delta,
-            majority_users=majority_users,
-            minority_users=minority_users,
             majority_margins=majority_margins,
             minority_margins=minority_margins,
-            majority_gap_ok=majority_ok,
-            minority_support_ok=minority_ok,
-            in_class=delta is not None and bool(majority_ok.all() and minority_ok.all()),
-            popularity_inequality=self.window.upper < self.sigma_popular,
-            classes_exclusive=classes.exclusive,
-            has_minority=classes.has_minority,
+            in_class=in_class,
             reason=_GAP_UNDEFINED if delta is None else None,
         )
 
@@ -270,7 +266,7 @@ class PopularitySplit:
         """
         entries = self.matrix.entries
         nb = self.n_bar
-        _, minority, sw = self._masks
+        minority, sw = self.class_masks[1], self._top_mask[:, nb]
         head = entries[minority & ~sw, : nb + 1]
         lower = max(0.0, float(head.max(axis=1).sum() - head.min(axis=1).sum()))
         gain = entries[sw, nb].sum() - entries[sw, :nb].max(axis=1).sum()
@@ -316,12 +312,12 @@ class PopularitySplit:
             raise ValueError("alpha must be nonnegative")
         column = GeneralStrategy(r_tilde).validate_for(self)
 
-        membership = self.membership
-        majority, minority, switching = self._masks
+        majority, minority = self.class_masks
+        switching = self._top_mask[:, self.n_bar]
         preconditions = {
-            "in_class": membership.in_class,
-            "classes_exclusive": membership.classes_exclusive,
-            "has_minority": membership.has_minority,
+            "in_class": self.membership.in_class,
+            "classes_exclusive": self.classes_exclusive,
+            "has_minority": self.has_minority,
             "switch_nonempty": bool(switching.any()),
             "target_sufficiently_liked": self.delta_window.has_positive_point,
             "alpha_in_gap": self.window.contains(alpha),
@@ -408,68 +404,23 @@ def top_items(row: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class UserClasses:
-    """Per-user grouping induced by where each row maximum lands.
-
-    ``majority`` and ``minority`` are sorted, read-only np.intp arrays of user
-    indices, built from any form ``GroupPartition`` takes its groups in.  A
-    user whose tied top items straddle the popular boundary is in both
-    (``dual``); exclusivity is an assumption to check, not a structural fact.
-    Classes compare by identity: compare the arrays to compare two.
-    """
-
-    majority: np.ndarray
-    minority: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("majority", "minority"):
-            object.__setattr__(self, name, _index_array(getattr(self, name), name))
-
-    @property
-    def dual(self) -> np.ndarray:
-        return np.intersect1d(self.majority, self.minority, assume_unique=True)
-
-    @property
-    def exclusive(self) -> bool:
-        return not self.dual.size
-
-    @property
-    def has_minority(self) -> bool:
-        return bool(self.minority.size)
-
-
-@dataclass(frozen=True, eq=False)
 class ClassMembershipReport:
     """Outcome of the popularity-gap class checks for one split.
 
-    Per-user results are read-only arrays.  ``majority_users`` and
-    ``minority_users`` are the split's :class:`UserClasses` arrays.
-    ``majority_margins`` holds, per majority user, how far the top rating
-    beats every other rating beyond ``delta_gap``; ``minority_margins`` holds,
-    per minority user, how far the best popular rating exceeds ``delta_gap``.
-    Both are aligned with their users and empty when the gap is undefined.
-    ``majority_gap_ok`` and ``minority_support_ok`` are ``margins > 0.0``.
-    ``in_class`` requires the gap to be defined and every per-user check to
-    pass; the exclusivity flags are reported alongside but are a separate
-    assumption.  Reports compare by identity: compare the fields to compare
-    two reports.
+    ``majority_margins`` holds, per one of the split's ``majority_users``, how
+    far the top rating beats every other rating beyond ``delta_gap``;
+    ``minority_margins`` holds, per one of its ``minority_users``, how far the
+    best popular rating exceeds ``delta_gap``.  Both are read-only, aligned
+    with those users, and empty when the gap is undefined (``reason`` says
+    why).  A check passes where its margin is above 0.0; ``in_class``
+    requires the gap to be defined and every check to pass.  Exclusive classes
+    are a separate assumption, read from the split.  Reports compare by
+    identity: compare the fields to compare two reports.
     """
 
-    n_bar: int
-    kappa: float
-    kappa_lower: float
-    sigma_popular: float
-    delta_gap: float | None
-    majority_users: np.ndarray
-    minority_users: np.ndarray
     majority_margins: np.ndarray
     minority_margins: np.ndarray
-    majority_gap_ok: np.ndarray
-    minority_support_ok: np.ndarray
     in_class: bool
-    popularity_inequality: bool
-    classes_exclusive: bool
-    has_minority: bool
     reason: str | None = None
 
 
@@ -548,7 +499,7 @@ class GeneralStrategy:
         """The replacement column, checked against ``split``."""
         column = _validate_replacement(split.matrix, self.replacement_column)
         current = split.matrix.entries[:, split.n_bar]
-        changed = np.flatnonzero(split._masks[1] & (column != current))
+        changed = np.flatnonzero(split.class_masks[1] & (column != current))
         if changed.size:
             u = int(changed[0])
             raise ValueError(

@@ -157,6 +157,12 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ValueError("a scenario document must be a JSON object")
         _check_keys(doc, SCENARIO_KEYS, "")
+        # Output files are named after the scenario, inside the output directory.
+        name = doc.get("name", "scenario")
+        if not name or any(c in name for c in "/\\\0"):
+            raise ValueError(
+                f"name must be a nonempty file name without '/', '\\' or NUL, got {name!r}"
+            )
         if "seed" not in doc:
             raise ValueError("scenario documents require a seed")
         matrix_spec = doc.get("matrix")
@@ -204,7 +210,7 @@ class Scenario:
                 f"seed must be nonnegative for the drawing family {family!r}, got {doc['seed']}"
             )
         return cls(
-            name=str(doc.get("name", "scenario")),
+            name=str(name),
             seed=int(doc["seed"]),
             matrix_spec=dict(matrix_spec),
             alpha=None if alpha is None else float(alpha),
@@ -369,8 +375,7 @@ def generate_scenario(doc: dict) -> MaterializedScenario:
         majority, minority = split.class_masks
         class_codes = np.select([majority & minority, majority], [0, 1], 2)
         class_labels = ("both", "majority", "minority")
-        classes = split.classes
-        counts = (len(classes.majority), len(classes.minority), n_bar, matrix.cols - n_bar)
+        counts = (split.majority_users.size, split.minority_users.size, n_bar, matrix.cols - n_bar)
     else:
         if family == "paired":
             matrix, partition = generators.paired_indicator(

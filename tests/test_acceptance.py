@@ -268,11 +268,10 @@ def test_a09_popularity_class_property_sweep():
         assert distance <= split.delta_gap / (2 * math.sqrt(R.cols))
 
         outcome = recommend(fit_learner(R, inst.alpha).truncated, derandomize=True)
-        classes = split.classes
         popular = set(range(n_bar))
         for u in range(R.rows):
             tie = set(np.flatnonzero(outcome.tie[u]).tolist())
-            if u in classes.majority:
+            if u in split.majority_users:
                 assert tie <= set(top_items(R.entries[u])) & popular
             else:
                 assert tie <= popular

@@ -135,6 +135,12 @@ def test_scenario_validation_errors(doc, message):
             dict(PRESETS["paired"], alpha_sweep={"start": -1.0, "stop": 1.0, "step": 0.5}),
             "alpha_sweep start must be nonnegative",
         ),
+        # Output files are named after the scenario: a path in the name would
+        # write outside --out, and an empty one would write a hidden file.
+        *(
+            (dict(PRESETS["paired"], name=name), "name must be a nonempty file name")
+            for name in ("../escape", "../../escape", "a/b", "", "a\\b", "a\0b")
+        ),
     ],
 )
 def test_malformed_scenario_documents_are_clean_errors(tmp_path, capsys, doc, message):
@@ -147,7 +153,7 @@ def test_malformed_scenario_documents_are_clean_errors(tmp_path, capsys, doc, me
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert message in captured.err
-    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
 
 
 def test_generated_scenarios_are_seed_deterministic():
@@ -316,10 +322,10 @@ def reference_matrix_summary(mat) -> dict:
         )
     else:
         n_bar = reference_draw(mat).n_bar
-        classes = PopularitySplit(mat.matrix, n_bar).classes
+        split = PopularitySplit(mat.matrix, n_bar)
         summary.update(
-            majority_users=len(classes.majority),
-            minority_users=len(classes.minority),
+            majority_users=len(split.majority_users),
+            minority_users=len(split.minority_users),
             majority_items=n_bar,
             minority_items=mat.matrix.cols - n_bar,
         )

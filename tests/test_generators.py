@@ -34,7 +34,6 @@ from rankgap.matrix import (
     RatingsMatrix,
     find_picky_items,
     numeric_rank_of,
-    reorder_to_blocks,
     singular_value_gap,
     singular_values_of,
 )
@@ -209,13 +208,6 @@ def _ref_gap(R, p):
     return OpenInterval(float(s_min[0]) if s_min.size else 0.0, float(s_maj[k_maj - 1]))
 
 
-def _ref_reorder(R, p):
-    _ref_validate(p, R)
-    row_perm = tuple(sorted(p.majority_users) + sorted(p.minority_users))
-    col_perm = tuple(sorted(p.majority_items) + sorted(p.minority_items))
-    return R.with_entries(R.entries[np.ix_(row_perm, col_perm)]), row_perm, col_perm
-
-
 def _ref_picky(R, p):
     _ref_validate(p, R)
     a = R.entries
@@ -365,7 +357,6 @@ def test_partition_arrays_match_the_set_based_code(case):
         assert not index.flags.writeable
     assert _outcome(p.validate_for, R) == _outcome(_ref_validate, ref, R)
     assert _outcome(singular_value_gap, R, p) == _outcome(_ref_gap, R, ref)
-    assert _outcome(reorder_to_blocks, R, p) == _outcome(_ref_reorder, R, ref)
     # Each rater array as its values, dtype and read-only flag.
     assert _outcome(
         lambda: [
@@ -429,9 +420,9 @@ def test_gap_class_sweep_stays_in_class():
     rng = np.random.default_rng(SWEEP_SEED)
     for _ in range(50):
         inst = gap_class_instance(rng)
-        report = inst.split.membership
-        assert report.in_class and report.classes_exclusive and report.has_minority
-        window = inst.split.window
+        split = inst.split
+        assert split.membership.in_class and split.classes_exclusive and split.has_minority
+        window = split.window
         assert window.lower < inst.alpha < window.upper
 
 

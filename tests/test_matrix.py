@@ -1,4 +1,4 @@
-"""Matrix core: construction, spectra, gaps, reordering, picky items, CSV."""
+"""Matrix core: construction, spectra, gaps, permutations, picky items, CSV."""
 
 import ast
 import csv
@@ -22,11 +22,9 @@ from rankgap.matrix import (
     block_partition,
     column_abs_sums,
     find_picky_items,
-    invert_permutation,
     load_ratings_csv,
     matrix_l1_norm,
     numeric_rank_of,
-    reorder_to_blocks,
     save_ratings_csv,
     singular_value_gap,
     singular_values_of,
@@ -37,7 +35,7 @@ from rankgap import matrix
 from rankgap.scenario import PRESETS, generate_scenario
 from rankgap.completion import PartialMatrix
 from rankgap.generators import general_strategy_instance
-from rankgap.popgap import GeneralStrategy, PopularitySplit
+from rankgap.popgap import GeneralStrategy
 from rankgap.matrix import _load_ratings_csv_lines, _parse_plain_csv
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -561,7 +559,6 @@ def test_partition_keeps_an_array_already_in_its_form():
         lambda: PartialMatrix(np.eye(2), np.eye(2, dtype=bool)),
         lambda: GeneralStrategy(np.array([0.5, 1.0])),
         lambda: general_strategy_instance(np.random.default_rng(9)),
-        lambda: PopularitySplit(RatingsMatrix(np.eye(2)), 1).classes,
         lambda: generate_scenario(PRESETS["paired"]),
     ],
     ids=[
@@ -571,7 +568,6 @@ def test_partition_keeps_an_array_already_in_its_form():
         "PartialMatrix",
         "GeneralStrategy",
         "StrategyInstance",
-        "UserClasses",
         "MaterializedScenario",
     ],
 )
@@ -647,40 +643,8 @@ def test_partition_index_guard_flags_each_form():
 
 
 # ---------------------------------------------------------------------------
-# Reordering
+# Permutation invariance
 # ---------------------------------------------------------------------------
-
-def test_reorder_is_identity_on_ordered_matrix(paired_scene):
-    R, p = paired_scene
-    out, row_perm, col_perm = reorder_to_blocks(R, p)
-    assert row_perm == tuple(range(R.rows))
-    assert col_perm == tuple(range(R.cols))
-    assert np.array_equal(out.entries, R.entries)
-
-
-def test_reorder_recovers_interleaved_matrix(paired_scene):
-    R, _ = paired_scene
-    rng = np.random.default_rng(3)
-    row_shuffle = rng.permutation(R.rows)
-    col_shuffle = rng.permutation(R.cols)
-    shuffled = RatingsMatrix(R.entries[np.ix_(row_shuffle, col_shuffle)])
-    p = GroupPartition(
-        majority_users=frozenset(int(np.flatnonzero(row_shuffle == u)[0]) for u in range(8)),
-        minority_users=frozenset(int(np.flatnonzero(row_shuffle == u)[0]) for u in (8, 9)),
-        majority_items=frozenset(int(np.flatnonzero(col_shuffle == i)[0]) for i in (0, 1)),
-        minority_items=frozenset(int(np.flatnonzero(col_shuffle == i)[0]) for i in (2, 3)),
-    )
-    ordered, row_perm, col_perm = reorder_to_blocks(shuffled, p)
-    for i in range(10):
-        for j in range(4):
-            assert ordered.entries[i, j] == shuffled.entries[row_perm[i], col_perm[j]]
-    assert np.all(ordered.entries[:8, 2:] == 0) and np.all(ordered.entries[8:, :2] == 0)
-    assert sorted(map(tuple, ordered.entries)) == sorted(map(tuple, R.entries))
-    inv_r = invert_permutation(row_perm)
-    inv_c = invert_permutation(col_perm)
-    back = ordered.entries[np.ix_(inv_r, inv_c)]
-    assert np.array_equal(back, shuffled.entries)
-
 
 @given(seeds)
 @settings(max_examples=25, deadline=None)

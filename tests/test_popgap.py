@@ -17,7 +17,7 @@ from rankgap.generators import gap_class_instance, general_strategy_instance
 from rankgap.learner import fit_learner, recommend, social_welfare
 from rankgap.matrix import RatingsMatrix, singular_values_of
 from rankgap import matrix, popgap
-from rankgap.popgap import GeneralStrategy, PopularitySplit, UserClasses, top_items
+from rankgap.popgap import GeneralStrategy, PopularitySplit, top_items
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -100,30 +100,19 @@ def test_popular_prefs_spectrum_is_the_block_spectrum(seed):
 
 def test_unique_top_items_classify_cleanly():
     a = np.array([[1.0, 0.0, 0.2], [0.1, 0.2, 0.9]])
-    classes = PopularitySplit(RatingsMatrix(a), 2).classes
-    assert classes.majority.tolist() == [0]
-    assert classes.minority.tolist() == [1]
-    assert classes.exclusive and classes.has_minority
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    assert split.majority_users.tolist() == [0]
+    assert split.minority_users.tolist() == [1]
+    assert split.classes_exclusive and split.has_minority
 
 
 def test_straddling_tie_lands_in_both_classes():
     a = np.array([[0.5, 0.2, 0.5], [1.0, 0.0, 0.0]])
-    classes = PopularitySplit(RatingsMatrix(a), 2).classes
-    assert 0 in classes.majority and 0 in classes.minority
-    assert classes.dual.tolist() == [0]
-    assert not classes.exclusive
-
-
-def test_user_classes_built_by_hand_take_the_array_form():
-    # Sets, the form before, and lists are sorted into read-only np.intp arrays.
-    classes = UserClasses({2, 0}, [2, 1, 2])
-    assert classes.majority.tolist() == [0, 2] and classes.minority.tolist() == [1, 2]
-    for array in (classes.majority, classes.minority):
-        assert array.dtype == np.intp and not array.flags.writeable
-    assert classes.dual.tolist() == [2] and not classes.exclusive and classes.has_minority
-    assert UserClasses([0], []).exclusive and not UserClasses([0], []).has_minority
-    with pytest.raises(ValueError, match="majority must hold integer indices"):
-        UserClasses([True], [])
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    assert 0 in split.majority_users and 0 in split.minority_users
+    majority, minority = split.class_masks
+    assert np.flatnonzero(majority & minority).tolist() == [0]
+    assert not split.classes_exclusive
 
 
 def by_user(users: np.ndarray, values: np.ndarray) -> dict:
@@ -155,15 +144,18 @@ def test_classification_matches_argmax_scan(seed):
     residual = [u for u in minority if u not in switching]
 
     split = PopularitySplit(R, n_bar)
-    classes, switch = split.classes, split.switch_users
+    majority_mask, minority_mask = split.class_masks
+    assert majority_mask.tolist() == [u in majority for u in range(m)]
+    assert minority_mask.tolist() == [u in minority for u in range(m)]
     # Ascending like the scan, so each array is sorted and distinct.
-    assert classes.majority.tolist() == majority
-    assert classes.minority.tolist() == minority
-    assert switch.tolist() == switching
-    assert classes.dual.tolist() == [u for u in majority if u in minority]
-    assert classes.exclusive is not (set(majority) & set(minority))
-    assert classes.has_minority is bool(minority)
-    for array in (classes.majority, classes.minority, switch):
+    assert split.majority_users.tolist() == majority
+    assert split.minority_users.tolist() == minority
+    assert split.switch_users.tolist() == switching
+    dual = np.flatnonzero(majority_mask & minority_mask)
+    assert dual.tolist() == [u for u in majority if u in minority]
+    assert split.classes_exclusive is not (set(majority) & set(minority))
+    assert split.has_minority is bool(minority)
+    for array in (split.majority_users, split.minority_users, split.switch_users):
         assert array.dtype == np.intp and not array.flags.writeable
 
     head = a[residual, : n_bar + 1]
@@ -174,18 +166,19 @@ def test_classification_matches_argmax_scan(seed):
     )
 
     report = split.membership
-    delta = report.delta_gap
+    delta = split.delta_gap
     if delta is None:
         assert report.majority_margins.size == report.minority_margins.size == 0
     else:
         maj_margins = [(u, off_top_margin(a[u], a[u].max(), delta)) for u in majority]
         min_margins = [(u, float(a[u, :n_bar].max() - delta)) for u in minority]
-        assert list(by_user(report.majority_users, report.majority_margins).items()) == maj_margins
-        assert list(by_user(report.minority_users, report.minority_margins).items()) == min_margins
-        assert list(by_user(report.majority_users, report.majority_gap_ok).items()) == [
+        maj_users, min_users = split.majority_users, split.minority_users
+        assert list(by_user(maj_users, report.majority_margins).items()) == maj_margins
+        assert list(by_user(min_users, report.minority_margins).items()) == min_margins
+        assert list(by_user(maj_users, report.majority_margins > 0.0).items()) == [
             (u, x > 0.0) for u, x in maj_margins
         ]
-        assert list(by_user(report.minority_users, report.minority_support_ok).items()) == [
+        assert list(by_user(min_users, report.minority_margins > 0.0).items()) == [
             (u, x > 0.0) for u, x in min_margins
         ]
 
@@ -231,21 +224,23 @@ def test_gap_requires_full_popular_rank():
 
 
 def test_membership_fails_without_minority_popular_support():
-    report = PopularitySplit(worked_example(), 4).membership
-    assert report.delta_gap == 0.8313843876330611
-    assert report.kappa == 1.0
-    assert all(by_user(report.majority_users, report.majority_gap_ok).values())
-    assert by_user(report.minority_users, report.minority_support_ok) == {400: False}
+    split = PopularitySplit(worked_example(), 4)
+    report = split.membership
+    assert split.delta_gap == 0.8313843876330611
+    assert split.kappa == 1.0
+    assert all(by_user(split.majority_users, report.majority_margins > 0.0).values())
+    assert by_user(split.minority_users, report.minority_margins > 0.0) == {400: False}
     assert not report.in_class
-    assert report.popularity_inequality  # 9.118 < 10
+    assert split.popularity_inequality  # 9.118 < 10
 
 
 def test_membership_holds_once_support_clears_the_gap():
-    report = PopularitySplit(worked_example(support=0.9), 4).membership
+    split = PopularitySplit(worked_example(support=0.9), 4)
+    report = split.membership
     assert report.in_class
-    margins = by_user(report.minority_users, report.minority_margins)
+    margins = by_user(split.minority_users, report.minority_margins)
     assert margins[400] == pytest.approx(0.9 - 0.8313843876330611)
-    assert report.classes_exclusive and report.has_minority
+    assert split.classes_exclusive and split.has_minority
 
 
 def test_membership_with_zero_kappa_reduces_to_strictness():
@@ -254,45 +249,47 @@ def test_membership_with_zero_kappa_reduces_to_strictness():
     a[1, 1] = 0.7
     a[2, 0] = 0.4
     a[2, 1] = 0.4
-    report = PopularitySplit(RatingsMatrix(a), 2).membership
-    assert report.kappa == 0.0
-    assert report.delta_gap == 0.0
-    assert report.in_class  # every top gap strictly positive
-    assert not report.has_minority
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    assert split.kappa == 0.0
+    assert split.delta_gap == 0.0
+    assert split.membership.in_class  # every top gap strictly positive
+    assert not split.has_minority
 
 
 def test_membership_flags_flat_rows():
     a = np.full((1, 3), 0.5)
-    report = PopularitySplit(RatingsMatrix(a), 1).membership
-    assert by_user(report.majority_users, report.majority_gap_ok) == {0: False}
-    assert by_user(report.majority_users, report.majority_margins)[0] == -math.inf
+    split = PopularitySplit(RatingsMatrix(a), 1)
+    report = split.membership
+    assert by_user(split.majority_users, report.majority_margins > 0.0) == {0: False}
+    assert by_user(split.majority_users, report.majority_margins)[0] == -math.inf
     assert not report.in_class
-    assert not report.classes_exclusive  # the tie straddles the boundary
+    assert not split.classes_exclusive  # the tie straddles the boundary
 
 
 def test_membership_reports_rank_deficiency():
     a = np.zeros((3, 3))
     a[:, 0] = 1.0
-    report = PopularitySplit(RatingsMatrix(a), 2).membership
-    assert report.delta_gap is None
+    split = PopularitySplit(RatingsMatrix(a), 2)
+    report = split.membership
+    assert split.delta_gap is None
     assert not report.in_class
     assert "rank below n_bar" in report.reason
 
 
 def test_gap_case_is_in_class(gap_case):
     R, n_bar = gap_case
-    report = PopularitySplit(R, n_bar).membership
-    assert report.in_class
-    assert report.kappa == pytest.approx(0.3)
-    assert report.delta_gap == 0.12470765814495914
-    assert report.classes_exclusive
-    assert report.minority_users.tolist() == [800, 801]
+    split = PopularitySplit(R, n_bar)
+    assert split.membership.in_class
+    assert split.kappa == pytest.approx(0.3)
+    assert split.delta_gap == 0.12470765814495914
+    assert split.classes_exclusive
+    assert split.minority_users.tolist() == [800, 801]
 
 
 def _ref_membership(matrix: RatingsMatrix, n_bar: int) -> dict:
     """class_membership as per-user dicts, keyed in ascending user order."""
     split = PopularitySplit(matrix, n_bar)
-    majority, minority, _ = split._masks
+    majority, minority = split.class_masks
     classes = {
         "majority": frozenset(np.flatnonzero(majority).tolist()),
         "minority": frozenset(np.flatnonzero(minority).tolist()),
@@ -344,7 +341,7 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
     ref = _ref_membership(R, n_bar)
 
     for name in ("majority", "minority"):
-        users = getattr(report, f"{name}_users")
+        users = getattr(split, f"{name}_users")
         margins = getattr(report, f"{name}_margins")
         expected = ref[f"{name}_margins"]
         assert users.tolist() == sorted(ref["classes"][name])
@@ -353,16 +350,13 @@ def test_membership_arrays_match_the_per_user_dicts(seed):
             continue
         assert users.tolist() == list(expected)
         assert margins.tobytes() == np.array(list(expected.values()), dtype=float).tobytes()
-        ok = getattr(report, "majority_gap_ok" if name == "majority" else "minority_support_ok")
-        assert ok.tolist() == [x > 0.0 for x in expected.values()]
-        for array in (users, margins, ok):
+        assert (margins > 0.0).tolist() == [x > 0.0 for x in expected.values()]
+        for array in (users, margins):
             assert not array.flags.writeable
-    assert report.delta_gap == ref["delta_gap"]
+    assert split.delta_gap == ref["delta_gap"]
     assert report.in_class is ref["in_class"]
-    assert report.classes_exclusive is ref["classes_exclusive"]
-    assert report.has_minority is ref["has_minority"]
-    for name in ("majority", "minority"):
-        assert getattr(split.classes, name).tolist() == sorted(ref["classes"][name])
+    assert split.classes_exclusive is ref["classes_exclusive"]
+    assert split.has_minority is ref["has_minority"]
     # Reports hold arrays, so they compare by identity instead of raising.
     assert report == report and report != PopularitySplit(R, n_bar).membership
 
@@ -411,8 +405,8 @@ def axis_reduced_split(R: RatingsMatrix, n_bar: int) -> PopularitySplit:
     top = a == row_max[:, None]
     off = np.where(top, -np.inf, a).max(axis=1)
     off[top.all(axis=1)] = np.inf
-    masks = top[:, :n_bar].any(axis=1), top[:, n_bar:].any(axis=1), top[:, n_bar]
-    split.__dict__.update(_row_max=row_max, _top_mask=top, _masks=masks, _off_top_max=off)
+    masks = top[:, :n_bar].any(axis=1), top[:, n_bar:].any(axis=1)
+    split.__dict__.update(_row_max=row_max, _top_mask=top, class_masks=masks, _off_top_max=off)
     return split
 
 
@@ -437,8 +431,9 @@ def test_split_row_reductions_match_the_axis_reductions(seed):
     R, n_bar = signed_tie_matrix(rng)
     split, oracle = PopularitySplit(R, n_bar), axis_reduced_split(R, n_bar)
     assert split._row_max.tobytes() == oracle._row_max.tobytes()
-    for got, expected in zip(split._masks, oracle._masks):
+    for got, expected in zip(split.class_masks, oracle.class_masks):
         assert got.tobytes() == expected.tobytes()
+    assert split.switch_users.tobytes() == oracle.switch_users.tobytes()
     # A zero off-top value may carry the other sign (matrix._row_reduce's
     # contract); every margin below reads it as x - off with x never -0.0.
     off, expected_off = split._off_top_max, oracle._off_top_max
@@ -446,16 +441,13 @@ def test_split_row_reductions_match_the_axis_reductions(seed):
     nonzero = expected_off != 0.0
     assert off[nonzero].tobytes() == expected_off[nonzero].tobytes()
 
+    for name in ("majority_users", "minority_users"):
+        assert getattr(split, name).tobytes() == getattr(oracle, name).tobytes()
     got, expected = split.membership, oracle.membership
-    for name in (
-        "majority_users",
-        "minority_users",
-        "majority_margins",
-        "minority_margins",
-        "majority_gap_ok",
-        "minority_support_ok",
-    ):
-        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    for name in ("majority_margins", "minority_margins"):
+        margins, oracle_margins = getattr(got, name), getattr(expected, name)
+        assert margins.tobytes() == oracle_margins.tobytes()
+        assert (margins > 0.0).tobytes() == (oracle_margins > 0.0).tobytes()
     assert got.in_class is expected.in_class
 
     # Only users outside the minority may change their target rating.
@@ -557,7 +549,8 @@ def test_windows_and_gap_scalars_agree_bitwise(seed):
     assert float_bits(bounds.lower_bound, bounds.upper_bound) == float_bits(
         window.upper, window.lower
     )
-    assert float_bits(split.delta_gap) == float_bits(split.membership.delta_gap)
+    support = split.popular_block[split.minority_users].max(axis=1) - split.delta_gap
+    assert float_bits(*split.membership.minority_margins) == float_bits(*support)
 
     inst = general_strategy_instance(np.random.default_rng(seed))
     column = inst.strategy.replacement_column
@@ -687,7 +680,7 @@ def test_switch_users_three_way():
     a[4:, 1] = 0.4
     split = PopularitySplit(RatingsMatrix(a), 1)
     assert split.switch_users.tolist() == [4, 5, 6]
-    assert set(split.switch_users.tolist()) <= set(split.classes.minority.tolist())
+    assert set(split.switch_users.tolist()) <= set(split.minority_users.tolist())
 
 
 def test_slack_window_of_the_strategy_case(strategy_case):
@@ -704,7 +697,7 @@ def test_slack_window_matches_a_brute_force_scan(strategy_case):
     entries = R.entries
     split = PopularitySplit(R, 4)
     switching = split.switch_users.tolist()
-    residual = sorted(set(split.classes.minority.tolist()) - set(switching))
+    residual = sorted(set(split.minority_users.tolist()) - set(switching))
     w = split.delta_window
     for delta in np.linspace(0.0, 0.4, 401):
         if delta <= 0:
@@ -939,11 +932,11 @@ def test_truthful_recommendation_sets_on_the_gap_case(gap_case):
     R, n_bar = gap_case
     model = fit_learner(R, GAP_ALPHA)
     outcome = recommend(model.truncated, derandomize=True)
-    classes = PopularitySplit(R, n_bar).classes
+    majority = PopularitySplit(R, n_bar).majority_users
     popular = set(range(n_bar))
     for u in range(R.rows):
         tie = set(np.flatnonzero(outcome.tie[u]).tolist())
-        if u in classes.majority:
+        if u in majority:
             assert tie <= set(top_items(R.entries[u])) & popular
         else:
             assert tie <= popular
@@ -953,9 +946,9 @@ def test_truthful_welfare_hits_the_ceiling_exactly(gap_case):
     R, n_bar = gap_case
     outcome = recommend(fit_learner(R, GAP_ALPHA).truncated, derandomize=True)
     sw = social_welfare(R, outcome).social_welfare
-    classes = PopularitySplit(R, n_bar).classes
-    maj = sorted(classes.majority)
-    minority = sorted(classes.minority)
+    split = PopularitySplit(R, n_bar)
+    maj = sorted(split.majority_users)
+    minority = sorted(split.minority_users)
     r_lower = max(float(R.entries[u, :n_bar].max()) for u in minority)
     ceiling = len(minority) * r_lower + float(R.entries[maj].max(axis=1).sum())
     assert sw == pytest.approx(800.5, abs=1e-9)
