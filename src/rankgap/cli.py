@@ -36,7 +36,6 @@ from .matrix import (
     GroupPartition,
     OpenInterval,
     RatingsMatrix,
-    SpectralSummary,
     matrix_l1_norm,
     numeric_rank_of,
     save_ratings_csv,
@@ -73,7 +72,7 @@ def _run_side(
         "alpha": float(alpha),
         "spectrum": [float(s) for s in model.spectrum.singular_values],
         "chosen_rank": model.chosen_rank,
-        "tvr": tvr(model.spectrum, model.chosen_rank),
+        "tvr": tvr(model.spectrum.singular_values, model.chosen_rank),
         "gap_interval": _interval_json(mat.gap_interval()),
         "social_welfare": welfare.social_welfare,
         "u_ben": welfare.u_ben,
@@ -173,9 +172,7 @@ def sweep(mat: MaterializedScenario) -> dict:
             fitted[rank] = {key: side[key] for key in ("chosen_rank", "tvr", "social_welfare")}
             if spectrum is None:
                 # The singular values alone: no m x n factor outlives the fit.
-                s = np.array(side["spectrum"])
-                empty = np.zeros((0, 0))
-                spectrum = SpectralSummary(s, left=empty, right_t=empty)
+                spectrum = np.array(side["spectrum"])
         runs.append({"id": index, "alpha": alpha, **fitted[rank]})
     return {
         "kind": "sweep",

@@ -25,7 +25,7 @@ class PartialMatrix:
     """Known entries on an observation mask; everything else is unknown.
 
     ``mask`` is a read-only m x n bool array marking the cells the learner has
-    seen, the form :func:`explore` and :func:`explore_per_user` return.
+    seen, the form :func:`explore_per_user` returns.
     """
 
     values: np.ndarray
@@ -117,24 +117,6 @@ def save_partial_json(path, partial: PartialMatrix) -> None:
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
-
-def explore(R_star: RatingsMatrix, rounds: int, per_round: int, seed: int) -> np.ndarray:
-    """Query rounds*per_round distinct cells uniformly at random.
-
-    The rounds/per_round split is a query budget only; draws are uniform
-    without replacement over the whole grid and deterministic under seed.
-    Returns the queried cells as a read-only m x n bool mask.
-    """
-    m, n = R_star.shape
-    total = rounds * per_round
-    if total > m * n:
-        raise ValueError(f"requested {total} cells from a grid of {m * n}")
-    rng = np.random.default_rng(seed)
-    mask = np.zeros(m * n, dtype=bool)
-    mask[rng.choice(m * n, size=total, replace=False)] = True
-    mask.flags.writeable = False
-    return mask.reshape(m, n)
-
 
 def explore_per_user(R_star: RatingsMatrix, per_user: int, seed: int) -> np.ndarray:
     """Query per_user distinct items for every user, uniformly per row.
@@ -279,7 +261,6 @@ __all__ = [
     "PartialMatrix",
     "load_partial_json",
     "save_partial_json",
-    "explore",
     "explore_per_user",
     "observed_minority_block_zero",
     "sparsest_majority_completion",

@@ -31,7 +31,6 @@ __all__ = [
     "StrategyInstance",
     "indicator_scenario",
     "paired_indicator",
-    "multigroup_example",
     "stratified_collective",
     "random_block_scenario",
     "gap_class_instance",
@@ -134,11 +133,6 @@ def indicator_scenario(
 def paired_indicator(m_maj: int, m_minor: int) -> tuple[RatingsMatrix, GroupPartition]:
     """Two popular groups of m_maj users and two niche groups of m_minor users."""
     return indicator_scenario((m_maj, m_maj), (m_minor, m_minor))
-
-
-def multigroup_example() -> tuple[RatingsMatrix, GroupPartition]:
-    """Four popular groups of 100 users plus a 4-user and a 1-user niche item."""
-    return indicator_scenario((100, 100, 100, 100), (4, 1))
 
 
 def stratified_collective(

@@ -16,6 +16,7 @@ from .matrix import (
     GroupPartition,
     SpectralSummary,
     _mask_indices,
+    _numeric_rank,
     _row_reduce,
     column_abs_sums,
     singular_values_of,
@@ -69,36 +70,28 @@ class WelfareReport:
 # Rank selection and truncation
 # ---------------------------------------------------------------------------
 
-def _summary_of(R_or_summary) -> SpectralSummary:
-    if isinstance(R_or_summary, SpectralSummary):
-        return R_or_summary
-    return spectral(R_or_summary)
-
-
-def tvr(R: RatingsMatrix | SpectralSummary, k: int) -> float:
-    """Share of the singular-value mass kept by a rank-k truncation."""
-    summary = _summary_of(R)
-    rank = summary.numeric_rank
+def tvr(s: np.ndarray, k: int) -> float:
+    """Share of the descending singular values s kept by a rank-k truncation."""
+    rank = _numeric_rank(s)
     if not 1 <= k <= rank:
         raise ValueError(f"k must be in [1, {rank}], got {k}")
-    s = summary.singular_values[:rank]
+    s = s[:rank]
     return float(s[:k].sum() / s.sum())
 
 
-def choose_rank(R: RatingsMatrix | SpectralSummary, alpha: float) -> int:
+def choose_rank(s: np.ndarray, alpha: float) -> int:
     """Smallest admissible rank whose next singular value is at most alpha.
 
-    Singular values beyond the numeric rank count as zero, so the result is
-    always in [1, rank]. A singular value within the tie tolerance of alpha
-    is treated as equal to it, and equality admits truncation.
+    ``s`` holds a matrix's singular values in descending order. Those beyond
+    the numeric rank count as zero, so the result is always in [1, rank]. A
+    singular value within the tie tolerance of alpha is treated as equal to
+    it, and equality admits truncation.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    summary = _summary_of(R)
-    rank = summary.numeric_rank
+    rank = _numeric_rank(s)
     if rank == 0:
         raise ValueError("zero matrix has no admissible rank")
-    s = summary.singular_values
     tol = tie_tolerance(float(s[0]))
     for k in range(1, rank):
         if s[k] <= alpha + tol:
@@ -106,11 +99,9 @@ def choose_rank(R: RatingsMatrix | SpectralSummary, alpha: float) -> int:
     return rank
 
 
-def truncate(
-    R: RatingsMatrix, k: int, summary: SpectralSummary | None = None
-) -> RatingsMatrix:
-    """Best rank-k approximation in Frobenius norm; entries may go negative."""
-    summary = spectral(R) if summary is None else summary
+def truncate(summary: SpectralSummary, k: int) -> RatingsMatrix:
+    """Best rank-k approximation in Frobenius norm, from the matrix's full
+    decomposition; entries may go negative."""
     rank = summary.numeric_rank
     if not 1 <= k <= rank:
         raise ValueError(f"k must be in [1, {rank}], got {k}")
@@ -123,11 +114,11 @@ def truncate(
 def fit_learner(R_tilde: RatingsMatrix, alpha: float) -> LearnerModel:
     """Run the learning phase: decompose, pick the rank, truncate."""
     summary = spectral(R_tilde)
-    k_star = choose_rank(summary, alpha)
+    k_star = choose_rank(summary.singular_values, alpha)
     return LearnerModel(
         alpha=float(alpha),
         chosen_rank=k_star,
-        truncated=truncate(R_tilde, k_star, summary),
+        truncated=truncate(summary, k_star),
         spectrum=summary,
     )
 

@@ -460,11 +460,6 @@ class DeltaWindow:
     def has_positive_point(self) -> bool:
         return self.upper > self.lower
 
-    @property
-    def witness(self) -> float:
-        """A positive point inside the window; meaningful only when one exists."""
-        return 0.5 * (self.lower + self.upper)
-
 
 def _validate_replacement(matrix: RatingsMatrix, column: np.ndarray) -> np.ndarray:
     column = np.asarray(column, dtype=float)

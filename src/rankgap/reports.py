@@ -45,7 +45,6 @@ __all__ = [
     "canonical_json_bytes",
     "per_user_csv_bytes",
     "report_emit",
-    "load_report",
     "report_schema",
 ]
 
@@ -301,10 +300,6 @@ def report_emit(report: dict, fmt: str, out_dir, name: str) -> Path:
         data = per_user_csv_bytes(report)
     path.write_bytes(data)
     return path
-
-
-def load_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def report_schema() -> dict:

@@ -9,7 +9,7 @@ package.
 import numpy as np
 import pytest
 
-from rankgap.generators import multigroup_example, paired_indicator
+from rankgap.generators import indicator_scenario, paired_indicator
 from rankgap.matrix import RatingsMatrix
 
 
@@ -22,7 +22,7 @@ def paired_scene():
 @pytest.fixture(scope="session")
 def multi_scene():
     """Four popular groups of 100 users, a 4-user picky item, a lone niche user."""
-    return multigroup_example()
+    return indicator_scenario((100, 100, 100, 100), (4, 1))
 
 
 def float_bits(*values: float) -> list[str]:

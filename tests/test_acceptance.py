@@ -37,7 +37,7 @@ from rankgap.generators import (
     stratified_collective,
 )
 from rankgap.learner import fit_learner, kappa_k, recommend, social_welfare
-from rankgap.matrix import numeric_rank_of, singular_values_of
+from rankgap.matrix import numeric_rank_of
 from rankgap.popgap import top_items
 
 SWEEP_SEED = 20260816

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rankgap import cli, generators, matrix, scenario
+from rankgap import cli, generators, learner, matrix, scenario
 from rankgap.cli import main, run, sweep
 from rankgap.collective import apply_uprating
 from rankgap.learner import choose_rank
@@ -444,6 +444,21 @@ def test_collective_run_validates_five_times_and_makes_seventeen_svds():
     assert report["collective"] is not None
     assert validated.call_count == 5
     assert (len(spectral_calls), len(value_calls)) == (2, 15)
+
+
+def test_sweep_fits_once_per_rank_and_makes_ten_svds():
+    """TOP_K2_DOC's sweep: 13 points chose ranks 4 and 5, so 2 fits and 10
+    SVDs (2 spectral, 8 singular_values_of); perfbench pins 5 per fit."""
+    mat = generate_scenario(TOP_K2_DOC)
+    with (
+        counting(learner, "fit_learner") as fits,
+        counting(matrix, "spectral") as spectral_calls,
+        counting(matrix, "singular_values_of") as value_calls,
+    ):
+        report = sweep(mat)
+    assert len(report["runs"]) == 13
+    assert {point["chosen_rank"] for point in report["runs"]} == {4, 5}
+    assert (len(fits), len(spectral_calls), len(value_calls)) == (2, 2, 8)
 
 
 def test_multigroup_report_bytes_are_reproducible(multigroup_report):
@@ -1240,7 +1255,7 @@ def test_tie_tolerance_boundary_is_recorded_consistently(tmp_path, offset, rank,
     tol = tie_tolerance(float(sigma[0]))
     assert tol == TIE_RTOL * 10.0
     alpha = sigma1_min + offset * tol
-    assert choose_rank(mat.matrix, alpha) == rank
+    assert choose_rank(sigma, alpha) == rank
 
     doc["name"] = "tie"
     doc["alpha"] = alpha

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from rankgap.completion import (
     MC_BLOCK_KEYS,
     PartialMatrix,
-    explore,
     explore_per_user,
     load_partial_json,
     miss_probability_mc,
@@ -195,38 +194,32 @@ def test_partial_json_must_be_an_object(tmp_path):
 
 def test_exhaustive_exploration_sees_everything():
     R = RatingsMatrix(np.ones((3, 4)))
-    omega = explore(R, rounds=3, per_round=4, seed=0)
+    omega = explore_per_user(R, per_user=4, seed=0)
     assert omega.sum() == 12
     assert pairs_of(omega) == {(u, i) for u in range(3) for i in range(4)}
 
 
 def test_exploration_is_deterministic_under_seed():
     R = RatingsMatrix(np.ones((6, 5)))
-    a = explore(R, rounds=2, per_round=7, seed=42)
-    b = explore(R, rounds=2, per_round=7, seed=42)
-    c = explore(R, rounds=2, per_round=7, seed=43)
+    a = explore_per_user(R, per_user=2, seed=42)
+    b = explore_per_user(R, per_user=2, seed=42)
+    c = explore_per_user(R, per_user=2, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_exploration_rejects_oversampling():
-    R = RatingsMatrix(np.ones((2, 2)))
-    with pytest.raises(ValueError, match="grid"):
-        explore(R, rounds=5, per_round=1, seed=0)
-
-
 def test_exploration_coverage_matches_sampled_fraction():
-    # 8 of 20 cells per draw; without-replacement sampling makes each draw's
+    # 2 of 4 cells per row; without-replacement sampling makes each draw's
     # coverage exact, and per-cell frequencies even out across 1000 seeds
     R = RatingsMatrix(np.ones((5, 4)))
     counts = np.zeros((5, 4))
     coverages = []
     for seed in range(1000):
-        omega = explore(R, rounds=2, per_round=4, seed=seed)
+        omega = explore_per_user(R, per_user=2, seed=seed)
         coverages.append(omega.sum() / 20)
         counts += omega
-    assert abs(np.mean(coverages) - 0.4) <= 0.02
-    assert np.abs(counts / 1000 - 0.4).mean() <= 0.02
+    assert abs(np.mean(coverages) - 0.5) <= 0.02
+    assert np.abs(counts / 1000 - 0.5).mean() <= 0.02
 
 
 def test_per_user_exploration_samples_each_row():
@@ -236,14 +229,6 @@ def test_per_user_exploration_samples_each_row():
     assert omega.sum(axis=1).tolist() == [2, 2, 2, 2]
     with pytest.raises(ValueError, match="per_user"):
         explore_per_user(R, per_user=6, seed=0)
-
-
-def reference_explore(R_star, rounds, per_round, seed):
-    """explore as it was when it returned an ObservedSet: the pair set."""
-    m, n = R_star.shape
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(m * n, size=rounds * per_round, replace=False)
-    return frozenset((int(f // n), int(f % n)) for f in flat)
 
 
 def reference_explore_per_user(R_star, per_user, seed):
@@ -262,16 +247,11 @@ def reference_explore_per_user(R_star, per_user, seed):
 def test_exploration_masks_match_the_pair_set_code(seed, m, n, data):
     """Same seed, same cells: the mask holds exactly the pairs drawn before."""
     R = RatingsMatrix(np.ones((m, n)))
-    per_round = data.draw(st.integers(1, 3))
-    rounds = data.draw(st.integers(0, m * n // per_round))
     per_user = data.draw(st.integers(0, n))
-    for mask, expected in (
-        (explore(R, rounds, per_round, seed), reference_explore(R, rounds, per_round, seed)),
-        (explore_per_user(R, per_user, seed), reference_explore_per_user(R, per_user, seed)),
-    ):
-        assert mask.dtype == bool and mask.shape == (m, n)
-        assert not mask.flags.writeable
-        assert pairs_of(mask) == expected
+    mask = explore_per_user(R, per_user, seed)
+    assert mask.dtype == bool and mask.shape == (m, n)
+    assert not mask.flags.writeable
+    assert pairs_of(mask) == reference_explore_per_user(R, per_user, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from rankgap.generators import (
     gap_class_instance,
     general_strategy_instance,
     indicator_scenario,
-    multigroup_example,
     paired_indicator,
     random_block_scenario,
     random_finder_inputs,
@@ -75,7 +74,7 @@ def test_paired_indicator_spectrum():
 
 
 def test_multigroup_example_layout():
-    R, p = multigroup_example()
+    R, p = indicator_scenario((100, 100, 100, 100), (4, 1))
     assert R.shape == (405, 6)
     assert p.m_bar == 400 and p.n_bar == 4
     assert np.array_equal(R.entries.sum(axis=0), [100.0] * 4 + [4.0, 1.0])
@@ -86,7 +85,7 @@ def test_multigroup_example_layout():
 # ---------------------------------------------------------------------------
 
 def test_stratified_collective_takes_group_prefixes():
-    R, p = multigroup_example()
+    R, p = indicator_scenario((100, 100, 100, 100), (4, 1))
     coll = stratified_collective(R, p, 0.25)
     expected = set()
     for block in range(4):

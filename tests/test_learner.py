@@ -23,7 +23,6 @@ from rankgap.matrix import (
     RatingsMatrix,
     block_partition,
     column_abs_sums,
-    singular_value_gap,
     singular_values_of,
     spectral,
     tie_tolerance,
@@ -43,25 +42,26 @@ def items(mask_row) -> set[int]:
 
 def test_tvr_at_full_rank_is_one(paired_scene):
     R, _ = paired_scene
-    assert tvr(R, 4) == 1.0
+    assert tvr(spectral(R).singular_values, 4) == 1.0
 
 
 def test_tvr_of_paired_spectrum_at_two(paired_scene):
     R, _ = paired_scene
     # spectrum (2,2,1,1): (2+2)/(2+2+1+1)
-    assert tvr(R, 2) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert tvr(spectral(R).singular_values, 2) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_tvr_of_rank_one_matrix():
-    assert tvr(RatingsMatrix(np.ones((3, 3))), 1) == 1.0
+    assert tvr(spectral(RatingsMatrix(np.ones((3, 3)))).singular_values, 1) == 1.0
 
 
 def test_tvr_rejects_out_of_range(paired_scene):
     R, _ = paired_scene
+    s = spectral(R).singular_values
     with pytest.raises(ValueError):
-        tvr(R, 0)
+        tvr(s, 0)
     with pytest.raises(ValueError):
-        tvr(R, 5)
+        tvr(s, 5)
 
 
 @given(seeds)
@@ -69,8 +69,8 @@ def test_tvr_rejects_out_of_range(paired_scene):
 def test_tvr_strictly_increasing_to_one(seed):
     rng = np.random.default_rng(seed)
     R = RatingsMatrix(rng.uniform(0.1, 1.0, size=(6, 5)))
-    rank = spectral(R).numeric_rank
-    values = [tvr(R, k) for k in range(1, rank + 1)]
+    s = spectral(R)
+    values = [tvr(s.singular_values, k) for k in range(1, s.numeric_rank + 1)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -81,19 +81,20 @@ def test_tvr_strictly_increasing_to_one(seed):
 
 def test_choose_rank_on_paired_spectrum(paired_scene):
     R, _ = paired_scene
-    assert choose_rank(R, 1.5) == 2
-    assert choose_rank(R, 2.0) == 1  # equality admits truncation
-    assert choose_rank(R, 1.0) == 2
-    assert choose_rank(R, 2.5) == 1
-    assert choose_rank(R, 0.0) == 4
-    assert choose_rank(R, 0.5) == 4
+    s = spectral(R).singular_values
+    assert choose_rank(s, 1.5) == 2
+    assert choose_rank(s, 2.0) == 1  # equality admits truncation
+    assert choose_rank(s, 1.0) == 2
+    assert choose_rank(s, 2.5) == 1
+    assert choose_rank(s, 0.0) == 4
+    assert choose_rank(s, 0.5) == 4
 
 
 def test_choose_rank_rejects_bad_inputs():
     with pytest.raises(ValueError, match="nonnegative"):
-        choose_rank(RatingsMatrix(np.eye(2)), -0.1)
+        choose_rank(spectral(RatingsMatrix(np.eye(2))).singular_values, -0.1)
     with pytest.raises(ValueError, match="zero matrix"):
-        choose_rank(RatingsMatrix(np.zeros((2, 2))), 1.0)
+        choose_rank(spectral(RatingsMatrix(np.zeros((2, 2)))).singular_values, 1.0)
 
 
 @given(seeds)
@@ -103,7 +104,7 @@ def test_chosen_rank_is_minimal_admissible(seed):
     R = RatingsMatrix(rng.uniform(0.0, 1.0, size=(6, 5)))
     s = spectral(R)
     alpha = float(rng.uniform(0.0, s.sigma(1) * 1.1))
-    k = choose_rank(s, alpha)
+    k = choose_rank(s.singular_values, alpha)
     assert 1 <= k <= s.numeric_rank
     assert s.sigma(k + 1) <= alpha + 1e-9 * max(1.0, s.sigma(1))
     if k > 1:
@@ -120,10 +121,10 @@ def test_sigma_rule_matches_variation_increment_rule(seed):
     total = float(s.singular_values[: s.numeric_rank].sum())
     by_increment = s.numeric_rank
     for k in range(1, s.numeric_rank):
-        if tvr(s, k + 1) - tvr(s, k) <= alpha / total:
+        if tvr(s.singular_values, k + 1) - tvr(s.singular_values, k) <= alpha / total:
             by_increment = k
             break
-    assert choose_rank(s, alpha) == by_increment
+    assert choose_rank(s.singular_values, alpha) == by_increment
 
 
 @given(seeds)
@@ -144,13 +145,13 @@ def test_block_scenarios_select_the_majority_rank(seed):
 
 def test_truncate_at_full_rank_returns_matrix(paired_scene):
     R, _ = paired_scene
-    out = truncate(R, 4)
+    out = truncate(spectral(R), 4)
     assert np.allclose(out.entries, R.entries, atol=1e-9)
 
 
 def test_truncate_zeroes_the_minority_block(paired_scene):
     R, p = paired_scene
-    out = truncate(R, 2)
+    out = truncate(spectral(R), 2)
     maj = np.zeros_like(R.entries)
     rows = sorted(p.majority_users)
     cols = sorted(p.majority_items)
@@ -165,7 +166,7 @@ def test_truncation_residual_matches_discarded_spectrum(seed):
     R = RatingsMatrix(rng.uniform(0.0, 2.0, size=(7, 5)))
     s = spectral(R)
     k = int(rng.integers(1, s.numeric_rank + 1))
-    out = truncate(R, k, s)
+    out = truncate(s, k)
     residual_sq = float(np.linalg.norm(R.entries - out.entries, "fro") ** 2)
     expected = float((s.singular_values[k:] ** 2).sum())
     assert residual_sq == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
@@ -173,10 +174,11 @@ def test_truncation_residual_matches_discarded_spectrum(seed):
 
 def test_truncate_rejects_out_of_range(paired_scene):
     R, _ = paired_scene
+    s = spectral(R)
     with pytest.raises(ValueError):
-        truncate(R, 0)
+        truncate(s, 0)
     with pytest.raises(ValueError):
-        truncate(R, 5)
+        truncate(s, 5)
 
 
 def test_fitted_model_invariants(multi_scene):
@@ -189,7 +191,7 @@ def test_fitted_model_invariants(multi_scene):
     assert s.sigma(model.chosen_rank) > model.alpha
     recon_err = np.linalg.norm(
         model.truncated.entries
-        - truncate(R, model.chosen_rank).entries,
+        - truncate(spectral(R), model.chosen_rank).entries,
         "fro",
     )
     assert recon_err <= 1e-9 * np.linalg.norm(R.entries)
@@ -409,7 +411,7 @@ def test_chosen_lies_in_pop_tie_set_inside_tie_set(paired_scene):
 
 def test_full_slate_recommendation(paired_scene):
     R, _ = paired_scene
-    outcome = recommend(truncate(R, 4), k_items=4, seed=1)
+    outcome = recommend(truncate(spectral(R), 4), k_items=4, seed=1)
     for row in outcome.chosen.tolist():
         assert row == [0, 1, 2, 3]
 
@@ -521,7 +523,7 @@ def test_truthful_outcome_guarantee_on_multigroup(multi_scene):
 
 def test_welfare_rejects_mismatched_shapes(paired_scene):
     R, _ = paired_scene
-    outcome = recommend(truncate(R, 2), seed=0)
+    outcome = recommend(truncate(spectral(R), 2), seed=0)
     with pytest.raises(ValueError, match="outcome shaped"):
         social_welfare(RatingsMatrix(np.ones((3, 4))), outcome)
 
