@@ -247,7 +247,11 @@ def _load_scenario_doc(args) -> dict:
     if args.config and args.preset:
         raise ValueError("pass either --config or --preset, not both")
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{args.config}: the scenario document nests too deeply") from None
     elif args.preset:
         doc = json.loads(json.dumps(PRESETS[args.preset]))
     else:

@@ -10,7 +10,6 @@ enough to check directly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -89,29 +88,6 @@ class PartialMatrix:
         if X.shape != self.values.shape:
             return False
         return bool(np.all(X.entries[self.mask] == self.values[self.mask]))
-
-
-def load_partial_json(path) -> PartialMatrix:
-    """Read {"rows", "cols", "observed": [[u, i, value], ...]} into a PartialMatrix."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object with rows, cols and observed")
-    missing = [key for key in ("rows", "cols", "observed") if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    return PartialMatrix.from_triples(doc["rows"], doc["cols"], doc["observed"])
-
-
-def save_partial_json(path, partial: PartialMatrix) -> None:
-    rows, cols = partial.values.shape
-    triples = [
-        [int(u), int(i), float(partial.values[u, i])]
-        for u, i in sorted(zip(*np.nonzero(partial.mask)))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"rows": rows, "cols": cols, "observed": triples}, fh, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +235,6 @@ def miss_probability_mc(
 
 __all__ = [
     "PartialMatrix",
-    "load_partial_json",
-    "save_partial_json",
     "explore_per_user",
     "observed_minority_block_zero",
     "sparsest_majority_completion",

@@ -1012,6 +1012,19 @@ def test_a_group_too_large_to_allocate_is_one_error_line(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_a_too_deeply_nested_config_is_one_error_line(tmp_path, capsys, command, opener):
+    config = tmp_path / "deep.json"
+    config.write_text(opener * 100_000)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: the scenario document nests too deeply\n"
+    assert not out.exists()
+
+
 def test_gap_class_runs_truthfully(tmp_path):
     config = write_config(
         tmp_path, {"name": "gc", "seed": 3, "matrix": {"family": "gap_class"}}

@@ -1,7 +1,7 @@
 """Exploration, zero-padded completion, solution reduction, and the sampling
-Monte Carlo, checked on the packaged walkthrough fixtures and random instances."""
+Monte Carlo, checked on the walkthrough fixtures and random instances."""
 
-import json
+import hashlib
 import math
 import tracemalloc
 
@@ -13,11 +13,9 @@ from rankgap.completion import (
     MC_BLOCK_KEYS,
     PartialMatrix,
     explore_per_user,
-    load_partial_json,
     miss_probability_mc,
     observed_minority_block_zero,
     reduce_solution,
-    save_partial_json,
     sparsest_majority_completion,
 )
 from rankgap.fixtures import (
@@ -113,32 +111,6 @@ def test_feasibility_is_exact_equality_on_the_mask():
     assert not partial.feasible(RatingsMatrix(np.zeros((3, 2))))
 
 
-def test_partial_json_round_trip(tmp_path):
-    partial = PartialMatrix.from_triples(3, 2, [(0, 1, 0.25), (2, 0, 4.0)])
-    path = tmp_path / "omega.json"
-    save_partial_json(path, partial)
-    back = load_partial_json(path)
-    assert np.array_equal(back.values, partial.values)
-    assert np.array_equal(back.mask, partial.mask)
-
-
-@pytest.mark.parametrize(
-    "doc, missing",
-    [
-        ({"cols": 2, "observed": []}, "rows"),
-        ({"rows": 3, "observed": []}, "cols"),
-        ({"rows": 3, "cols": 2}, "observed"),
-        ({}, "rows, cols, observed"),
-        ({"rows": 3}, "cols, observed"),
-    ],
-)
-def test_partial_json_names_each_missing_key(tmp_path, doc, missing):
-    path = tmp_path / "omega.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"missing key\\(s\\) {missing}$"):
-        load_partial_json(path)
-
-
 @pytest.mark.parametrize(
     "rows, cols, triples, match",
     [
@@ -161,31 +133,6 @@ def test_partial_json_names_each_missing_key(tmp_path, doc, missing):
 def test_triples_outside_the_grid_are_named(rows, cols, triples, match):
     with pytest.raises(ValueError, match=match):
         PartialMatrix.from_triples(rows, cols, triples)
-
-
-@pytest.mark.parametrize(
-    "doc, match",
-    [
-        ({"rows": 3, "cols": 2, "observed": [[-1, 0, 1.0]]}, r"\[-1, 0, 1\.0\] lies outside"),
-        ({"rows": 3, "cols": 2, "observed": [[0, 5, 1.0]]}, r"\[0, 5, 1\.0\] lies outside"),
-        ({"rows": "3", "cols": 2, "observed": []}, "rows and cols must be integers"),
-        ({"rows": 3, "cols": 2, "observed": [[0, 1]]}, r"\[0, 1\] is not a"),
-        ({"rows": 2, "cols": 2, "observed": [[0, 0, math.nan]]}, r"\[0, 0, nan\] has a non-finite"),
-        ({"rows": 2, "cols": 2, "observed": [[1, 0, math.inf]]}, r"\[1, 0, inf\] has a non-finite"),
-    ],
-)
-def test_partial_json_rejects_bad_observations(tmp_path, doc, match):
-    path = tmp_path / "omega.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=match):
-        load_partial_json(path)
-
-
-def test_partial_json_must_be_an_object(tmp_path):
-    path = tmp_path / "omega.json"
-    path.write_text("[3, 2, []]")
-    with pytest.raises(ValueError, match="JSON object"):
-        load_partial_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +239,35 @@ def test_empty_observation_set_passes_vacuously():
 # ---------------------------------------------------------------------------
 # Walkthrough fixtures
 # ---------------------------------------------------------------------------
+
+FIXTURE_DIGESTS = {
+    mc_4x4_true: "918ea997f0c7bd7679474d8a21d21f6ae8f3770c75ba8cb99936573cb29a32bc",
+    mc_4x4_round1: "0d60460897db389c12cc1e93f9e6495a42774a07c339350565c990331b77fb3b",
+    mc_4x4_round_t: "47712be9bd8e0fc559787044982a386ea10519414c01ede63300c8396e098f87",
+    mc_4x4_completed: "e539692e0d184d70ff9c84ddc5a504e8b8624b5cac8e52b28fa380af8e7fc051",
+    mc_10x10: "02d9396ee5b90e5385173dc3bd3fae599e899dfec48398ba2fb2703cfb582565",
+    mc_6x6_observed: "b193ad540f20f0f34e37bee55411147d0f076a241e513e6ec44d1aec7206130a",
+    mc_6x6_less_sparse: "4c1ca7cdf6d6876f13716a0af3190ee6d7be0722ba2667aa104000142e0ee972",
+}
+
+
+def test_fixture_bits_are_pinned():
+    # Each digest covers the entries, or the values and the mask, with their
+    # shapes, so any edit to a fixture literal shows to the last bit.
+    for accessor, expected in FIXTURE_DIGESTS.items():
+        fixture = accessor()
+        if isinstance(fixture, tuple):
+            fixture = fixture[0]
+        if isinstance(fixture, RatingsMatrix):
+            arrays = (fixture.entries,)
+        else:
+            arrays = (fixture.values, fixture.mask)
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == expected, accessor.__name__
+
 
 def test_tiny_walkthrough_ranks_and_feasibility():
     true = mc_4x4_true()
