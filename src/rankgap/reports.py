@@ -199,10 +199,12 @@ def _dumps(obj) -> str:
 _ROW_PAD = "\n    "
 _PER_USER_SLOT = '\n  "per_user": []'
 _ROW_END = _ROW_PAD + "}"
+_ROW_SEP = _ROW_END + "," + _ROW_PAD
 
 
-def _table_json(table: PerUserTable) -> str:
-    """``table.rows()`` as the canonical report writes it under ``per_user``.
+def _table_json(table: PerUserTable, head: str, tail: str) -> str:
+    """``head``, then ``table.rows()`` as the canonical report writes it under
+    ``per_user``, then ``tail``, in one join.
 
     Each distinct row body is encoded once by ``_dumps``, as the row of user 0.
     "user" sorts last among PER_USER_COLUMNS, so that text cut at its last
@@ -212,11 +214,14 @@ def _table_json(table: PerUserTable) -> str:
     for values in zip(*table._columns(first)):
         text = _dumps(_canon(dict(zip(PER_USER_COLUMNS, (0, *values)))))
         text = text.replace("\n", _ROW_PAD)
-        heads.append(text[: text.rindex('"user": ') + len('"user": ')])
-    rows = (_ROW_END + "," + _ROW_PAD).join(
-        [heads[b] + str(u) for u, b in enumerate(body.tolist())]
-    )
-    return "[" + _ROW_PAD + rows + _ROW_END + "\n  ]"
+        heads.append(_ROW_SEP + text[: text.rindex('"user": ') + len('"user": ')])
+    # Row u is the end of row u - 1, its body's head and then u.
+    pieces = [""] * (2 * len(body) + 1)
+    pieces[0:-1:2] = [heads[b] for b in body.tolist()]
+    pieces[1::2] = map(str, range(len(body)))
+    pieces[0] = head + "[" + _ROW_PAD + pieces[0][len(_ROW_SEP) :]
+    pieces[-1] = _ROW_END + "\n  ]" + tail
+    return "".join(pieces)
 
 
 def canonical_json_bytes(report: dict) -> bytes:
@@ -224,14 +229,16 @@ def canonical_json_bytes(report: dict) -> bytes:
     plus a newline, as UTF-8; those bytes are the contract.  A nonempty
     :class:`PerUserTable` under ``per_user`` is written from its columns to the
     same bytes, the encoder writing each distinct row body once rather than
-    every row; per-user rows held as dicts take the encoder whole."""
+    every row.  The report's text is then one join of the rest of the report,
+    the row heads and the user ids, encoded once; per-user rows held as dicts
+    take the encoder whole."""
     table = report.get("per_user") if isinstance(report, dict) else None
     if not (isinstance(table, PerUserTable) and len(table)):
         return (_dumps(_canon(report)) + "\n").encode("utf-8")
     text = _dumps(_canon({**report, "per_user": []}))
     # Only the top-level key sits at two spaces of indent, so the slot is unique.
-    text = text.replace(_PER_USER_SLOT, _PER_USER_SLOT[:-2] + _table_json(table), 1)
-    return (text + "\n").encode("utf-8")
+    at = text.index(_PER_USER_SLOT) + len(_PER_USER_SLOT) - 2
+    return _table_json(table, text[:at], text[at + 2 :] + "\n").encode("utf-8")
 
 
 def _cell(value) -> str:
@@ -260,25 +267,29 @@ def _csv_table(report: dict, key: str, columns: tuple) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _table_csv(table: PerUserTable) -> bytes:
-    """``_csv_table`` of ``table.rows()``: each distinct row body is written
-    once, and each line is its user id, a comma and its body."""
+def _table_csv(table: PerUserTable) -> str:
+    """The text of ``_csv_table`` of ``table.rows()``: each distinct row body is
+    written once, and each line is its user id, a comma and its body."""
     first, body = table._distinct()
     lines = []
     # The csv writer hands each row to write() whole, line end included.
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(PER_USER_COLUMNS)
     writer.writerows(zip(*([_cell(v) for v in values] for values in table._columns(first))))
-    header, bodies = lines[0], lines[1:]
-    rows = "".join([f"{u},{bodies[b]}" for u, b in enumerate(body.tolist())])
-    return (header + rows).encode("utf-8")
+    bodies = ["," + line for line in lines[1:]]
+    # The header, then each user id and its body, in one join.
+    pieces = [""] * (2 * len(body) + 1)
+    pieces[0] = lines[0]
+    pieces[1::2] = map(str, range(len(body)))
+    pieces[2::2] = [bodies[b] for b in body.tolist()]
+    return "".join(pieces)
 
 
 def per_user_csv_bytes(report: dict) -> bytes:
     """Fixed-column CSV projection of the report's per-user table."""
     table = report.get("per_user")
     if isinstance(table, PerUserTable):
-        return _table_csv(table)
+        return _table_csv(table).encode("utf-8")
     return _csv_table(report, "per_user", PER_USER_COLUMNS)
 
 
