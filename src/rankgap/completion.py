@@ -217,9 +217,11 @@ def miss_probability_mc(
     count_dtype = np.uint8 if n < 256 else np.intp
     block = max(1, MC_BLOCK_KEYS // (hot_rows.size * n))
     rng = np.random.default_rng(seed)
+    # One key buffer per call; the last block fills a leading slice of it.
+    buffer = np.empty((min(block, trials), hot_rows.size, n))
     hits = 0
     for done in range(0, trials, block):
-        keys = rng.random((min(block, trials - done), hot_rows.size, n))
+        keys = rng.random(out=buffer[: min(block, trials - done)])
         smallest = np.empty(keys.shape[:2])
         for r, items in enumerate(hot_items):
             smallest[:, r] = functools.reduce(np.minimum, [keys[:, r, i] for i in items])

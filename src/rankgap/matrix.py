@@ -201,12 +201,20 @@ class GroupPartition:
         return self.majority_items.size
 
     def majority_block(self, a: np.ndarray) -> np.ndarray:
-        """Majority-user x majority-item submatrix of a, rows and columns in index order."""
-        return a[np.ix_(self.majority_users, self.majority_items)]
+        """Majority-user x majority-item submatrix of a, rows and columns in index order.
+
+        A view of a when both groups are contiguous ranges (as in every
+        ``block_partition``), else a copy; either way writeable exactly when
+        a is, so a block of a read-only matrix cannot be written."""
+        return _block(a, self.majority_users, self.majority_items)
 
     def minority_block(self, a: np.ndarray) -> np.ndarray:
-        """Minority-user x minority-item submatrix of a, rows and columns in index order."""
-        return a[np.ix_(self.minority_users, self.minority_items)]
+        """Minority-user x minority-item submatrix of a, rows and columns in index order.
+
+        A view of a when both groups are contiguous ranges (as in every
+        ``block_partition``), else a copy; either way writeable exactly when
+        a is, so a block of a read-only matrix cannot be written."""
+        return _block(a, self.minority_users, self.minority_items)
 
     def covers(self, m: int, n: int) -> bool:
         """True when the user sets partition range(m) and the item sets range(n)."""
@@ -229,14 +237,39 @@ class GroupPartition:
         # Counted on a mask, no float block copied: minority columns (rows)
         # hold a cross nonzero iff they hold more than the minority block.
         nonzero = a != 0.0
-        rows = nonzero[self.minority_users]
-        inside = np.count_nonzero(rows[:, self.minority_items])
-        if np.count_nonzero(nonzero[:, self.minority_items]) > inside:
+        items = _group_index(self.minority_items)
+        rows = nonzero[_group_index(self.minority_users)]
+        inside = np.count_nonzero(rows[:, items])
+        if np.count_nonzero(nonzero[:, items]) > inside:
             raise PartitionError("majority user rates a minority item")
         if np.count_nonzero(rows) > inside:
             raise PartitionError("minority user rates a majority item")
         if np.any(_row_reduce(np.maximum, a) <= 0.0):
             raise PartitionError("a user has no positive rating")
+
+
+def _group_index(group: np.ndarray) -> slice | np.ndarray:
+    """A partition group (sorted, distinct indices) as the basic slice over
+    its range when it is one contiguous range, empty included, else as
+    itself: indexing an axis with the slice gives a view, not a copy."""
+    if not group.size:
+        return slice(0, 0)
+    first = int(group[0])
+    if int(group[-1]) - first + 1 == group.size:
+        return slice(first, first + group.size)
+    return group
+
+
+def _block(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``a[np.ix_(rows, cols)]`` for two partition groups, as a view when
+    both are contiguous ranges, and writeable exactly when a is.  Two index
+    arrays still go through np.ix_: side by side they would pair up."""
+    r, c = _group_index(rows), _group_index(cols)
+    if not (isinstance(r, slice) or isinstance(c, slice)):
+        r, c = np.ix_(r, c)
+    out = a[r, c]
+    out.flags.writeable = a.flags.writeable
+    return out
 
 
 def _covers(a: np.ndarray, b: np.ndarray, size: int) -> bool:

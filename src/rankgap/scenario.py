@@ -35,7 +35,6 @@ from .matrix import (
     block_partition,
     find_picky_items,
     load_ratings_csv,
-    singular_value_gap,
 )
 from .popgap import PopularitySplit
 
@@ -289,7 +288,8 @@ class MaterializedScenario:
     (``gap_class``) has a ``split`` and no partition.  ``alpha`` is the
     document's, else the family's drawn one, else None.  ``class_codes[u]``
     indexes ``class_labels``, and ``summary`` is the reports' ``matrix``
-    block.  Scenes compare by identity.
+    block.  A block-model scene refuses, with a PartitionError, a partition
+    that is not valid for its matrix.  Scenes compare by identity.
     """
 
     scenario: Scenario
@@ -301,11 +301,18 @@ class MaterializedScenario:
     class_labels: tuple[str, ...]
     summary: dict
 
+    def __post_init__(self) -> None:
+        # A scene's matrix and partition never change, so they are validated
+        # once, here, and gap_interval() reads the blocks unvalidated.
+        if self.partition is not None:
+            self.partition.validate_for(self.matrix)
+
     def gap_interval(self) -> OpenInterval:
         """The true matrix's gap window under the scene's model."""
         if self.split is not None:
             return self.split.window
-        return singular_value_gap(self.matrix, self.partition)
+        sigma_kmaj, sigma1_min = _block_sigmas(self.matrix, self.partition)
+        return OpenInterval(sigma1_min, sigma_kmaj)
 
     def resolve_strategy(self, alpha: float) -> tuple[CollectiveStrategy, FinderInputs, float, str]:
         """The strategy on the matrix, its finder inputs, sigma1_min and the eta
@@ -390,7 +397,6 @@ def generate_scenario(doc: dict) -> MaterializedScenario:
             partition = block_partition(
                 int(spec["m_bar"]), int(spec["n_bar"]), matrix.rows, matrix.cols
             )
-            partition.validate_for(matrix)
         else:
             sc = generators.random_block_scenario(np.random.default_rng(scenario.seed))
             matrix, partition, drawn = sc.matrix, sc.partition, sc.alpha

@@ -2,10 +2,12 @@
 
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -183,6 +185,20 @@ def test_each_scene_answers_for_its_own_model():
     assert mat.split is None
     gap, expected = mat.gap_interval(), matrix.singular_value_gap(mat.matrix, mat.partition)
     assert (gap.lower.hex(), gap.upper.hex()) == (expected.lower.hex(), expected.upper.hex())
+
+
+def test_a_scene_refuses_a_partition_that_does_not_fit_its_matrix():
+    """A block-model scene validates its partition when it is built, so one
+    built by hand with a misfitting partition never exists."""
+    mat = generate_scenario(PRESETS["multigroup"])
+    cases = [
+        # User 400 rates the picky item 4 but would join the majority.
+        (matrix.block_partition(401, 4, 405, 6), "majority user rates a minority item"),
+        (matrix.block_partition(400, 4, 406, 6), "user sets do not partition range(405)"),
+    ]
+    for partition, message in cases:
+        with pytest.raises(matrix.PartitionError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(mat, partition=partition)
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -428,9 +444,10 @@ def counting(module, name):
         yield calls
 
 
-def test_collective_run_validates_five_times_and_makes_seventeen_svds():
-    """The multigroup preset's collective run: 5 partition validations and
-    17 SVDs (2 spectral, 15 singular_values_of), as perfbench pins per op."""
+def test_collective_run_validates_three_times_and_makes_seventeen_svds():
+    """The multigroup preset's collective run: 3 partition validations (the
+    scene validated its own when it was built) and 17 SVDs (2 spectral, 15
+    singular_values_of), as perfbench pins per op."""
     mat = generate_scenario(PRESETS["multigroup"])
     validate = matrix.GroupPartition.validate_for
     with (
@@ -442,15 +459,20 @@ def test_collective_run_validates_five_times_and_makes_seventeen_svds():
     ):
         report = run(mat)
     assert report["collective"] is not None
-    assert validated.call_count == 5
+    assert validated.call_count == 3
     assert (len(spectral_calls), len(value_calls)) == (2, 15)
 
 
 def test_sweep_fits_once_per_rank_and_makes_ten_svds():
     """TOP_K2_DOC's sweep: 13 points chose ranks 4 and 5, so 2 fits and 10
-    SVDs (2 spectral, 8 singular_values_of); perfbench pins 5 per fit."""
+    SVDs (2 spectral, 8 singular_values_of); perfbench pins 5 per fit.  No
+    fit validates the partition again: the scene did when it was built."""
     mat = generate_scenario(TOP_K2_DOC)
+    validate = matrix.GroupPartition.validate_for
     with (
+        mock.patch.object(
+            matrix.GroupPartition, "validate_for", autospec=True, side_effect=validate
+        ) as validated,
         counting(learner, "fit_learner") as fits,
         counting(matrix, "spectral") as spectral_calls,
         counting(matrix, "singular_values_of") as value_calls,
@@ -459,6 +481,7 @@ def test_sweep_fits_once_per_rank_and_makes_ten_svds():
     assert len(report["runs"]) == 13
     assert {point["chosen_rank"] for point in report["runs"]} == {4, 5}
     assert (len(fits), len(spectral_calls), len(value_calls)) == (2, 2, 8)
+    assert validated.call_count == 0
 
 
 def test_multigroup_report_bytes_are_reproducible(multigroup_report):

@@ -294,6 +294,106 @@ def test_tall_partitions_raise_as_the_axis_reduction_did(case):
     assert outcome(GroupPartition.validate_for) == outcome(reference_validate_for)
 
 
+def copied_validate_for(p, R) -> None:
+    """GroupPartition.validate_for as it was when it took its row and column
+    selections with the index arrays themselves, copying each."""
+    m, n = R.shape
+    if not matrix._covers(p.majority_users, p.minority_users, m):
+        raise PartitionError(f"user sets do not partition range({m})")
+    if not matrix._covers(p.majority_items, p.minority_items, n):
+        raise PartitionError(f"item sets do not partition range({n})")
+    a = R.entries
+    nonzero = a != 0.0
+    rows = nonzero[p.minority_users]
+    inside = np.count_nonzero(rows[:, p.minority_items])
+    if np.count_nonzero(nonzero[:, p.minority_items]) > inside:
+        raise PartitionError("majority user rates a minority item")
+    if np.count_nonzero(rows) > inside:
+        raise PartitionError("minority user rates a majority item")
+    if np.any(matrix._row_reduce(np.maximum, a) <= 0.0):
+        raise PartitionError("a user has no positive rating")
+
+
+def copied_block_sigmas(R, p) -> tuple[float, float]:
+    """matrix._block_sigmas as it was on np.ix_ copies of both blocks."""
+    maj = R.entries[np.ix_(p.majority_users, p.majority_items)]
+    k_maj = numeric_rank_of(maj)
+    if k_maj == 0:
+        raise PartitionError("majority block has numeric rank 0")
+    s_min = singular_values_of(R.entries[np.ix_(p.minority_users, p.minority_items)])
+    return float(singular_values_of(maj)[k_maj - 1]), float(s_min[0]) if s_min.size else 0.0
+
+
+@st.composite
+def group_splits(draw, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """range(size) cut into (majority, minority) one of four ways: two
+    contiguous ranges (either first), shuffled groups, one group of a single
+    index, or one empty group."""
+    kind = draw(st.sampled_from(["contiguous", "shuffled", "single", "empty"]))
+    if kind == "contiguous":
+        minority = np.arange(size) >= draw(st.integers(0, size))
+        if draw(st.booleans()):
+            minority = ~minority
+    elif kind == "shuffled":
+        minority = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    elif kind == "single":
+        minority = np.arange(size) == draw(st.integers(0, size - 1))
+        if draw(st.booleans()):
+            minority = ~minority
+    else:
+        minority = np.full(size, draw(st.booleans()))
+    return np.flatnonzero(~minority), np.flatnonzero(minority)
+
+
+@st.composite
+def drawn_partitions(draw):
+    """A finite float matrix (-0.0 among its entries) and a partition of it,
+    drawn independently for users and items, with the cross blocks zeroed
+    on some draws so that validation can pass."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3, allow_subnormal=False)
+    )
+    a = np.array(draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(m, n)
+    majority_users, minority_users = draw(group_splits(m))
+    majority_items, minority_items = draw(group_splits(n))
+    if draw(st.booleans()):
+        cross = np.isin(np.arange(m), minority_users)[:, None] != np.isin(
+            np.arange(n), minority_items
+        )
+        a[cross] = draw(st.sampled_from([0.0, -0.0]))
+    p = GroupPartition(majority_users, minority_users, majority_items, minority_items)
+    return RatingsMatrix(a, nonnegative=False), p
+
+
+@given(drawn_partitions())
+@settings(max_examples=400, deadline=None)
+def test_group_reads_match_the_copies_they_replace(case):
+    R, p = case
+    a = R.entries
+    assert p.majority_block(a.copy()).flags.writeable
+    assert p.minority_block(a.copy()).flags.writeable
+    for block, users, items in (
+        (p.majority_block(a), p.majority_users, p.majority_items),
+        (p.minority_block(a), p.minority_users, p.minority_items),
+    ):
+        expected = a[np.ix_(users, items)]
+        assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
+        assert not block.flags.writeable
+        if block.size and all(g[-1] - g[0] + 1 == g.size for g in (users, items)):
+            assert np.shares_memory(block, a)
+
+    def outcome(check, *args):
+        try:
+            result = check(*args)
+        except PartitionError as exc:
+            return str(exc)
+        return None if result is None else [x.hex() for x in result]
+
+    assert outcome(GroupPartition.validate_for, p, R) == outcome(copied_validate_for, p, R)
+    assert outcome(matrix._block_sigmas, R, p) == outcome(copied_block_sigmas, R, p)
+
+
 ROW_REDUCTIONS = (np.maximum, np.minimum, np.logical_or, np.logical_and)
 
 
